@@ -5,26 +5,30 @@ pathology that separates a vanilla RNN from an LSTM on long sequences.
 
 import numpy as np
 
-from seqtag.model import (LstmCellParams, LstmState, lstm_step, run_bilayer,
-                          run_layer)
+from seqtag.model import CellParams, run_bilayer, run_layer
 from seqtag.numerics import derive_rng
 from seqtag.selfcheck import check_gradients, compare_recurrence_pathology
 
 # --- one memory-cell step, scalar shapes, everything visible -------------
-# With every weight 1 and bias 0, input 1, zero initial state, each gate is
-# sigmoid(1) and the candidate is tanh(1):
-p = LstmCellParams(1, 1)
-for name in p.fields:
-    if not name.startswith("b"):
-        setattr(p, name, np.ones((1, 1)))
-state = lstm_step(p, np.array([1.0]), LstmState.zeros(1))
-print(f"cell state c = {state.c[0]:.5f}   (sigmoid(1) * tanh(1))")
-print(f"hidden   h = {state.h[0]:.5f}   (sigmoid(1) * tanh(c))")
+# A cell stores its four gates stacked in the order (i, f, o, c). With
+# every weight 1 and bias 0, input 1 and zero initial state, each gate is
+# sigmoid(1) and the candidate is tanh(1), so by hand:
+gate = 1.0 / (1.0 + np.exp(-1.0))
+c = gate * np.tanh(1.0)
+print(f"cell state c = {c:.5f}   (sigmoid(1) * tanh(1))")
+print(f"hidden   h = {gate * np.tanh(c):.5f}   (sigmoid(1) * tanh(c))")
+# and the layer runner over a one-token sequence agrees:
+p = CellParams(1, 1)
+p.W[:] = 1.0
+p.U[:] = 1.0
+h = run_layer(p, np.array([[1.0]]))[0, 0]
+print(f"run_layer  h = {h:.5f}")
+assert abs(h - gate * np.tanh(c)) < 1e-12
 
 # --- bidirectional layer: forward and backward passes concatenated -------
 rng = derive_rng(0, 1)
-fwd = LstmCellParams.init(rng, 4, 3)
-bwd = LstmCellParams.init(rng, 4, 3)
+fwd = CellParams.init(rng, 4, 3)
+bwd = CellParams.init(rng, 4, 3)
 x = rng.uniform(-1, 1, size=(6, 3))
 out = run_bilayer(fwd, bwd, x)
 print(f"\nbi-layer output shape: {out.shape}  (T x 2H)")

@@ -90,8 +90,9 @@ def resolve_options(args, names):
     DEFAULTS. argparse defaults are None so an unset flag is detectable."""
     from_file = {}
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as handle:
-            from_file = json.load(handle)
+        from_file = _read_json(args.config, "config file")
+        if not isinstance(from_file, dict):
+            raise CliError(f"{args.config}: config file must hold a JSON object")
     resolved = {}
     for name in names:
         value = getattr(args, name, None)
@@ -99,6 +100,16 @@ def resolve_options(args, names):
             value = from_file.get(name, DEFAULTS.get(name))
         resolved[name] = value
     return resolved
+
+
+def _read_json(path, what):
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise CliError(f"cannot read {what} {path}: {exc.strerror}")
+    except ValueError as exc:
+        raise CliError(f"{path}: invalid JSON: {exc}")
 
 
 def _parse_feature_list(text):
@@ -156,52 +167,16 @@ def _extractor_from_options(opts, train_sentences, embeddings_path, regex_file):
     if fconfig.has(features.REGEX):
         path = regex_file or default_regex_file()
         rules = features.load_regex_rules(path)
-    return features.build_extractor(train_sentences, fconfig, table, rules), rules
+    return features.build_extractor(train_sentences, fconfig, table, rules)
 
 
-def _pipeline_extra(opts, extractor, rules):
-    """Everything cmd_tag needs to rebuild the feature pipeline, stored in
-    the model container's config record."""
-    table = extractor.table
-    extra = {
-        "entity_types": list(_parse_entity_types(opts["entity_types"])),
-        "features": list(extractor.config.enabled),
-        "embedding": {
-            "mode": table.mode,
-            "dim": table.dim,
-            "seed": table.seed,
-            "lowercase_fallback": table.lowercase_fallback,
-            "vocab": list(table.vocab) if table.mode == "onehot" else None,
-        },
-        "pos_tags": extractor.pos_encoder.tags() if extractor.pos_encoder else None,
-        "chunk_tags": extractor.chunk_encoder.tags() if extractor.chunk_encoder else None,
-        "regex_rules": [[r.name, r.scope, r.pattern] for r in rules.rules]
-                       if rules else None,
-    }
-    return extra
-
-
-def _extractor_from_extra(extra, embeddings_path):
-    emb = extra["embedding"]
-    if emb["mode"] == "pretrained":
-        if not embeddings_path:
-            raise CliError("this model uses skipgram embeddings; "
-                           "pass --embeddings <file>")
-        table = features.load_embeddings(embeddings_path, emb["dim"],
-                                         seed=emb["seed"],
-                                         lowercase_fallback=emb["lowercase_fallback"])
-    elif emb["mode"] == "onehot":
-        table = features.onehot_table(emb["vocab"])
-    else:
-        table = features.random_table(emb["dim"], emb["seed"])
-    fconfig = features.FeatureConfig(tuple(extra["features"]))
-    pos_enc = features.TagEncoder(extra["pos_tags"]) if extra["pos_tags"] is not None else None
-    chunk_enc = features.TagEncoder(extra["chunk_tags"]) if extra["chunk_tags"] is not None else None
-    rules = None
-    if extra["regex_rules"] is not None:
-        rules = features.RegexRuleSet(
-            [features.RegexRule(n, s, p) for n, s, p in extra["regex_rules"]])
-    return features.FeatureExtractor(fconfig, table, pos_enc, chunk_enc, rules)
+def _train_config(opts):
+    try:
+        return train.TrainConfig(learning_rate=opts["lr"], clip_norm=opts["clip"],
+                                 max_epochs=opts["max_epochs"],
+                                 patience=opts["patience"], seed=opts["seed"])
+    except ValueError as exc:
+        raise CliError(str(exc))
 
 
 def cmd_train(args):
@@ -212,18 +187,19 @@ def cmd_train(args):
     train_sents = corpus.split_long(train_sents, opts["max_len"], entity_types)
     dev_sents = corpus.split_long(dev_sents, opts["max_len"], entity_types)
 
-    extractor, rules = _extractor_from_options(opts, train_sents,
-                                               args.embeddings, args.regex_file)
-    tconfig = model.TaggerConfig(
-        labels=corpus.label_alphabet(entity_types),
-        input_dim=extractor.input_dim,
-        hidden=opts["hidden"], layers=opts["layers"], cell=opts["cell"],
-        bidirectional=opts["bidi"], dropout=opts["dropout"])
-    tagger = model.init_params(tconfig, derive_rng(opts["seed"], 0),
-                               extra=_pipeline_extra(opts, extractor, rules))
-    tcfg = train.TrainConfig(learning_rate=opts["lr"], clip_norm=opts["clip"],
-                             max_epochs=opts["max_epochs"],
-                             patience=opts["patience"], seed=opts["seed"])
+    tcfg = _train_config(opts)
+    extractor = _extractor_from_options(opts, train_sents, args.embeddings,
+                                        args.regex_file)
+    try:
+        tconfig = model.TaggerConfig(
+            labels=corpus.label_alphabet(entity_types),
+            input_dim=extractor.input_dim,
+            hidden=opts["hidden"], layers=opts["layers"], cell=opts["cell"],
+            bidirectional=opts["bidi"], dropout=opts["dropout"])
+    except ValueError as exc:
+        raise CliError(str(exc))
+    extra = {"entity_types": list(entity_types), **extractor.to_dict()}
+    tagger = model.init_params(tconfig, derive_rng(opts["seed"], 0), extra=extra)
 
     progress = None
     if not args.quiet:
@@ -261,52 +237,37 @@ def _load_model(path):
         raise CliError(f"{path}: {type(exc).__name__}: {exc}")
 
 
-def _read_tag_input(path, entity_types):
-    """Input for tagging: CoNLL lines with or without a gold label column."""
+def _read_tag_input(path):
+    """Input for tagging: CoNLL lines with or without a gold label column,
+    as the first token line shows. Returns (sentences, has_gold)."""
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.readlines()
-    has_gold = None
-    for raw in lines:
-        line = raw.strip()
-        if line and not line.startswith("-DOCSTART-"):
-            has_gold = len(line.split()) >= 4
-            break
-    if has_gold is None:
-        return [], False
-    if has_gold:
-        return corpus.read_conll(iter(lines), entity_types=None,
-                                 strict=False), True
-    sents = []
-    tokens = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            if tokens:
-                sents.append(corpus.Sentence(tokens))
-                tokens = []
-            continue
-        if line.startswith("-DOCSTART-"):
-            continue
-        cols = line.split()
-        if len(cols) < 3:
-            raise corpus.MalformedLine(
-                f"line {lineno}: need surface, POS and chunk columns")
-        tokens.append(corpus.Token(cols[0], cols[1], cols[2], "O"))
-    if tokens:
-        sents.append(corpus.Sentence(tokens))
-    return sents, False
+    first = next(filter(None, map(corpus.split_columns, lines)), [])
+    has_gold = len(first) >= 4
+    columns = corpus.ColumnMap() if has_gold else corpus.ColumnMap(label=None)
+    return corpus.read_conll(lines, columns, entity_types=None,
+                             strict=False), has_gold
 
 
 def cmd_tag(args):
     tagger = _load_model(args.model)
-    extractor = _extractor_from_extra(tagger.extra, args.embeddings)
+    try:
+        extractor = features.FeatureExtractor.from_dict(tagger.extra,
+                                                        args.embeddings)
+    except FileNotFoundError:
+        raise CliError(f"cannot read embeddings file {args.embeddings}")
+    except features.EmbeddingError as exc:
+        raise CliError(f"{args.embeddings or args.model}: {exc}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"{args.model}: no usable feature pipeline record "
+                       f"({type(exc).__name__}: {exc})")
     if extractor.input_dim != tagger.config.input_dim:
         raise CliError(
             f"feature width {extractor.input_dim} does not match model "
             f"input width {tagger.config.input_dim}")
     entity_types = tuple(tagger.extra.get("entity_types") or ())
     try:
-        sentences, has_gold = _read_tag_input(args.input, entity_types)
+        sentences, has_gold = _read_tag_input(args.input)
     except FileNotFoundError:
         raise CliError(f"cannot read {args.input}: no such file")
     except corpus.CorpusError as exc:
@@ -378,16 +339,19 @@ def cmd_ablate(args):
                            f"{sorted(train.ABLATION_PRESETS)}")
         rows = train.ABLATION_PRESETS[args.preset]
     elif args.rows:
-        with open(args.rows, "r", encoding="utf-8") as handle:
-            specs = json.load(handle)
-        rows = [train.RowSpec(
-            name=s["name"],
-            feature_set=tuple(s["features"]) if "features" in s else None,
-            embedding_mode=_embedding_mode(s.get("embedding_mode"))
-                           if s.get("embedding_mode") else None,
-            cell=s.get("cell"), bidirectional=s.get("bidirectional"),
-            layers=s.get("layers"), dropout=s.get("dropout"))
-            for s in specs]
+        specs = _read_json(args.rows, "row-spec file")
+        try:
+            rows = [train.RowSpec(
+                name=s["name"],
+                feature_set=tuple(s["features"]) if "features" in s else None,
+                embedding_mode=_embedding_mode(s.get("embedding_mode"))
+                               if s.get("embedding_mode") else None,
+                cell=s.get("cell"), bidirectional=s.get("bidirectional"),
+                layers=s.get("layers"), dropout=s.get("dropout"))
+                for s in specs]
+        except (KeyError, TypeError) as exc:
+            raise CliError(f"{args.rows}: bad row spec "
+                           f"({type(exc).__name__}: {exc})")
     else:
         raise CliError("give --preset or --rows")
 
@@ -406,9 +370,7 @@ def cmd_ablate(args):
         embeddings_path=args.embeddings, regex_rules=rules,
         hidden=opts["hidden"], layers=opts["layers"], cell=opts["cell"],
         bidirectional=opts["bidi"], dropout=opts["dropout"])
-    tcfg = train.TrainConfig(learning_rate=opts["lr"], clip_norm=opts["clip"],
-                             max_epochs=opts["max_epochs"],
-                             patience=opts["patience"], seed=opts["seed"])
+    tcfg = _train_config(opts)
     results = train.ablate(setup, rows, tcfg, save_dir=args.save_models)
 
     text = train.render_ablation(results)

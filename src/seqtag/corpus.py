@@ -78,22 +78,21 @@ class EntitySpan:
 
 @dataclass
 class ColumnMap:
-    """Which whitespace-separated column holds which field.
-
-    `predicted` is optional; set it to read conlleval-style files that carry
-    a system output column.
+    """Which column holds which field. A negative index counts from the end
+    of the line, as in conlleval files (gold label -2, prediction -1). None
+    marks a field the file lacks: the token keeps its default ("_" for POS
+    and chunk, "O" for the label, no prediction).
     """
     surface: int = 0
-    pos: int = 1
-    chunk: int = 2
-    label: int = 3
+    pos: int | None = 1
+    chunk: int | None = 2
+    label: int | None = 3
     predicted: int | None = None
 
-    def max_index(self):
-        idxs = [self.surface, self.pos, self.chunk, self.label]
-        if self.predicted is not None:
-            idxs.append(self.predicted)
-        return max(idxs)
+    def min_columns(self):
+        idxs = [i for i in (self.surface, self.pos, self.chunk, self.label,
+                            self.predicted) if i is not None]
+        return max(i + 1 if i >= 0 else -i for i in idxs)
 
 
 def label_alphabet(entity_types=DEFAULT_ENTITY_TYPES):
@@ -249,13 +248,25 @@ def convert_scheme(labels, from_scheme, to_scheme, entity_types=DEFAULT_ENTITY_T
     return spans_to_labels(spans, len(labels))
 
 
+def split_columns(line):
+    """Fields of one CoNLL line, or None for a blank or -DOCSTART- line.
+    Fields are separated by single tabs when the line has one (each field
+    stripped of surrounding spaces), else by runs of whitespace."""
+    line = line.strip()
+    if not line or line.startswith("-DOCSTART-"):
+        return None
+    if "\t" in line:
+        return [c.strip() for c in line.split("\t")]
+    return line.split()
+
+
 def read_conll(source, columns=None, entity_types=DEFAULT_ENTITY_TYPES,
                strict=True, scheme="IOB2"):
     """Parse a CoNLL stream (iterable of lines or a file path) into sentences.
 
-    Columns are separated by runs of spaces or a single tab; blank lines end
-    sentences; -DOCSTART- lines are skipped. With strict=False, label
-    sequence violations are repaired via repair_iob instead of raising.
+    Lines are split by split_columns; blank lines end sentences;
+    -DOCSTART- lines are skipped. With strict=False, label sequence
+    violations are repaired via repair_iob instead of raising.
     scheme="IOB1" converts gold labels to IOB2 on ingest.
     """
     if columns is None:
@@ -292,26 +303,24 @@ def read_conll(source, columns=None, entity_types=DEFAULT_ENTITY_TYPES,
         sentences.append(Sentence(tokens))
         tokens, label_lines = [], []
 
+    def field(cols, index, default):
+        return default if index is None else cols[index]
+
+    needed = columns.min_columns()
     for lineno, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            finish()
+        cols = split_columns(raw)
+        if cols is None:
+            if not raw.strip():  # a blank line; -DOCSTART- lines end nothing
+                finish()
             continue
-        if line.startswith("-DOCSTART-"):
-            continue
-        cols = line.split("\t") if "\t" in line else line.split()
-        if len(cols) <= columns.max_index():
+        if len(cols) < needed:
             raise MalformedLine(
-                f"line {lineno}: expected at least {columns.max_index() + 1} "
-                f"columns, got {len(cols)}: {line!r}")
-        tok = Token(
-            surface=cols[columns.surface],
-            pos=cols[columns.pos],
-            chunk=cols[columns.chunk],
-            gold_label=cols[columns.label],
-        )
-        if columns.predicted is not None:
-            tok.predicted_label = cols[columns.predicted]
+                f"line {lineno}: expected at least {needed} columns, "
+                f"got {len(cols)}: {raw.strip()!r}")
+        tok = Token(cols[columns.surface], field(cols, columns.pos, "_"),
+                    field(cols, columns.chunk, "_"),
+                    field(cols, columns.label, "O"),
+                    field(cols, columns.predicted, None))
         if not tok.surface:
             raise MalformedLine(f"line {lineno}: empty surface form")
         tokens.append(tok)

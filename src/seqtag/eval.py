@@ -8,7 +8,7 @@ report is rendered.
 
 from dataclasses import dataclass, field
 
-from .corpus import extract_spans, repair_iob
+from .corpus import ColumnMap, extract_spans, read_conll, repair_iob
 
 
 class MissingPredictions(ValueError):
@@ -125,34 +125,10 @@ def render(report):
 
 def score_conll_lines(lines, types=None):
     """Alternative entry point following the conlleval input convention:
-    whitespace-separated columns with the gold label second-to-last and the
-    predicted label last; blank lines separate sentences."""
-    from .corpus import Sentence, Token
-
-    sentences = []
-    tokens = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            if tokens:
-                sentences.append(Sentence(tokens))
-                tokens = []
-            continue
-        if line.startswith("-DOCSTART-"):
-            continue
-        cols = line.split()
-        if len(cols) < 2:
-            raise ValueError(
-                f"line {lineno}: need at least gold and predicted columns")
-        tokens.append(Token(surface=cols[0], gold_label=cols[-2],
-                            predicted_label=cols[-1]))
-    if tokens:
-        sentences.append(Sentence(tokens))
-    for sent in sentences:
-        sent.tokens = [
-            Token(t.surface, t.pos, t.chunk, g, p)
-            for t, g, p in zip(sent.tokens,
-                               repair_iob(sent.gold_labels(), None),
-                               repair_iob(sent.predicted_labels(), None))
-        ]
+    the gold label second-to-last column and the predicted label last;
+    blank lines separate sentences. Gold labels of any entity type are
+    repaired to IOB2, as score() repairs the predictions."""
+    sentences = read_conll(lines, ColumnMap(pos=None, chunk=None, label=-2,
+                                            predicted=-1),
+                           entity_types=None, strict=False)
     return score(sentences, types=types)

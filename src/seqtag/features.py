@@ -107,13 +107,6 @@ class EmbeddingTable:
         return len(self.vectors)
 
 
-def lookup(table, word, rng=None):
-    """Module-level alias for EmbeddingTable.lookup. The table derives its
-    own per-word stream from its seed; `rng` is accepted for signature
-    compatibility and ignored."""
-    return table.lookup(word)
-
-
 def load_embeddings(source, expected_dim, seed=0, lowercase_fallback=True):
     """Load a word2vec-style text export: one "word v1 ... vd" line per word,
     optionally preceded by a "count dim" header. Later duplicates override
@@ -396,6 +389,47 @@ class FeatureExtractor:
     def assemble(self, sentence):
         return assemble_inputs(sentence, self.config, self.table,
                                self.pos_encoder, self.chunk_encoder, self.rules)
+
+    def to_dict(self):
+        """JSON-ready record of the pipeline, stored in a saved model so that
+        `from_dict` can rebuild it for tagging new text. Pretrained vectors
+        are not stored, only the table's mode, width and OOV seed."""
+        t = self.table
+        return {
+            "features": list(self.config.enabled),
+            "embedding": {"mode": t.mode, "dim": t.dim, "seed": t.seed,
+                          "lowercase_fallback": t.lowercase_fallback,
+                          "vocab": list(t.vocab) if t.mode == "onehot" else None},
+            "pos_tags": self.pos_encoder.tags() if self.pos_encoder else None,
+            "chunk_tags": self.chunk_encoder.tags() if self.chunk_encoder else None,
+            "regex_rules": [[r.name, r.scope, r.pattern] for r in self.rules.rules]
+                           if self.rules else None,
+        }
+
+    @classmethod
+    def from_dict(cls, record, embeddings_path=None):
+        """Inverse of to_dict. A pretrained-mode record needs the vector
+        file it was trained with; raises EmbeddingError without one."""
+        emb = record["embedding"]
+        if emb["mode"] == "pretrained":
+            if not embeddings_path:
+                raise EmbeddingError("this model uses skipgram embeddings; "
+                                     "pass --embeddings <file>")
+            table = load_embeddings(embeddings_path, emb["dim"], seed=emb["seed"],
+                                    lowercase_fallback=emb["lowercase_fallback"])
+        elif emb["mode"] == "onehot":
+            table = onehot_table(emb["vocab"])
+        else:
+            table = random_table(emb["dim"], emb["seed"])
+
+        def encoder(tags):
+            return TagEncoder(tags) if tags is not None else None
+
+        rules = record["regex_rules"]
+        return cls(FeatureConfig(tuple(record["features"])), table,
+                   encoder(record["pos_tags"]), encoder(record["chunk_tags"]),
+                   RegexRuleSet([RegexRule(*r) for r in rules])
+                   if rules is not None else None)
 
 
 def build_extractor(train_sentences, config, table, rules=None):

@@ -3,14 +3,17 @@ bidirectional layers, layer stacking with inverted dropout, a per-token
 softmax classifier, and hand-derived analytic gradients for all of it
 (backpropagation through time, batch size 1, no padding).
 
-The LSTM cell follows the usual gate formulation: the W matrices act on the
-previous hidden state, the U matrices on the current input,
+The LSTM cell stores its four gates stacked row-wise in the order
+(i, f, o, c): W (4H x H) acts on the previous hidden state, U (4H x D) on
+the current input, b is a 4H bias. With a = W h_prev + U x + b split into
+the H-blocks a_i, a_f, a_o, a_c,
 
-    i = sigmoid(W_i h_prev + U_i x + b_i)
-    f = sigmoid(W_f h_prev + U_f x + b_f)
-    c = f * c_prev + i * tanh(W_c h_prev + U_c x + b_c)
-    o = sigmoid(W_o h_prev + U_o x + b_o)
+    i, f, o = sigmoid(a_i), sigmoid(a_f), sigmoid(a_o)
+    c = f * c_prev + i * tanh(a_c)
     h = o * tanh(c)
+
+Stacking makes each step one matmul, and the input side U x is computed for
+all steps before the time loop (Appleyard et al., 2016, arXiv 1604.01946).
 
 Model files use a small versioned binary container (magic "SQTG"); see
 save()/load().
@@ -24,15 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (DimensionMismatch, hadamard, matvec, sigmoid,
-                       tanh_elem, uniform_matrix)
+from .numerics import DimensionMismatch, uniform_matrix
 
 MAGIC = b"SQTG"
 FORMAT_VERSION = 1
 
-LSTM_FIELDS = ("W_i", "W_f", "W_c", "W_o", "U_i", "U_f", "U_c", "U_o",
-               "b_i", "b_f", "b_c", "b_o")
-RNN_FIELDS = ("W", "U", "b")
+GATE_COUNT = {"lstm": 4, "rnn": 1}
 
 
 class ModelFormatError(ValueError):
@@ -55,207 +55,155 @@ class ChecksumMismatch(ModelFormatError):
     pass
 
 
+class BadConfigRecord(ModelFormatError):
+    """The config record is not UTF-8 JSON describing a valid model."""
+
+
+class TrailingBytes(ModelFormatError):
+    pass
+
+
 class EmptySequence(ValueError):
     pass
 
 
-@dataclass
-class LstmState:
-    h: np.ndarray
-    c: np.ndarray
+class CellParams:
+    """Parameters of one recurrent cell with the gates stacked row-wise:
+    hidden-side W (gH x H), input-side U (gH x D) and bias b (gH). An LSTM
+    has g = 4 gates in the order (i, f, o, c); a vanilla RNN, h = tanh(W
+    h_prev + U x + b), has g = 1."""
 
-    @classmethod
-    def zeros(cls, hidden):
-        return cls(np.zeros(hidden), np.zeros(hidden))
-
-
-class LstmCellParams:
-    """The twelve parameter blocks of one LSTM cell: hidden-side W (H x H),
-    input-side U (H x D), biases b (H), one each per gate i/f/c/o."""
-
-    fields = LSTM_FIELDS
-
-    def __init__(self, hidden, input_dim):
+    def __init__(self, hidden, input_dim, kind="lstm"):
+        rows = GATE_COUNT[kind] * hidden
+        self.kind = kind
         self.hidden = hidden
         self.input_dim = input_dim
-        for name in ("W_i", "W_f", "W_c", "W_o"):
-            setattr(self, name, np.zeros((hidden, hidden)))
-        for name in ("U_i", "U_f", "U_c", "U_o"):
-            setattr(self, name, np.zeros((hidden, input_dim)))
-        for name in ("b_i", "b_f", "b_c", "b_o"):
-            setattr(self, name, np.zeros(hidden))
+        self.W = np.zeros((rows, hidden))
+        self.U = np.zeros((rows, input_dim))
+        self.b = np.zeros(rows)
 
     @classmethod
-    def init(cls, rng, hidden, input_dim, forget_bias=1.0):
-        p = cls(hidden, input_dim)
-        for name in ("W_i", "W_f", "W_c", "W_o"):
-            setattr(p, name, uniform_matrix(rng, hidden, hidden,
-                                            np.sqrt(3.0 / hidden)))
-        for name in ("U_i", "U_f", "U_c", "U_o"):
-            setattr(p, name, uniform_matrix(rng, hidden, input_dim,
-                                            np.sqrt(3.0 / input_dim)))
-        p.b_f = np.full(hidden, float(forget_bias))
+    def init(cls, rng, hidden, input_dim, kind="lstm", forget_bias=1.0):
+        """Weights uniform in +-sqrt(3/fan_in), biases zero except the LSTM
+        forget gate's. LSTM weights are drawn in the container's gate order
+        and then swapped, so a seed yields the parameters it always did."""
+        p = cls(hidden, input_dim, kind)
+        p.W = uniform_matrix(rng, len(p.b), hidden, np.sqrt(3.0 / hidden))
+        p.U = uniform_matrix(rng, len(p.b), input_dim, np.sqrt(3.0 / input_dim))
+        if kind == "lstm":
+            p.W, p.U = _swap_oc(p.W), _swap_oc(p.U)
+            p.b[hidden:2 * hidden] = forget_bias
         return p
 
     def items(self):
-        return [(name, getattr(self, name)) for name in self.fields]
+        return [("W", self.W), ("U", self.U), ("b", self.b)]
 
 
-class RnnCellParams:
-    """Vanilla recurrent cell, h = tanh(W h_prev + U x + b)."""
-
-    fields = RNN_FIELDS
-
-    def __init__(self, hidden, input_dim):
-        self.hidden = hidden
-        self.input_dim = input_dim
-        self.W = np.zeros((hidden, hidden))
-        self.U = np.zeros((hidden, input_dim))
-        self.b = np.zeros(hidden)
-
-    @classmethod
-    def init(cls, rng, hidden, input_dim):
-        p = cls(hidden, input_dim)
-        p.W = uniform_matrix(rng, hidden, hidden, np.sqrt(3.0 / hidden))
-        p.U = uniform_matrix(rng, hidden, input_dim, np.sqrt(3.0 / input_dim))
-        return p
-
-    def items(self):
-        return [(name, getattr(self, name)) for name in self.fields]
+def _swap_oc(arr, out=None):
+    """Exchange the o and c gate blocks of a stacked LSTM parameter. The
+    runner keeps the gates in (i, f, o, c) order, so that one slice covers
+    the three sigmoid gates; the v1 container stores (i, f, c, o). The swap
+    is its own inverse."""
+    H = len(arr) // 4
+    return np.concatenate([arr[:2 * H], arr[3 * H:], arr[2 * H:3 * H]], out=out)
 
 
-def lstm_step(params, x_t, prev):
-    """One LSTM step, evaluated gate by gate exactly as written in the
-    module docstring; returns the new LstmState."""
-    i = sigmoid(matvec(params.W_i, prev.h) + matvec(params.U_i, x_t) + params.b_i)
-    f = sigmoid(matvec(params.W_f, prev.h) + matvec(params.U_f, x_t) + params.b_f)
-    g = tanh_elem(matvec(params.W_c, prev.h) + matvec(params.U_c, x_t) + params.b_c)
-    c = hadamard(f, prev.c) + hadamard(i, g)
-    o = sigmoid(matvec(params.W_o, prev.h) + matvec(params.U_o, x_t) + params.b_o)
-    h = hadamard(o, tanh_elem(c))
-    return LstmState(h, c)
-
-
-def rnn_step(params, x_t, prev_h):
-    """One vanilla-RNN step; returns the new hidden state."""
-    return tanh_elem(matvec(params.W, prev_h) + matvec(params.U, x_t) + params.b)
-
-
-def _is_lstm(params):
-    return isinstance(params, LstmCellParams)
-
-
-# The layer runners below compute the same recurrences with the four gates
-# stacked into single matrices, order (i, f, o, c), so each step costs two
-# matmuls instead of eight and the input-side projection is hoisted out of
-# the time loop. lstm_step stays the literal per-gate reference; the tests
-# assert both paths agree.
-
-def _stacked_lstm(params):
-    W = np.concatenate([params.W_i, params.W_f, params.W_o, params.W_c])
-    U = np.concatenate([params.U_i, params.U_f, params.U_o, params.U_c])
-    b = np.concatenate([params.b_i, params.b_f, params.b_o, params.b_c])
-    return W, U, b
-
-
-def _run_cell_with_cache(params, inputs):
+def _run_cell(params, inputs):
     """Run a cell over inputs in their given order; returns (T x H states,
-    a cache for backprop)."""
+    a cache for _backprop_cell). The input-side projection is hoisted out of
+    the time loop, so each step costs one matmul."""
     T = len(inputs)
     if T == 0:
         raise EmptySequence("cannot run a recurrent layer over an empty sequence")
     inputs = np.asarray(inputs, dtype=np.float64)
     H = params.hidden
+    W = params.W
+    xu = inputs @ params.U.T + params.b  # (T, gH)
     states = np.empty((T, H))
-    if _is_lstm(params):
-        W, U, b = _stacked_lstm(params)
-        xu = inputs @ U.T + b  # (T, 4H)
-        gates = np.empty((T, 4 * H))  # i, f, o after sigmoid; g after tanh
-        cells = np.empty((T, H))
-        tanhc = np.empty((T, H))
-        h = np.zeros(H)
-        c = np.zeros(H)
-        with np.errstate(over="ignore"):  # saturated exp underflows to 0/1
-            for t in range(T):
-                a = W @ h + xu[t]
-                sig = 1.0 / (1.0 + np.exp(-a[:3 * H]))
-                g = np.tanh(a[3 * H:])
-                i, f, o = sig[:H], sig[H:2 * H], sig[2 * H:]
-                c = f * c + i * g
-                tc = np.tanh(c)
-                h = o * tc
-                gates[t, :3 * H] = sig
-                gates[t, 3 * H:] = g
-                cells[t] = c
-                tanhc[t] = tc
-                states[t] = h
-        cache = (inputs, states, gates, cells, tanhc, W, U)
-    else:
-        xu = inputs @ params.U.T + params.b
-        h = np.zeros(H)
+    h = np.zeros(H)
+    if params.kind == "rnn":
         for t in range(T):
-            h = np.tanh(params.W @ h + xu[t])
+            h = np.tanh(W @ h + xu[t])
             states[t] = h
-        cache = (inputs, states)
-    return states, cache
+        return states, (inputs, states)
+    gates = np.empty((T, 4 * H))  # i, f, o after sigmoid; g after tanh
+    cells = np.empty((T, H))
+    tanhc = np.empty((T, H))
+    c = np.zeros(H)
+    with np.errstate(over="ignore"):  # saturated exp underflows to 0/1
+        for t in range(T):
+            a = W @ h + xu[t]
+            sig = 1.0 / (1.0 + np.exp(-a[:3 * H]))
+            g = np.tanh(a[3 * H:])
+            i, f, o = sig[:H], sig[H:2 * H], sig[2 * H:]
+            c = f * c + i * g
+            tc = np.tanh(c)
+            h = o * tc
+            gates[t, :3 * H] = sig
+            gates[t, 3 * H:] = g
+            cells[t] = c
+            tanhc[t] = tc
+            states[t] = h
+    return states, (inputs, states, gates, cells, tanhc)
 
 
-def _cell_backward_over_time(params, cache, dstates, grads, prefix):
+def _backprop_cell(params, cache, dstates, grads, prefix):
     """BPTT for one cell over one direction. dstates[t] is the gradient
     arriving at the hidden state emitted at step t (in the cell's own time
     order). Accumulates into `grads` and returns input gradients in the
     same order."""
-    H = params.hidden
-    if _is_lstm(params):
-        inputs, states, gates, cells, tanhc, W, U = cache
-        T = len(inputs)
-        da_all = np.empty((T, 4 * H))
-        dh_next = np.zeros(H)
-        dc_next = np.zeros(H)
-        dW = np.zeros_like(W)
-        for t in range(T - 1, -1, -1):
-            dh = dstates[t] + dh_next
+    inputs, states = cache[:2]
+    lstm = params.kind == "lstm"
+    if lstm:
+        gates, cells, tanhc = cache[2:]
+    T, H = states.shape
+    W = params.W
+    da_all = np.empty((T, len(params.b)))
+    dh_next = np.zeros(H)
+    dc_next = np.zeros(H)
+    dW = np.zeros_like(W)
+    for t in range(T - 1, -1, -1):
+        dh = dstates[t] + dh_next
+        h_prev = states[t - 1] if t > 0 else np.zeros(H)
+        da = da_all[t]
+        if lstm:
             i, f, o = gates[t, :H], gates[t, H:2 * H], gates[t, 2 * H:3 * H]
             g = gates[t, 3 * H:]
             tc = tanhc[t]
             c_prev = cells[t - 1] if t > 0 else np.zeros(H)
-            h_prev = states[t - 1] if t > 0 else np.zeros(H)
             do = dh * tc
             dc = dc_next + dh * o * (1.0 - tc * tc)
-            da = da_all[t]
             da[:H] = dc * g * i * (1.0 - i)
             da[H:2 * H] = dc * c_prev * f * (1.0 - f)
             da[2 * H:3 * H] = do * o * (1.0 - o)
             da[3 * H:] = dc * i * (1.0 - g * g)
             dc_next = dc * f
-            dW += np.outer(da, h_prev)
-            dh_next = W.T @ da
-        dU = da_all.T @ inputs
-        db = da_all.sum(axis=0)
-        dx_all = da_all @ U
-        for k, gate in enumerate(("i", "f", "o", "c")):
-            grads[f"{prefix}W_{gate}"] += dW[k * H:(k + 1) * H]
-            grads[f"{prefix}U_{gate}"] += dU[k * H:(k + 1) * H]
-            grads[f"{prefix}b_{gate}"] += db[k * H:(k + 1) * H]
-    else:
-        inputs, states = cache
-        T = len(inputs)
-        da_all = np.empty((T, H))
-        dh_next = np.zeros(H)
-        dW = np.zeros_like(params.W)
-        for t in range(T - 1, -1, -1):
-            dh = dstates[t] + dh_next
+        else:
             h = states[t]
-            h_prev = states[t - 1] if t > 0 else np.zeros(H)
-            da = da_all[t]
             da[:] = dh * (1.0 - h * h)
-            dW += np.outer(da, h_prev)
-            dh_next = params.W.T @ da
-        grads[prefix + "W"] += dW
-        grads[prefix + "U"] += da_all.T @ inputs
-        grads[prefix + "b"] += da_all.sum(axis=0)
-        dx_all = da_all @ params.U
-    return dx_all
+        dW += np.outer(da, h_prev)
+        dh_next = W.T @ da
+    grads[prefix + "W"] += dW
+    grads[prefix + "U"] += da_all.T @ inputs
+    grads[prefix + "b"] += da_all.sum(axis=0)
+    return da_all @ params.U
+
+
+def _run_direction(params, inputs, direction):
+    """One recurrent pass: "fwd" processes positions first to last, "bwd"
+    last to first; both start from a zero state. Returns (states aligned to
+    input positions, cache for _backprop_direction)."""
+    if direction == "bwd":
+        states, cache = _run_cell(params, inputs[::-1])
+        return states[::-1], cache
+    return _run_cell(params, inputs)
+
+
+def _backprop_direction(params, cache, dstates, grads, prefix, direction):
+    """Backward pass of _run_direction; gradients aligned to positions."""
+    if direction == "bwd":
+        return _backprop_cell(params, cache, dstates[::-1], grads, prefix)[::-1]
+    return _backprop_cell(params, cache, dstates, grads, prefix)
 
 
 def run_layer(params, inputs, direction="fwd"):
@@ -266,12 +214,8 @@ def run_layer(params, inputs, direction="fwd"):
     """
     if direction not in ("fwd", "bwd"):
         raise ValueError(f"direction must be 'fwd' or 'bwd', got {direction!r}")
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if direction == "bwd":
-        states, _ = _run_cell_with_cache(params, inputs[::-1])
-        return states[::-1].copy()
-    states, _ = _run_cell_with_cache(params, inputs)
-    return states
+    return _run_direction(params, np.asarray(inputs, dtype=np.float64),
+                          direction)[0]
 
 
 def run_bilayer(fwd_params, bwd_params, inputs):
@@ -347,12 +291,10 @@ class Tagger:
     def __init__(self, config, extra=None):
         self.config = config
         self.extra = extra or {}
-        cell_cls = LstmCellParams if config.cell == "lstm" else RnnCellParams
-        self.layers = []
-        for l in range(config.layers):
-            d_in = config.layer_input_dim(l)
-            self.layers.append({d: cell_cls(config.hidden, d_in)
-                                for d in config.directions})
+        self.layers = [{d: CellParams(config.hidden, config.layer_input_dim(l),
+                                      config.cell)
+                        for d in config.directions}
+                       for l in range(config.layers)]
         n_labels = len(config.labels)
         self.proj_w = np.zeros((n_labels, config.layer_output_dim))
         self.proj_b = np.zeros(n_labels)
@@ -372,15 +314,6 @@ class Tagger:
     def params(self):
         return dict(self.param_items())
 
-    def set_param(self, name, arr):
-        if name == "proj.W":
-            self.proj_w = arr
-        elif name == "proj.b":
-            self.proj_b = arr
-        else:
-            layer_part, direction, fieldname = name.split(".")
-            setattr(self.layers[int(layer_part[5:])][direction], fieldname, arr)
-
     def zero_grads(self):
         return {name: np.zeros_like(arr) for name, arr in self.param_items()}
 
@@ -390,15 +323,11 @@ def init_params(config, rng, extra=None, forget_bias=1.0):
     except the LSTM forget-gate bias (1.0, so early training does not wash
     memory out)."""
     tagger = Tagger(config, extra=extra)
-    cell_cls = LstmCellParams if config.cell == "lstm" else RnnCellParams
-    for l in range(config.layers):
-        d_in = config.layer_input_dim(l)
+    for l, layer in enumerate(tagger.layers):
         for d in config.directions:
-            if config.cell == "lstm":
-                tagger.layers[l][d] = cell_cls.init(rng, config.hidden, d_in,
-                                                    forget_bias=forget_bias)
-            else:
-                tagger.layers[l][d] = cell_cls.init(rng, config.hidden, d_in)
+            layer[d] = CellParams.init(rng, config.hidden,
+                                       config.layer_input_dim(l), config.cell,
+                                       forget_bias)
     fan_in = config.layer_output_dim
     tagger.proj_w = uniform_matrix(rng, len(config.labels), fan_in,
                                    np.sqrt(3.0 / fan_in))
@@ -430,10 +359,8 @@ def forward(tagger, inputs, rng=None):
         outputs = []
         dir_caches = {}
         for d in config.directions:
-            seq = current if d == "fwd" else current[::-1]
-            states, caches = _run_cell_with_cache(layer[d], seq)
-            dir_caches[d] = caches
-            outputs.append(states if d == "fwd" else states[::-1])
+            states, dir_caches[d] = _run_direction(layer[d], current, d)
+            outputs.append(states)
         out = np.concatenate(outputs, axis=1) if len(outputs) > 1 else outputs[0]
         mask = None
         if use_dropout:
@@ -497,13 +424,10 @@ def loss_and_gradients(tagger, inputs, gold_indices, rng=None):
         hidden = config.hidden
         dinput = np.zeros_like(layer_cache["input"], dtype=np.float64)
         for k, d in enumerate(config.directions):
-            dstates = dcurrent[:, k * hidden:(k + 1) * hidden]
-            if d == "bwd":
-                dstates = dstates[::-1]
-            dx = _cell_backward_over_time(tagger.layers[l][d],
-                                          layer_cache["dirs"][d], dstates,
-                                          grads, f"layer{l}.{d}.")
-            dinput += dx[::-1] if d == "bwd" else dx
+            dinput += _backprop_direction(
+                tagger.layers[l][d], layer_cache["dirs"][d],
+                dcurrent[:, k * hidden:(k + 1) * hidden], grads,
+                f"layer{l}.{d}.", d)
         dcurrent = dinput
     return loss, grads
 
@@ -531,18 +455,26 @@ def _checksum(data):
     return hashlib.sha256(data).digest()[:8]
 
 
+def _gate_swapped(config, name):
+    """Whether the container stores this parameter block o<->c swapped."""
+    return config.cell == "lstm" and not name.startswith("proj.")
+
+
 def save(tagger, sink):
     """Serialize to the versioned container: magic "SQTG", u32 LE version,
     length-prefixed UTF-8 config record, parameter blocks as little-endian
     float64 in param_items() order, then a 64-bit checksum (leading 8 bytes
-    of SHA-256) over everything before it."""
+    of SHA-256) over everything before it. LSTM blocks are written in the
+    per-gate order (i, f, c, o) of the v1 format."""
     blob = _config_blob(tagger)
     out = bytearray()
     out += MAGIC
     out += struct.pack("<I", FORMAT_VERSION)
     out += struct.pack("<I", len(blob))
     out += blob
-    for _, arr in tagger.param_items():
+    for name, arr in tagger.param_items():
+        if _gate_swapped(tagger.config, name):
+            arr = _swap_oc(arr)
         out += np.ascontiguousarray(arr, dtype="<f8").tobytes()
     out += _checksum(bytes(out))
     if isinstance(sink, (str, os.PathLike)):
@@ -554,8 +486,8 @@ def save(tagger, sink):
 
 def load(source):
     """Inverse of save(); bit-exact parameter round-trip. Raises BadMagic,
-    UnsupportedVersion, TruncatedFile, or ChecksumMismatch; never returns a
-    partially filled model."""
+    UnsupportedVersion, TruncatedFile, BadConfigRecord, ChecksumMismatch or
+    TrailingBytes; never returns a partially filled model."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as handle:
             data = handle.read()
@@ -572,9 +504,13 @@ def load(source):
     blob_len = struct.unpack("<I", data[8:12])[0]
     if len(data) < 12 + blob_len + 8:
         raise TruncatedFile("config record cut short")
-    record = json.loads(data[12:12 + blob_len].decode("utf-8"))
-    config = TaggerConfig.from_dict(record["config"])
-    tagger = Tagger(config, extra=record.get("extra") or {})
+    try:
+        record = json.loads(data[12:12 + blob_len].decode("utf-8"))
+        config = TaggerConfig.from_dict(record["config"])
+        extra = record.get("extra") or {}
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise BadConfigRecord(f"unreadable config record ({exc!r})") from None
+    tagger = Tagger(config, extra=extra)
 
     param_bytes = sum(arr.size * 8 for _, arr in tagger.param_items())
     expected = 12 + blob_len + param_bytes + 8
@@ -586,14 +522,15 @@ def load(source):
     if _checksum(body) != stored_sum:
         raise ChecksumMismatch("stored checksum does not match file contents")
     if len(data) != expected:
-        raise ModelFormatError(
-            f"{len(data) - expected} unexpected trailing bytes")
+        raise TrailingBytes(f"{len(data) - expected} unexpected trailing bytes")
 
     offset = 12 + blob_len
     for name, arr in tagger.param_items():
-        nbytes = arr.size * 8
-        tagger.set_param(name, np.frombuffer(body[offset:offset + nbytes],
-                                             dtype="<f8")
-                         .reshape(arr.shape).copy())
-        offset += nbytes
+        block = np.frombuffer(data, dtype="<f8", count=arr.size,
+                              offset=offset).reshape(arr.shape)
+        if _gate_swapped(config, name):
+            _swap_oc(block, out=arr)
+        else:
+            arr[...] = block
+        offset += arr.nbytes
     return tagger

@@ -1,14 +1,10 @@
-"""Dense linear algebra, activations, seeded randomness, and the
-finite-difference gradient oracle.
+"""Seeded randomness and the finite-difference gradient oracle.
 
-Everything works on float64 numpy arrays. Vectors are 1-d arrays, matrices
-are 2-d arrays. All functions are pure; randomness only flows through an
+Everything works on float64 numpy arrays. Randomness only flows through an
 explicitly passed generator (no global RNG anywhere in the package).
 """
 
 import numpy as np
-
-Rng = np.random.Generator
 
 
 class DimensionMismatch(ValueError):
@@ -28,73 +24,6 @@ def derive_rng(seed, *keys):
     others.
     """
     return np.random.default_rng([int(seed)] + [int(k) for k in keys])
-
-
-def sigmoid(x):
-    """Element-wise logistic function, stable for large |x|."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def tanh_elem(x):
-    """Element-wise tanh."""
-    return np.tanh(np.asarray(x, dtype=np.float64))
-
-
-def softmax(x):
-    """Softmax with max-subtraction so large logits cannot overflow."""
-    x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x)
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
-def log_softmax(x):
-    x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x)
-    return shifted - np.log(np.exp(shifted).sum())
-
-
-def matvec(m, v):
-    m = np.asarray(m, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise DimensionMismatch(
-            f"matvec: matrix {m.shape} does not conform with vector {v.shape}")
-    return m @ v
-
-
-def add(a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"add: {a.shape} vs {b.shape}")
-    return a + b
-
-
-def hadamard(a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"hadamard: {a.shape} vs {b.shape}")
-    return a * b
-
-
-def outer_product(a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1:
-        raise DimensionMismatch(f"outer_product: {a.shape} vs {b.shape}")
-    return np.outer(a, b)
-
-
-def scale(a, s):
-    return np.asarray(a, dtype=np.float64) * float(s)
 
 
 def uniform_vector(rng, dim, bound):

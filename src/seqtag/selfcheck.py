@@ -169,11 +169,11 @@ def gradient_extremeness(cell_params, seq_len, input_dim, seed):
     # own linearized dynamics then dominate the gradient product
     rng = derive_rng(seed, 104)
     inputs = rng.normal(0.0, 1e-30, size=(seq_len, input_dim))
-    states, caches = model._run_cell_with_cache(cell_params, inputs)
+    states, cache = model._run_cell(cell_params, inputs)
     dstates = np.zeros_like(states)
     dstates[-1] = 1.0
     grads = {name: np.zeros_like(arr) for name, arr in cell_params.items()}
-    dx = model._cell_backward_over_time(cell_params, caches, dstates, grads, "")
+    dx = model._backprop_cell(cell_params, cache, dstates, grads, "")
     first = float(np.linalg.norm(dx[0]))
     last = float(np.linalg.norm(dx[-1]))
     if first == 0.0 or last == 0.0:
@@ -188,7 +188,7 @@ def compare_recurrence_pathology(seq_len=132, hidden=8, input_dim=8, seed=5,
     recurrent weights scaled past spectral radius 1 versus an LSTM with a
     saturated forget gate. Returns (rnn_extremeness, lstm_extremeness)."""
     rng = derive_rng(seed, 105)
-    rnn = model.RnnCellParams(hidden, input_dim)
+    rnn = model.CellParams(hidden, input_dim, "rnn")
     w = rng.normal(0.0, 1.0, size=(hidden, hidden))
     radius = max(abs(np.linalg.eigvals(w)))
     rnn.W = w * (spectral_radius / radius)
@@ -197,10 +197,9 @@ def compare_recurrence_pathology(seq_len=132, hidden=8, input_dim=8, seed=5,
     # well-conditioned LSTM: saturated forget gate carries the memory, and
     # the hidden-side weights are damped below the critical point so the
     # gate coupling does not itself amplify over 132 steps
-    lstm = model.LstmCellParams.init(derive_rng(seed, 106), hidden, input_dim,
-                                     forget_bias=20.0)
-    for name in ("W_i", "W_f", "W_c", "W_o"):
-        setattr(lstm, name, getattr(lstm, name) * 0.3)
+    lstm = model.CellParams.init(derive_rng(seed, 106), hidden, input_dim,
+                                 forget_bias=20.0)
+    lstm.W *= 0.3
     e_rnn = gradient_extremeness(rnn, seq_len, input_dim, seed)
     e_lstm = gradient_extremeness(lstm, seq_len, input_dim, seed)
     return e_rnn, e_lstm

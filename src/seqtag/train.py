@@ -265,7 +265,9 @@ def _train_one(setup, train_config):
         input_dim=extractor.input_dim, hidden=setup.hidden,
         layers=setup.layers, cell=setup.cell,
         bidirectional=setup.bidirectional, dropout=setup.dropout)
-    tagger = model.init_params(tconfig, derive_rng(train_config.seed, 0))
+    extra = {"entity_types": list(setup.entity_types), **extractor.to_dict()}
+    tagger = model.init_params(tconfig, derive_rng(train_config.seed, 0),
+                               extra=extra)
     best, log = train(tagger, setup.train_sentences, setup.dev_sentences,
                       extractor, train_config)
     score_set = setup.score_sentences or setup.dev_sentences

@@ -1,0 +1,78 @@
+"""Per-gate reference for the recurrent cells, for tests to compare the
+stacked-gate runner in seqtag.model against. Each step is evaluated gate by
+gate with shape-checked dense operations, exactly as the equations read.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from seqtag.numerics import DimensionMismatch
+
+GATE_ORDER = ("i", "f", "o", "c")  # row-block order of a stacked LSTM cell
+
+
+def sigmoid(x):
+    """Element-wise logistic function, stable for large |x|."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def matvec(m, v):
+    m = np.asarray(m, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
+        raise DimensionMismatch(
+            f"matvec: matrix {m.shape} does not conform with vector {v.shape}")
+    return m @ v
+
+
+def hadamard(a, b):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"hadamard: {a.shape} vs {b.shape}")
+    return a * b
+
+
+def gate(params, name):
+    """(W, U, b) of one LSTM gate: views into the stacked cell parameters."""
+    H = params.hidden
+    k = GATE_ORDER.index(name)
+    rows = slice(k * H, (k + 1) * H)
+    return params.W[rows], params.U[rows], params.b[rows]
+
+
+@dataclass
+class LstmState:
+    h: np.ndarray
+    c: np.ndarray
+
+    @classmethod
+    def zeros(cls, hidden):
+        return cls(np.zeros(hidden), np.zeros(hidden))
+
+
+def lstm_step(params, x_t, prev):
+    """One LSTM step, gate by gate; returns the new LstmState."""
+    def pre(name):
+        W, U, b = gate(params, name)
+        return matvec(W, prev.h) + matvec(U, x_t) + b
+
+    i = sigmoid(pre("i"))
+    f = sigmoid(pre("f"))
+    g = np.tanh(pre("c"))
+    c = hadamard(f, prev.c) + hadamard(i, g)
+    o = sigmoid(pre("o"))
+    h = hadamard(o, np.tanh(c))
+    return LstmState(h, c)
+
+
+def rnn_step(params, x_t, prev_h):
+    """One vanilla-RNN step; returns the new hidden state."""
+    return np.tanh(matvec(params.W, prev_h) + matvec(params.U, x_t) + params.b)

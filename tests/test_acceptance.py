@@ -10,7 +10,7 @@ import numpy as np
 from seqtag import cli, corpus, features, model, train
 from seqtag.corpus import (convert_scheme, extract_spans, validate_iob2)
 from seqtag.eval import f1
-from seqtag.model import LstmCellParams, load, run_bilayer, run_layer, save
+from seqtag.model import CellParams, load, run_bilayer, run_layer, save
 from seqtag.numerics import derive_rng
 from seqtag.selfcheck import (check_gradients, check_scorer,
                               compare_recurrence_pathology, enumerate_spans)
@@ -75,8 +75,8 @@ def test_c05_bilayer_decomposition_bit_identical():
         hidden = int(rng.integers(2, 6))
         dim = int(rng.integers(2, 6))
         T = int(rng.integers(1, 9))
-        fwd = LstmCellParams.init(rng, hidden, dim)
-        bwd = LstmCellParams.init(rng, hidden, dim)
+        fwd = CellParams.init(rng, hidden, dim)
+        bwd = CellParams.init(rng, hidden, dim)
         x = rng.uniform(-2, 2, size=(T, dim))
         combined = run_bilayer(fwd, bwd, x)
         parts = np.concatenate([run_layer(fwd, x, "fwd"),

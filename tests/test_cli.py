@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from seqtag import cli, model
@@ -221,6 +222,46 @@ def test_cmd_ablate_save_models(tmp_path, toy_path):
     names = sorted(p.name for p in models_dir.iterdir())
     assert names == ["One_layer.sqtg", "Two_layers.sqtg"]
     assert model.load(str(models_dir / "One_layer.sqtg")).config.layers == 1
+    # a retained row model carries its feature pipeline and can tag
+    rc = cli.main(["tag", "--model", str(models_dir / "One_layer.sqtg"),
+                   "--input", toy_path, "--output", str(tmp_path / "t.conll")])
+    assert rc == 0
+
+
+def _user_error_args(tmp_path, toy_path, case):
+    train = ["train", "--train", toy_path, "--dev", toy_path,
+             "--out", str(tmp_path / "m.sqtg")] + FAST
+    ablate = ["ablate", "--train", toy_path, "--dev", toy_path,
+              "--out", str(tmp_path / "abl")] + FAST
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json", encoding="utf-8")
+    nameless = tmp_path / "rows.json"
+    nameless.write_text(json.dumps([{"features": ["word"]}]), encoding="utf-8")
+    bare_model = str(tmp_path / "bare.sqtg")  # no feature pipeline record
+    model.save(model.init_params(model.TaggerConfig(labels=["O"], input_dim=2),
+                                 np.random.default_rng(0)), bare_model)
+    return {
+        "hidden-zero": train + ["--hidden", "0"],
+        "negative-lr": train + ["--lr", "-1"],
+        "missing-config": train + ["--config", str(tmp_path / "none.json")],
+        "invalid-config": train + ["--config", str(bad_json)],
+        "missing-rows": ablate + ["--rows", str(tmp_path / "none.json")],
+        "row-without-name": ablate + ["--rows", str(nameless)],
+        "model-without-pipeline": ["tag", "--model", bare_model,
+                                   "--input", toy_path],
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["hidden-zero", "negative-lr",
+                                  "missing-config", "invalid-config",
+                                  "missing-rows", "row-without-name",
+                                  "model-without-pipeline"])
+def test_user_errors_exit_1_with_message(tmp_path, toy_path, capsys, case):
+    rc = cli.main(_user_error_args(tmp_path, toy_path, case))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_path_objects_accepted(tmp_path, toy_path):

@@ -125,9 +125,10 @@ def test_score_conll_lines_convention():
         "\n",
         "word3 X B-LOC B-LOC\n",
         "\n",
+        "word4\tX\tB-PER \tB-PER\n",  # spaces around a tab field are dropped
     ]
     report = score_conll_lines(lines)
-    assert report.per_type["PER"].correct == 1
+    assert report.per_type["PER"].correct == 2
     assert report.per_type["LOC"].gold == 1
     assert report.per_type["LOC"].predicted == 2
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from seqtag import model
-from seqtag.model import (BadMagic, ChecksumMismatch, EmptySequence,
-                          LstmCellParams, LstmState, RnnCellParams, Tagger,
-                          TaggerConfig, TruncatedFile, UnsupportedVersion,
-                          forward, init_params, load, loss_and_gradients,
-                          lstm_step, rnn_step, run_bilayer, run_layer, save)
+from seqtag.model import (BadMagic, CellParams, ChecksumMismatch,
+                          EmptySequence, Tagger, TaggerConfig, TruncatedFile,
+                          UnsupportedVersion, forward, init_params, load,
+                          loss_and_gradients, run_bilayer, run_layer, save)
 from seqtag.numerics import DimensionMismatch, derive_rng
 from seqtag.selfcheck import check_gradients
+from oracle import LstmState, gate, lstm_step, rnn_step
 
 
 def _config(**kw):
@@ -21,7 +21,7 @@ def _config(**kw):
 
 
 def test_lstm_step_zero_params():
-    p = LstmCellParams(3, 2)
+    p = CellParams(3, 2)
     state = lstm_step(p, np.array([1.0, -1.0]), LstmState.zeros(3))
     assert np.array_equal(state.c, np.zeros(3))
     assert np.array_equal(state.h, np.zeros(3))
@@ -32,11 +32,9 @@ def test_lstm_step_scalar_hand_case():
     # every gate is sigmoid(1), candidate is tanh(1),
     # c = 0.731059 * 0.761594, h = sigmoid(1) * tanh(c);
     # values below recomputed with a 30-digit evaluator
-    p = LstmCellParams(1, 1)
-    for name in p.fields:
-        if name.startswith("b"):
-            continue
-        setattr(p, name, np.ones((1, 1)))
+    p = CellParams(1, 1)
+    p.W[:] = 1.0
+    p.U[:] = 1.0
     state = lstm_step(p, np.array([1.0]), LstmState.zeros(1))
     assert state.c[0] == pytest.approx(0.55676994114594, abs=1e-12)
     assert state.h[0] == pytest.approx(0.36960635293571, abs=1e-12)
@@ -44,20 +42,21 @@ def test_lstm_step_scalar_hand_case():
 
 def test_lstm_step_saturated_forget_gate_preserves_memory():
     rng = derive_rng(0, 1)
-    p = LstmCellParams.init(rng, 4, 3, forget_bias=20.0)
+    p = CellParams.init(rng, 4, 3, forget_bias=20.0)
     prev = LstmState(np.zeros(4), np.array([1.0, -2.0, 3.0, -4.0]))
     x = np.zeros(3)
     state = lstm_step(p, x, prev)
-    i = 1.0 / (1.0 + np.exp(-(p.U_i @ x + p.b_i)))
-    g = np.tanh(p.U_c @ x + p.b_c)
-    f = 1.0 / (1.0 + np.exp(-(p.U_f @ x + p.b_f)))
+    (_, U_i, b_i), (_, U_f, b_f), (_, U_c, b_c) = (gate(p, g) for g in "ifc")
+    i = 1.0 / (1.0 + np.exp(-(U_i @ x + b_i)))
+    g = np.tanh(U_c @ x + b_c)
+    f = 1.0 / (1.0 + np.exp(-(U_f @ x + b_f)))
     assert np.all(np.abs(f - 1.0) < 1e-8)
     assert np.max(np.abs(state.c - (prev.c + i * g))) < 1e-7
 
 
 def test_gate_ranges():
     rng = derive_rng(1, 1)
-    p = LstmCellParams.init(rng, 5, 4)
+    p = CellParams.init(rng, 5, 4)
     state = LstmState.zeros(5)
     for t in range(20):
         x = rng.uniform(-5, 5, size=4)
@@ -67,22 +66,22 @@ def test_gate_ranges():
 
 
 def test_rnn_step_zero_params_and_scalar():
-    p = RnnCellParams(3, 2)
+    p = CellParams(3, 2, "rnn")
     assert np.array_equal(rnn_step(p, np.ones(2), np.zeros(3)), np.zeros(3))
-    p1 = RnnCellParams(1, 1)
+    p1 = CellParams(1, 1, "rnn")
     p1.U = np.array([[1.0]])
     assert rnn_step(p1, np.array([0.7]), np.zeros(1))[0] == \
         pytest.approx(np.tanh(0.7), abs=1e-15)
 
 
 def test_run_layer_single_step_directions_agree():
-    p = LstmCellParams.init(derive_rng(2, 1), 3, 4)
+    p = CellParams.init(derive_rng(2, 1), 3, 4)
     x = derive_rng(2, 2).uniform(-1, 1, size=(1, 4))
     assert np.array_equal(run_layer(p, x, "fwd"), run_layer(p, x, "bwd"))
 
 
 def test_run_layer_bwd_is_reversed_fwd_of_reversed_input():
-    p = LstmCellParams.init(derive_rng(3, 1), 3, 4)
+    p = CellParams.init(derive_rng(3, 1), 3, 4)
     x = derive_rng(3, 2).uniform(-1, 1, size=(6, 4))
     bwd = run_layer(p, x, "bwd")
     ref = run_layer(p, x[::-1], "fwd")[::-1]
@@ -90,31 +89,37 @@ def test_run_layer_bwd_is_reversed_fwd_of_reversed_input():
 
 
 def test_run_layer_zero_params_zero_output():
-    p = LstmCellParams(3, 4)
+    p = CellParams(3, 4)
     x = derive_rng(4, 1).uniform(-1, 1, size=(5, 4))
     assert np.array_equal(run_layer(p, x, "fwd"), np.zeros((5, 3)))
 
 
 def test_run_layer_empty_sequence():
-    p = LstmCellParams(3, 4)
+    p = CellParams(3, 4)
     with pytest.raises(EmptySequence):
         run_layer(p, np.zeros((0, 4)), "fwd")
 
 
 def test_run_layer_matches_stepwise_reference():
     # the stacked-gate runner and the literal per-gate step must agree
-    p = LstmCellParams.init(derive_rng(5, 1), 4, 6)
+    p = CellParams.init(derive_rng(5, 1), 4, 6)
     x = derive_rng(5, 2).uniform(-1, 1, size=(7, 6))
     states = run_layer(p, x, "fwd")
     st = LstmState.zeros(4)
     for t in range(7):
         st = lstm_step(p, x[t], st)
         assert np.max(np.abs(st.h - states[t])) < 1e-12
+    rnn = CellParams.init(derive_rng(5, 3), 4, 6, "rnn")
+    states = run_layer(rnn, x, "fwd")
+    h = np.zeros(4)
+    for t in range(7):
+        h = rnn_step(rnn, x[t], h)
+        assert np.max(np.abs(h - states[t])) < 1e-12
 
 
 def test_run_bilayer_width_and_decomposition():
-    fwd = LstmCellParams.init(derive_rng(6, 1), 3, 4)
-    bwd = LstmCellParams.init(derive_rng(6, 2), 3, 4)
+    fwd = CellParams.init(derive_rng(6, 1), 3, 4)
+    bwd = CellParams.init(derive_rng(6, 2), 3, 4)
     x = derive_rng(6, 3).uniform(-1, 1, size=(5, 4))
     out = run_bilayer(fwd, bwd, x)
     assert out.shape == (5, 6)
@@ -124,7 +129,7 @@ def test_run_bilayer_width_and_decomposition():
 
 
 def test_run_bilayer_palindrome_symmetry():
-    p = LstmCellParams.init(derive_rng(7, 1), 3, 4)
+    p = CellParams.init(derive_rng(7, 1), 3, 4)
     half = derive_rng(7, 2).uniform(-1, 1, size=(3, 4))
     x = np.concatenate([half, half[::-1]])
     out = run_bilayer(p, p, x)
@@ -234,10 +239,10 @@ def test_init_params_bounds_and_determinism():
         assert np.array_equal(a1, a2)
         assert np.all(np.isfinite(a1))
     cell = t1.layers[0]["fwd"]
-    assert np.all(np.abs(cell.W_i) <= np.sqrt(3.0 / 6))
-    assert np.all(np.abs(cell.U_i) <= np.sqrt(3.0 / 5))
-    assert np.all(cell.b_f == 1.0)
-    assert np.all(cell.b_i == 0.0)
+    assert np.all(np.abs(cell.W) <= np.sqrt(3.0 / 6))
+    assert np.all(np.abs(cell.U) <= np.sqrt(3.0 / 5))
+    assert np.all(gate(cell, "f")[2] == 1.0)
+    assert all(np.all(gate(cell, g)[2] == 0.0) for g in "ioc")
     t3 = init_params(cfg, derive_rng(16, 1))
     assert not np.array_equal(t1.proj_w, t3.proj_w)
 
@@ -317,6 +322,39 @@ def test_load_flipped_payload_byte():
     data[-20] ^= 0xFF
     with pytest.raises(ChecksumMismatch):
         load(io.BytesIO(bytes(data)))
+
+
+def test_load_every_bit_flip_raises_named_error():
+    # exhaustive single-bit corruption: every flip must surface as one of
+    # the loader's named errors, never as a raw JSON/Unicode/Key error
+    tagger = init_params(_config(hidden=1, input_dim=1), derive_rng(24, 1),
+                         extra={"features": ["word"], "pos_tags": None})
+    buf = io.BytesIO()
+    save(tagger, buf)
+    data = buf.getvalue()
+    named = (model.BadMagic, model.UnsupportedVersion, model.TruncatedFile,
+             model.BadConfigRecord, model.ChecksumMismatch,
+             model.TrailingBytes)
+    for bit in range(8 * len(data)):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(named):
+            load(io.BytesIO(bytes(flipped)))
+
+
+def test_container_stores_lstm_gates_in_v1_order():
+    # v1 files hold each LSTM block gate by gate in the order i, f, c, o
+    cfg = _config(hidden=2, input_dim=3)
+    tagger = init_params(cfg, derive_rng(25, 1))
+    buf = io.BytesIO()
+    save(tagger, buf)
+    data = buf.getvalue()
+    blob_len = int.from_bytes(data[8:12], "little")
+    stored = np.frombuffer(data, dtype="<f8", count=8 * 2,
+                           offset=12 + blob_len).reshape(8, 2)
+    cell = tagger.layers[0]["fwd"]
+    for k, name in enumerate("ifco"):
+        assert np.array_equal(stored[2 * k:2 * k + 2], gate(cell, name)[0])
 
 
 def test_predict_indices_deterministic():

@@ -1,11 +1,20 @@
+"""Seeded randomness and the finite-difference oracle of seqtag.numerics,
+the tagger's row softmax, and the shape-checked operations of the per-gate
+reference cell in tests/oracle.py."""
+
 import numpy as np
 import pytest
 
 from seqtag import numerics
-from seqtag.numerics import (DimensionMismatch, add, finite_diff_grad,
-                             hadamard, make_rng, matvec, outer_product,
-                             scale, sigmoid, softmax, tanh_elem,
+from seqtag.model import _softmax_rows
+from seqtag.numerics import (DimensionMismatch, finite_diff_grad,
+                             gradient_relative_error, make_rng,
                              uniform_vector)
+from oracle import hadamard, matvec, sigmoid
+
+
+def softmax(x):
+    return _softmax_rows(np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
 def test_sigmoid_symmetry_point():
@@ -34,17 +43,6 @@ def test_sigmoid_extreme_inputs_stay_in_unit_interval():
     y = sigmoid(x)
     assert np.all(y >= 0.0) and np.all(y <= 1.0)
     assert np.all(np.isfinite(y))
-
-
-def test_tanh_zero_and_reference():
-    assert tanh_elem(np.array([0.0]))[0] == 0.0
-    assert tanh_elem(np.array([1.0]))[0] == pytest.approx(
-        0.7615941559557649, abs=1e-15)
-
-
-def test_tanh_oddness():
-    x = make_rng(1).uniform(-5, 5, size=100)
-    assert np.allclose(tanh_elem(-x), -tanh_elem(x), atol=1e-15)
 
 
 def test_softmax_uniform_under_equal_logits():
@@ -85,7 +83,7 @@ def test_dimension_mismatch_names_both_shapes():
     with pytest.raises(DimensionMismatch, match=r"\(2, 3\).*\(4,\)"):
         matvec(np.zeros((2, 3)), np.zeros(4))
     with pytest.raises(DimensionMismatch, match=r"\(2,\).*\(3,\)"):
-        add(np.zeros(2), np.zeros(3))
+        gradient_relative_error({"w": np.zeros(2)}, {"w": np.zeros(3)})
     with pytest.raises(DimensionMismatch):
         hadamard(np.zeros(2), np.zeros((2, 1)))
 
@@ -95,18 +93,11 @@ def test_linear_ops_distributivity_spot_checks():
     for _ in range(10):
         m = rng.normal(size=(5, 4))
         u, v = rng.normal(size=4), rng.normal(size=4)
-        assert np.max(np.abs(matvec(m, add(u, v))
-                             - add(matvec(m, u), matvec(m, v)))) < 1e-10
+        assert np.max(np.abs(matvec(m, u + v)
+                             - (matvec(m, u) + matvec(m, v)))) < 1e-10
         w = rng.normal(size=4)
-        assert np.max(np.abs(hadamard(w, add(u, v))
-                             - add(hadamard(w, u), hadamard(w, v)))) < 1e-10
-
-
-def test_outer_product_and_scale():
-    o = outer_product(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-    assert np.array_equal(o, np.array([[3.0, 4.0], [6.0, 8.0]]))
-    assert np.array_equal(scale(np.array([1.0, -2.0]), 2.0),
-                          np.array([2.0, -4.0]))
+        assert np.max(np.abs(hadamard(w, u + v)
+                             - (hadamard(w, u) + hadamard(w, v)))) < 1e-10
 
 
 def test_uniform_vector_bounds_and_determinism():
