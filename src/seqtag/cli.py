@@ -15,7 +15,6 @@ from importlib import resources
 
 from . import __version__, corpus, features, model, selfcheck, train
 from .eval import render, score_conll_lines
-from .numerics import derive_rng
 
 DEFAULTS = {
     "seed": 42,
@@ -69,7 +68,10 @@ class RunManifest:
 
     def add_input(self, path):
         if path:
-            self.input_digests[path] = _sha256(path)
+            try:
+                self.input_digests[path] = _sha256(path)
+            except OSError as exc:
+                raise CliError(f"cannot read {path}: {exc.strerror}")
 
     def write(self, path):
         record = {
@@ -124,34 +126,16 @@ def _read_corpus(path, entity_types, scheme, strict=True):
     try:
         return corpus.read_conll(path, entity_types=entity_types,
                                  strict=strict, scheme=scheme)
-    except FileNotFoundError:
-        raise CliError(f"cannot read {path}: no such file")
-    except corpus.CorpusError as exc:
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}")
+    except (corpus.CorpusError, UnicodeDecodeError) as exc:
         raise CliError(f"{path}: {exc}")
 
 
 def _embedding_mode(name):
     # the flag says "skipgram" for vectors trained externally; internally
     # that is the pretrained table
-    return {"skipgram": "pretrained", "random": "random",
-            "onehot": "onehot"}.get(name) or name
-
-
-def _build_table(opts, train_sentences, embeddings_path):
-    mode = _embedding_mode(opts["embedding_mode"])
-    if mode == "pretrained" and not embeddings_path:
-        raise CliError("embedding mode skipgram needs --embeddings <file>")
-    if mode == "pretrained":
-        try:
-            return train.build_embedding_table(
-                mode, opts["embedding_dim"], opts["seed"],
-                train_sentences, embeddings_path)
-        except FileNotFoundError:
-            raise CliError(f"cannot read embeddings file {embeddings_path}")
-        except features.EmbeddingError as exc:
-            raise CliError(f"{embeddings_path}: {exc}")
-    return train.build_embedding_table(mode, opts["embedding_dim"],
-                                       opts["seed"], train_sentences, None)
+    return "pretrained" if name == "skipgram" else name
 
 
 TRAIN_OPTION_NAMES = ["seed", "embedding_mode", "embedding_dim", "features",
@@ -160,14 +144,53 @@ TRAIN_OPTION_NAMES = ["seed", "embedding_mode", "embedding_dim", "features",
                       "max_epochs"]
 
 
-def _extractor_from_options(opts, train_sentences, embeddings_path, regex_file):
-    fconfig = _parse_feature_list(opts["features"])
-    table = _build_table(opts, train_sentences, embeddings_path)
+def _setup(args, opts, rows=()):
+    """The ExperimentSetup that `train` and `ablate` share: read the
+    corpora, split long sentences, and load the regex rules when the base
+    features or any row enable the regex feature."""
+    entity_types = _parse_entity_types(opts["entity_types"])
+
+    def read(path):
+        return _read_corpus(path, entity_types, opts["scheme"])
+
+    try:
+        feature_set = _parse_feature_list(opts["features"]).enabled
+        train_sents = corpus.split_long(read(args.train), opts["max_len"],
+                                        entity_types)
+        dev_sents = corpus.split_long(read(args.dev), opts["max_len"],
+                                      entity_types)
+    except ValueError as exc:
+        raise CliError(str(exc))
+    score_sents = read(args.test) if getattr(args, "test", None) else None
     rules = None
-    if fconfig.has(features.REGEX):
-        path = regex_file or default_regex_file()
-        rules = features.load_regex_rules(path)
-    return features.build_extractor(train_sentences, fconfig, table, rules)
+    if any(features.REGEX in (fs or ())
+           for fs in [feature_set] + [r.feature_set for r in rows]):
+        path = args.regex_file or default_regex_file()
+        try:
+            rules = features.load_regex_rules(path)
+        except OSError as exc:
+            raise CliError(f"cannot read regex rule file {path}: "
+                           f"{exc.strerror}")
+        except ValueError as exc:
+            raise CliError(f"{path}: {exc}")
+    return train.ExperimentSetup(
+        train_sentences=train_sents, dev_sentences=dev_sents,
+        score_sentences=score_sents, entity_types=entity_types,
+        feature_set=feature_set,
+        embedding_mode=_embedding_mode(opts["embedding_mode"]),
+        embedding_dim=opts["embedding_dim"], embedding_seed=opts["seed"],
+        embeddings_path=args.embeddings, regex_rules=rules,
+        hidden=opts["hidden"], layers=opts["layers"], cell=opts["cell"],
+        bidirectional=opts["bidi"], dropout=opts["dropout"])
+
+
+def _manifest(command, opts, *inputs):
+    """Hash every named input up front, so an unreadable one fails the
+    command before any artifact is written."""
+    manifest = RunManifest(command, opts, opts["seed"])
+    for path in inputs:
+        manifest.add_input(path)
+    return manifest
 
 
 def _train_config(opts):
@@ -181,25 +204,17 @@ def _train_config(opts):
 
 def cmd_train(args):
     opts = resolve_options(args, TRAIN_OPTION_NAMES)
-    entity_types = _parse_entity_types(opts["entity_types"])
-    train_sents = _read_corpus(args.train, entity_types, opts["scheme"])
-    dev_sents = _read_corpus(args.dev, entity_types, opts["scheme"])
-    train_sents = corpus.split_long(train_sents, opts["max_len"], entity_types)
-    dev_sents = corpus.split_long(dev_sents, opts["max_len"], entity_types)
-
+    setup = _setup(args, opts)
     tcfg = _train_config(opts)
-    extractor = _extractor_from_options(opts, train_sents, args.embeddings,
-                                        args.regex_file)
+    manifest = _manifest("train", opts, args.train, args.dev, args.embeddings,
+                         args.regex_file, args.config)
     try:
-        tconfig = model.TaggerConfig(
-            labels=corpus.label_alphabet(entity_types),
-            input_dim=extractor.input_dim,
-            hidden=opts["hidden"], layers=opts["layers"], cell=opts["cell"],
-            bidirectional=opts["bidi"], dropout=opts["dropout"])
+        tagger, extractor = train.build_tagger(setup, opts["seed"])
+    except (features.DimMismatch, features.UnparseableValue,
+            UnicodeDecodeError) as exc:
+        raise CliError(f"{args.embeddings}: {exc}")
     except ValueError as exc:
         raise CliError(str(exc))
-    extra = {"entity_types": list(entity_types), **extractor.to_dict()}
-    tagger = model.init_params(tconfig, derive_rng(opts["seed"], 0), extra=extra)
 
     progress = None
     if not args.quiet:
@@ -208,19 +223,15 @@ def cmd_train(args):
                   f"dev_f1 {entry.dev_f1:.2f} ({entry.seconds:.1f}s)")
 
     try:
-        best, log = train.train(tagger, train_sents, dev_sents, extractor,
-                                tcfg, progress=progress)
+        best, log = train.train(tagger, setup.train_sentences,
+                                setup.dev_sentences, extractor, tcfg,
+                                progress=progress)
     except train.NonFiniteLoss as exc:
         raise CliError(str(exc), exit_code=2)
 
     model.save(best, args.out)
     with open(args.out + ".log", "w", encoding="utf-8") as handle:
         handle.write(log.to_text())
-    manifest = RunManifest("train", opts, opts["seed"])
-    for path in (args.train, args.dev, args.embeddings, args.regex_file,
-                 args.config):
-        if path:
-            manifest.add_input(path)
     manifest.write(args.out + ".manifest.json")
     if not args.quiet:
         print(f"best epoch {log.best_epoch}: dev F1 {log.best_dev_f1:.2f}")
@@ -324,15 +335,6 @@ def cmd_stats(args):
 
 def cmd_ablate(args):
     opts = resolve_options(args, TRAIN_OPTION_NAMES)
-    entity_types = _parse_entity_types(opts["entity_types"])
-    train_sents = _read_corpus(args.train, entity_types, opts["scheme"])
-    dev_sents = _read_corpus(args.dev, entity_types, opts["scheme"])
-    score_sents = None
-    if args.test:
-        score_sents = _read_corpus(args.test, entity_types, opts["scheme"])
-    train_sents = corpus.split_long(train_sents, opts["max_len"], entity_types)
-    dev_sents = corpus.split_long(dev_sents, opts["max_len"], entity_types)
-
     if args.preset:
         if args.preset not in train.ABLATION_PRESETS:
             raise CliError(f"unknown preset {args.preset!r}; choose from "
@@ -344,8 +346,7 @@ def cmd_ablate(args):
             rows = [train.RowSpec(
                 name=s["name"],
                 feature_set=tuple(s["features"]) if "features" in s else None,
-                embedding_mode=_embedding_mode(s.get("embedding_mode"))
-                               if s.get("embedding_mode") else None,
+                embedding_mode=_embedding_mode(s.get("embedding_mode")),
                 cell=s.get("cell"), bidirectional=s.get("bidirectional"),
                 layers=s.get("layers"), dropout=s.get("dropout"))
                 for s in specs]
@@ -355,22 +356,11 @@ def cmd_ablate(args):
     else:
         raise CliError("give --preset or --rows")
 
-    rules = None
-    base_features = _parse_feature_list(opts["features"]).enabled
-    if (args.regex_file or features.REGEX in base_features
-            or any(features.REGEX in (r.feature_set or ()) for r in rows)):
-        rules = features.load_regex_rules(args.regex_file or default_regex_file())
-
-    setup = train.ExperimentSetup(
-        train_sentences=train_sents, dev_sentences=dev_sents,
-        score_sentences=score_sents, entity_types=entity_types,
-        feature_set=_parse_feature_list(opts["features"]).enabled,
-        embedding_mode=_embedding_mode(opts["embedding_mode"]),
-        embedding_dim=opts["embedding_dim"], embedding_seed=opts["seed"],
-        embeddings_path=args.embeddings, regex_rules=rules,
-        hidden=opts["hidden"], layers=opts["layers"], cell=opts["cell"],
-        bidirectional=opts["bidi"], dropout=opts["dropout"])
+    setup = _setup(args, opts, rows)
     tcfg = _train_config(opts)
+    manifest = _manifest("ablate", opts, args.train, args.dev, args.test,
+                         args.embeddings, args.regex_file, args.rows,
+                         args.config)
     results = train.ablate(setup, rows, tcfg, save_dir=args.save_models)
 
     text = train.render_ablation(results)
@@ -380,19 +370,17 @@ def cmd_ablate(args):
         handle.write(text)
     with open(prefix + ".tsv", "w", encoding="utf-8") as handle:
         handle.write(train.ablation_tsv(results))
-    manifest = RunManifest("ablate", opts, opts["seed"])
-    for path in (args.train, args.dev, args.test, args.embeddings,
-                 args.regex_file, args.rows, args.config):
-        if path:
-            manifest.add_input(path)
     manifest.write(prefix + ".manifest.json")
     return 0
 
 
 def cmd_selfcheck(args):
     seeds = range(args.seeds if args.seeds is not None else 20)
-    grad = selfcheck.check_gradients(seeds=seeds,
-                                     corrupt=args.corrupt_gradient)
+    try:
+        grad = selfcheck.check_gradients(seeds=seeds,
+                                         corrupt=args.corrupt_gradient)
+    except ValueError as exc:
+        raise CliError(str(exc))
     print(f"gradient check: worst relative error {grad.worst_error:.3e} "
           f"over {grad.seeds} seeds (tolerance {grad.tolerance:.0e}) -> "
           f"{'PASS' if grad.passed else 'FAIL'}")

@@ -352,6 +352,8 @@ def split_long(sentences, max_len=DEFAULT_MAX_SENTENCE_LEN,
     never inside an entity. Bounds the BPTT sequence length."""
     if max_len is None:
         return list(sentences)
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
     out = []
     for sent in sentences:
         tokens = list(sent.tokens)

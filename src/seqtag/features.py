@@ -75,6 +75,9 @@ class EmbeddingTable:
                 raise EmbeddingError("onehot mode needs a vocabulary")
             self.vocab = {w: i for i, w in enumerate(vocab)}
             self.dim = len(self.vocab) + 1  # last slot is UNK
+            self.seed = 0  # one-hot vectors draw nothing
+        if self.dim < 1:
+            raise EmbeddingError(f"embedding dim must be >= 1, got {self.dim}")
         self._bound = oov_bound(self.dim)
 
     def _random_vector(self, word):
@@ -145,19 +148,26 @@ def random_table(dim, seed):
     return EmbeddingTable(dim, "random", seed=seed)
 
 
-def onehot_table(vocab):
-    """One-hot table over the given vocabulary (first-seen order), with a
-    reserved final UNK slot."""
-    return EmbeddingTable(0, "onehot", vocab=list(vocab))
+def embedding_table(mode, dim, seed, vocab=None, path=None,
+                    lowercase_fallback=True):
+    """The table for one embedding mode. "pretrained" reads the vectors at
+    `path`; "onehot" spans `vocab` (first-seen order) plus an UNK slot and
+    ignores `dim` and `seed`."""
+    if mode != "pretrained":
+        return EmbeddingTable(dim, mode, seed=seed,
+                              lowercase_fallback=lowercase_fallback, vocab=vocab)
+    if not path:
+        raise EmbeddingError("skipgram embeddings need a vector file; "
+                             "pass --embeddings <file>")
+    return load_embeddings(path, dim, seed=seed,
+                           lowercase_fallback=lowercase_fallback)
 
 
-def word_vocab(sentences):
-    """Distinct surface forms in first-seen order."""
-    seen = {}
-    for sent in sentences:
-        for tok in sent:
-            seen.setdefault(tok.surface, None)
-    return list(seen)
+def first_seen(sentences, field):
+    """Distinct values of one token field (surface, pos, chunk) in
+    first-seen order."""
+    return list(dict.fromkeys(getattr(tok, field)
+                              for sent in sentences for tok in sent))
 
 
 def case_feature(surface):
@@ -300,26 +310,6 @@ class TagEncoder:
         return list(self.index)
 
 
-def encode_tagset(tags):
-    return TagEncoder(tags)
-
-
-def pos_tags_seen(sentences):
-    seen = {}
-    for sent in sentences:
-        for tok in sent:
-            seen.setdefault(tok.pos, None)
-    return list(seen)
-
-
-def chunk_tags_seen(sentences):
-    seen = {}
-    for sent in sentences:
-        for tok in sent:
-            seen.setdefault(tok.chunk, None)
-    return list(seen)
-
-
 @dataclass
 class FeatureConfig:
     """Which feature blocks are enabled. Word is always on."""
@@ -338,40 +328,6 @@ class FeatureConfig:
         return feature in self.enabled
 
 
-def input_width(config, table, pos_encoder=None, chunk_encoder=None, rules=None):
-    width = table.dim
-    if config.has(POS):
-        width += pos_encoder.width
-    if config.has(CHUNK):
-        width += chunk_encoder.width
-    if config.has(CASE):
-        width += len(CASE_CATEGORIES)
-    if config.has(REGEX):
-        width += rules.width if rules is not None else 0
-    return width
-
-
-def assemble_inputs(sentence, config, table, pos_encoder=None,
-                    chunk_encoder=None, rules=None):
-    """T x D matrix of per-token input vectors, blocks concatenated in the
-    fixed order [word | pos | chunk | case | regex]."""
-    blocks = []
-    word_block = np.stack([table.lookup(t.surface) for t in sentence])
-    blocks.append(word_block)
-    if config.has(POS):
-        blocks.append(np.stack([pos_encoder.encode(t.pos) for t in sentence]))
-    if config.has(CHUNK):
-        blocks.append(np.stack([chunk_encoder.encode(t.chunk) for t in sentence]))
-    if config.has(CASE):
-        blocks.append(np.stack([case_feature(t.surface) for t in sentence]))
-    if config.has(REGEX):
-        if rules is None or rules.width == 0:
-            blocks.append(np.zeros((len(sentence), 0)))
-        else:
-            blocks.append(regex_features(sentence, rules))
-    return np.concatenate(blocks, axis=1)
-
-
 @dataclass
 class FeatureExtractor:
     """Everything needed to turn a Sentence into model inputs."""
@@ -383,12 +339,33 @@ class FeatureExtractor:
 
     @property
     def input_dim(self):
-        return input_width(self.config, self.table, self.pos_encoder,
-                           self.chunk_encoder, self.rules)
+        width = self.table.dim
+        if self.config.has(POS):
+            width += self.pos_encoder.width
+        if self.config.has(CHUNK):
+            width += self.chunk_encoder.width
+        if self.config.has(CASE):
+            width += len(CASE_CATEGORIES)
+        if self.config.has(REGEX) and self.rules is not None:
+            width += self.rules.width
+        return width
 
     def assemble(self, sentence):
-        return assemble_inputs(sentence, self.config, self.table,
-                               self.pos_encoder, self.chunk_encoder, self.rules)
+        """T x D matrix of per-token input vectors, blocks concatenated in
+        the fixed order [word | pos | chunk | case | regex]."""
+        config = self.config
+        blocks = [np.stack([self.table.lookup(t.surface) for t in sentence])]
+        if config.has(POS):
+            blocks.append(np.stack([self.pos_encoder.encode(t.pos)
+                                    for t in sentence]))
+        if config.has(CHUNK):
+            blocks.append(np.stack([self.chunk_encoder.encode(t.chunk)
+                                    for t in sentence]))
+        if config.has(CASE):
+            blocks.append(np.stack([case_feature(t.surface) for t in sentence]))
+        if config.has(REGEX) and self.rules is not None:
+            blocks.append(regex_features(sentence, self.rules))
+        return np.concatenate(blocks, axis=1)
 
     def to_dict(self):
         """JSON-ready record of the pipeline, stored in a saved model so that
@@ -411,16 +388,9 @@ class FeatureExtractor:
         """Inverse of to_dict. A pretrained-mode record needs the vector
         file it was trained with; raises EmbeddingError without one."""
         emb = record["embedding"]
-        if emb["mode"] == "pretrained":
-            if not embeddings_path:
-                raise EmbeddingError("this model uses skipgram embeddings; "
-                                     "pass --embeddings <file>")
-            table = load_embeddings(embeddings_path, emb["dim"], seed=emb["seed"],
-                                    lowercase_fallback=emb["lowercase_fallback"])
-        elif emb["mode"] == "onehot":
-            table = onehot_table(emb["vocab"])
-        else:
-            table = random_table(emb["dim"], emb["seed"])
+        table = embedding_table(emb["mode"], emb["dim"], emb["seed"],
+                                vocab=emb["vocab"], path=embeddings_path,
+                                lowercase_fallback=emb["lowercase_fallback"])
 
         def encoder(tags):
             return TagEncoder(tags) if tags is not None else None
@@ -434,9 +404,16 @@ class FeatureExtractor:
 
 def build_extractor(train_sentences, config, table, rules=None):
     """Fit the categorical encoders on the training corpus and bundle the
-    resources behind one object."""
-    pos_enc = encode_tagset(pos_tags_seen(train_sentences)) if config.has(POS) else None
-    chunk_enc = encode_tagset(chunk_tags_seen(train_sentences)) if config.has(CHUNK) else None
-    if config.has(REGEX) and rules is None:
+    resources behind one object. The rules are kept only when the regex
+    feature is on, so the pipeline record names only enabled features."""
+    def encoder(feature, field):
+        if not config.has(feature):
+            return None
+        return TagEncoder(first_seen(train_sentences, field))
+
+    if not config.has(REGEX):
+        rules = None
+    elif rules is None:
         rules = RegexRuleSet([])
-    return FeatureExtractor(config, table, pos_enc, chunk_enc, rules)
+    return FeatureExtractor(config, table, encoder(POS, "pos"),
+                            encoder(CHUNK, "chunk"), rules)

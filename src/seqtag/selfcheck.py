@@ -36,6 +36,9 @@ def check_gradients(seeds=range(20), hidden=8, input_dim=10, seq_len=5,
     stochastic function. `corrupt` deliberately perturbs one analytic
     gradient entry (negative control: the check must then fail).
     """
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("the gradient check needs at least one seed")
     labels = [f"L{i}" for i in range(n_labels)]
     worst = 0.0
     for seed in seeds:
@@ -61,7 +64,7 @@ def check_gradients(seeds=range(20), hidden=8, input_dim=10, seq_len=5,
                                           rng=dropout_rng()),
             tagger.params(), epsilon=epsilon)
         worst = max(worst, gradient_relative_error(analytic, numeric))
-    return GradientCheckResult(worst, tolerance, len(list(seeds)))
+    return GradientCheckResult(worst, tolerance, len(seeds))
 
 
 def enumerate_spans(labels):

@@ -240,40 +240,24 @@ class AblationRow:
     error: str | None = None
 
 
-def build_embedding_table(mode, dim, seed, train_sentences=None, path=None):
-    if mode == "pretrained":
-        if not path:
-            raise features.EmbeddingError(
-                "pretrained embedding mode needs an embeddings file")
-        return features.load_embeddings(path, dim, seed=seed)
-    if mode == "random":
-        return features.random_table(dim, seed)
-    if mode == "onehot":
-        return features.onehot_table(features.word_vocab(train_sentences))
-    raise features.EmbeddingError(f"unknown embedding mode {mode!r}")
-
-
-def _train_one(setup, train_config):
-    table = build_embedding_table(setup.embedding_mode, setup.embedding_dim,
-                                  setup.embedding_seed,
-                                  setup.train_sentences, setup.embeddings_path)
-    fconfig = features.FeatureConfig(tuple(setup.feature_set))
-    extractor = features.build_extractor(setup.train_sentences, fconfig,
-                                         table, setup.regex_rules)
+def build_tagger(setup, seed):
+    """A freshly initialized tagger for `setup` and the feature extractor
+    fitted on its training corpus. The tagger's `extra` records the entity
+    types and the feature pipeline, so a saved model can tag new text."""
+    table = features.embedding_table(
+        setup.embedding_mode, setup.embedding_dim, setup.embedding_seed,
+        vocab=features.first_seen(setup.train_sentences, "surface"),
+        path=setup.embeddings_path)
+    extractor = features.build_extractor(
+        setup.train_sentences, features.FeatureConfig(tuple(setup.feature_set)),
+        table, setup.regex_rules)
     tconfig = model.TaggerConfig(
         labels=corpus.label_alphabet(setup.entity_types),
         input_dim=extractor.input_dim, hidden=setup.hidden,
         layers=setup.layers, cell=setup.cell,
         bidirectional=setup.bidirectional, dropout=setup.dropout)
     extra = {"entity_types": list(setup.entity_types), **extractor.to_dict()}
-    tagger = model.init_params(tconfig, derive_rng(train_config.seed, 0),
-                               extra=extra)
-    best, log = train(tagger, setup.train_sentences, setup.dev_sentences,
-                      extractor, train_config)
-    score_set = setup.score_sentences or setup.dev_sentences
-    report = evaluate_tagger(best, extractor, score_set,
-                             entity_types=setup.entity_types)
-    return best, report, log
+    return model.init_params(tconfig, derive_rng(seed, 0), extra=extra), extractor
 
 
 def _row_slug(name):
@@ -296,7 +280,13 @@ def ablate(setup, row_specs, train_config, save_dir=None):
         ) if v is not None}
         row_setup = replace(setup, **overrides)
         try:
-            best, report, _ = _train_one(row_setup, train_config)
+            tagger, extractor = build_tagger(row_setup, train_config.seed)
+            best, _ = train(tagger, row_setup.train_sentences,
+                            row_setup.dev_sentences, extractor, train_config)
+            report = evaluate_tagger(
+                best, extractor,
+                row_setup.score_sentences or row_setup.dev_sentences,
+                entity_types=row_setup.entity_types)
             if save_dir is not None:
                 os.makedirs(save_dir, exist_ok=True)
                 model.save(best, os.path.join(save_dir,

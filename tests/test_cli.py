@@ -240,6 +240,12 @@ def _user_error_args(tmp_path, toy_path, case):
     bare_model = str(tmp_path / "bare.sqtg")  # no feature pipeline record
     model.save(model.init_params(model.TaggerConfig(labels=["O"], input_dim=2),
                                  np.random.default_rng(0)), bare_model)
+    bad_rules = tmp_path / "rules.txt"
+    bad_rules.write_text("ONLY_TWO\tself\n", encoding="utf-8")
+    missing = str(tmp_path / "missing.txt")
+    binary = tmp_path / "binary.conll"
+    binary.write_bytes(b"\x80\x81 N B-NP O\n\n")
+    regex = ["--features", "word,regex", "--regex-file"]
     return {
         "hidden-zero": train + ["--hidden", "0"],
         "negative-lr": train + ["--lr", "-1"],
@@ -249,19 +255,60 @@ def _user_error_args(tmp_path, toy_path, case):
         "row-without-name": ablate + ["--rows", str(nameless)],
         "model-without-pipeline": ["tag", "--model", bare_model,
                                    "--input", toy_path],
+        "embedding-dim-zero": train + ["--embedding-dim", "0"],
+        "embedding-dim-negative": train + ["--embedding-dim", "-3"],
+        "missing-regex-file": train + regex + [missing],
+        "malformed-regex-file": train + regex + [str(bad_rules)],
+        "max-len-zero": train + ["--max-len", "0"],
+        "selfcheck-zero-seeds": ["selfcheck", "--seeds", "0"],
+        # named inputs are hashed before training, used or not
+        "unused-missing-regex-file": train + ["--regex-file", missing],
+        "unused-missing-embeddings": train + ["--embeddings", missing],
+        "ablate-unused-missing-regex-file":
+            ablate + ["--preset", "table5", "--regex-file", missing],
+        "binary-corpus": ["stats", str(binary)],
+        "directory-corpus": ["stats", str(tmp_path)],
     }[case]
 
 
 @pytest.mark.parametrize("case", ["hidden-zero", "negative-lr",
                                   "missing-config", "invalid-config",
                                   "missing-rows", "row-without-name",
-                                  "model-without-pipeline"])
+                                  "model-without-pipeline",
+                                  "embedding-dim-zero",
+                                  "embedding-dim-negative",
+                                  "missing-regex-file", "malformed-regex-file",
+                                  "max-len-zero", "selfcheck-zero-seeds",
+                                  "unused-missing-regex-file",
+                                  "unused-missing-embeddings",
+                                  "ablate-unused-missing-regex-file",
+                                  "binary-corpus", "directory-corpus"])
 def test_user_errors_exit_1_with_message(tmp_path, toy_path, capsys, case):
     rc = cli.main(_user_error_args(tmp_path, toy_path, case))
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert not list(tmp_path.glob("m.sqtg*")) + list(tmp_path.glob("abl.*"))
+
+
+def test_train_and_ablate_row_store_the_same_pipeline(tmp_path, toy_path):
+    # --regex-file is named but no run enables regex: neither stores rules
+    rules = ["--regex-file", cli.default_regex_file()]
+    rc, out = _train(tmp_path, toy_path, *rules)
+    assert rc == 0
+    rows = tmp_path / "rows.json"
+    rows.write_text(json.dumps([{"name": "word", "features": ["word"]}]),
+                    encoding="utf-8")
+    models_dir = tmp_path / "models"
+    rc = cli.main(["ablate", "--train", toy_path, "--dev", toy_path,
+                   "--rows", str(rows), "--seed", "7",
+                   "--out", str(tmp_path / "abl"),
+                   "--save-models", str(models_dir)] + FAST + rules)
+    assert rc == 0
+    trained = model.load(out).extra
+    assert trained["regex_rules"] is None
+    assert model.load(str(models_dir / "word.sqtg")).extra == trained
 
 
 def test_path_objects_accepted(tmp_path, toy_path):

@@ -256,6 +256,16 @@ def test_split_long_noop_below_limit():
     assert split_long([sent], max_len=150) == [sent]
 
 
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_split_long_rejects_limit_below_one(max_len):
+    # the empty corpus first: a check inside the sentence loop would leave
+    # the one-token case to loop forever instead of failing
+    with pytest.raises(ValueError, match="max_len"):
+        split_long([], max_len=max_len)
+    with pytest.raises(ValueError, match="max_len"):
+        split_long([_sentence(["O"])], max_len=max_len)
+
+
 def test_write_read_roundtrip():
     text = "a N B-NP B-PER\nb N I-NP I-PER\n\nc V B-VP O\n\n"
     sents = read_conll(io.StringIO(text))

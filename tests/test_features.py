@@ -5,11 +5,11 @@ import pytest
 
 from seqtag.corpus import Sentence, Token
 from seqtag.features import (CASE_CATEGORIES, DimMismatch, FeatureConfig,
-                             RegexRule, RegexRuleSet, UnparseableValue,
-                             assemble_inputs, case_feature, encode_tagset,
-                             load_embeddings, load_regex_rules, onehot_table,
-                             oov_bound, random_table, regex_features,
-                             word_vocab)
+                             FeatureExtractor, RegexRule, RegexRuleSet,
+                             TagEncoder, UnparseableValue, case_feature,
+                             embedding_table, first_seen, load_embeddings,
+                             load_regex_rules, oov_bound, random_table,
+                             regex_features)
 
 
 def _sentence(surfaces, pos="N", chunk="B-NP"):
@@ -76,7 +76,7 @@ def test_lookup_order_independent():
 
 
 def test_onehot_table_shape_and_unk():
-    table = onehot_table(["a", "b", "c"])
+    table = embedding_table("onehot", 0, 0, vocab=["a", "b", "c"])
     assert table.dim == 4
     va = table.lookup("a")
     assert va.sum() == 1.0 and np.abs(va).sum() == 1.0
@@ -89,7 +89,7 @@ def test_onehot_table_shape_and_unk():
 
 def test_word_vocab_first_seen_order():
     sents = [_sentence(["b", "a"]), _sentence(["a", "c"])]
-    assert word_vocab(sents) == ["b", "a", "c"]
+    assert first_seen(sents, "surface") == ["b", "a", "c"]
 
 
 @pytest.mark.parametrize("surface,category", [
@@ -181,42 +181,42 @@ def test_default_rule_file_loads_and_fires():
 
 
 def test_encode_tagset_width_and_unk():
-    enc = encode_tagset(["N", "V", "A"])
+    enc = TagEncoder(["N", "V", "A"])
     assert enc.width == 4
     assert enc.encode("N")[0] == 1.0
     assert enc.encode("X")[enc.unk_index] == 1.0
 
 
 def test_encode_tagset_first_seen_determinism():
-    e1 = encode_tagset(["V", "N", "V", "A"])
-    e2 = encode_tagset(["V", "N", "A"])
+    e1 = TagEncoder(["V", "N", "V", "A"])
+    e2 = TagEncoder(["V", "N", "A"])
     assert e1.tags() == e2.tags() == ["V", "N", "A"]
 
 
 def test_assemble_word_only_width():
     table = random_table(300, seed=0)
     sent = _sentence(["a", "b"])
-    out = assemble_inputs(sent, FeatureConfig(("word",)), table)
+    out = FeatureExtractor(FeatureConfig(("word",)), table).assemble(sent)
     assert out.shape == (2, 300)
 
 
 def test_assemble_word_pos_width_sums():
     table = random_table(10, seed=0)
-    enc = encode_tagset([f"T{i}" for i in range(19)])  # width 20
+    enc = TagEncoder([f"T{i}" for i in range(19)])  # width 20
     sent = _sentence(["a", "b"])
-    out = assemble_inputs(sent, FeatureConfig(("word", "pos")), table,
-                          pos_encoder=enc)
+    out = FeatureExtractor(FeatureConfig(("word", "pos")), table,
+                           pos_encoder=enc).assemble(sent)
     assert out.shape == (2, 30)
 
 
 def test_assemble_feature_independence():
     table = random_table(6, seed=0)
-    pos_enc = encode_tagset(["N", "V"])
-    chunk_enc = encode_tagset(["B-NP"])
+    pos_enc = TagEncoder(["N", "V"])
+    chunk_enc = TagEncoder(["B-NP"])
     sent = _sentence(["x", "y"])
-    word_only = assemble_inputs(sent, FeatureConfig(("word",)), table)
-    full = assemble_inputs(sent, FeatureConfig(("word", "pos", "chunk")),
-                           table, pos_encoder=pos_enc, chunk_encoder=chunk_enc)
+    word_only = FeatureExtractor(FeatureConfig(("word",)), table).assemble(sent)
+    full = FeatureExtractor(FeatureConfig(("word", "pos", "chunk")), table,
+                            pos_enc, chunk_enc).assemble(sent)
     # the word block is unchanged by enabling more features
     assert np.array_equal(full[:, :6], word_only)
 
@@ -226,7 +226,7 @@ def test_assemble_constant_width_across_tokens():
     rules = RegexRuleSet([RegexRule("N", "self", "[0-9]+")])
     sent = _sentence(["a", "1", "bb", "22"])
     cfg = FeatureConfig(("word", "case", "regex"))
-    out = assemble_inputs(sent, cfg, table, rules=rules)
+    out = FeatureExtractor(cfg, table, rules=rules).assemble(sent)
     assert out.shape == (4, 4 + 5 + 1)
 
 
