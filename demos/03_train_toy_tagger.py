@@ -53,7 +53,7 @@ sent = Sentence([Token("Trần_Thị_Bình", "Np", "B-NP"),
                  Token("thăm", "V", "I-VP"),
                  Token("Huế", "Np", "B-NP"),
                  Token(".", "CH", "O")])
-train.tag_sentence(reloaded, extractor, sent)
+train.tag_corpus(reloaded, extractor, [sent])
 print("\ntagged sample:")
 for tok in sent:
     print(f"  {tok.surface:<16} {tok.predicted_label}")

@@ -89,7 +89,9 @@ class RunManifest:
 
 def resolve_options(args, names):
     """Materialize every option: command line beats the --config file beats
-    DEFAULTS. argparse defaults are None so an unset flag is detectable."""
+    DEFAULTS. argparse defaults are None so an unset flag is detectable. A
+    config value must have the type of its default (an int is a valid
+    float, a bool is not an int)."""
     from_file = {}
     if getattr(args, "config", None):
         from_file = _read_json(args.config, "config file")
@@ -98,10 +100,24 @@ def resolve_options(args, names):
     resolved = {}
     for name in names:
         value = getattr(args, name, None)
+        if value is None and name in from_file:
+            value = from_file[name]
+            expected = type(DEFAULTS[name])
+            if not _has_type(value, expected):
+                raise CliError(f"{args.config}: config key {name!r} must be "
+                               f"{expected.__name__}, got {value!r}")
         if value is None:
-            value = from_file.get(name, DEFAULTS.get(name))
+            value = DEFAULTS.get(name)
         resolved[name] = value
+    if resolved.get("seed", 0) < 0:
+        raise CliError(f"--seed must be >= 0, got {resolved['seed']}")
     return resolved
+
+
+def _has_type(value, expected):
+    if isinstance(value, bool) != (expected is bool):
+        return False
+    return isinstance(value, (int, float) if expected is float else expected)
 
 
 def _read_json(path, what):
@@ -242,8 +258,8 @@ def cmd_train(args):
 def _load_model(path):
     try:
         return model.load(path)
-    except FileNotFoundError:
-        raise CliError(f"cannot read model file {path}")
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}")
     except model.ModelFormatError as exc:
         raise CliError(f"{path}: {type(exc).__name__}: {exc}")
 
@@ -265,8 +281,8 @@ def cmd_tag(args):
     try:
         extractor = features.FeatureExtractor.from_dict(tagger.extra,
                                                         args.embeddings)
-    except FileNotFoundError:
-        raise CliError(f"cannot read embeddings file {args.embeddings}")
+    except OSError as exc:
+        raise CliError(f"cannot read {args.embeddings}: {exc.strerror}")
     except features.EmbeddingError as exc:
         raise CliError(f"{args.embeddings or args.model}: {exc}")
     except (KeyError, TypeError, ValueError) as exc:
@@ -279,14 +295,17 @@ def cmd_tag(args):
     entity_types = tuple(tagger.extra.get("entity_types") or ())
     try:
         sentences, has_gold = _read_tag_input(args.input)
-    except FileNotFoundError:
-        raise CliError(f"cannot read {args.input}: no such file")
-    except corpus.CorpusError as exc:
+    except OSError as exc:
+        raise CliError(f"cannot read {args.input}: {exc.strerror}")
+    except (corpus.CorpusError, UnicodeDecodeError) as exc:
         raise CliError(f"{args.input}: {exc}")
 
     train.tag_corpus(tagger, extractor, sentences, entity_types)
 
-    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+    try:
+        out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+    except OSError as exc:
+        raise CliError(f"cannot write {args.output}: {exc.strerror}")
     try:
         for sent in sentences:
             for tok in sent:
@@ -317,8 +336,8 @@ def cmd_eval(args):
     try:
         with open(args.gold, "r", encoding="utf-8") as handle:
             report = score_conll_lines(handle, types=types)
-    except FileNotFoundError:
-        raise CliError(f"cannot read {args.gold}: no such file")
+    except OSError as exc:
+        raise CliError(f"cannot read {args.gold}: {exc.strerror}")
     except ValueError as exc:
         raise CliError(f"{args.gold}: {exc}")
     print(render(report), end="")

@@ -350,9 +350,10 @@ class FeatureExtractor:
             width += self.rules.width
         return width
 
-    def assemble(self, sentence):
+    def assemble(self, sentence, out=None):
         """T x D matrix of per-token input vectors, blocks concatenated in
-        the fixed order [word | pos | chunk | case | regex]."""
+        the fixed order [word | pos | chunk | case | regex]; written into
+        `out` when given."""
         config = self.config
         blocks = [np.stack([self.table.lookup(t.surface) for t in sentence])]
         if config.has(POS):
@@ -365,7 +366,7 @@ class FeatureExtractor:
             blocks.append(np.stack([case_feature(t.surface) for t in sentence]))
         if config.has(REGEX) and self.rules is not None:
             blocks.append(regex_features(sentence, self.rules))
-        return np.concatenate(blocks, axis=1)
+        return np.concatenate(blocks, axis=1, out=out)
 
     def to_dict(self):
         """JSON-ready record of the pipeline, stored in a saved model so that

@@ -1,7 +1,8 @@
 """The recurrent tagger: LSTM and vanilla-RNN cells, unidirectional and
 bidirectional layers, layer stacking with inverted dropout, a per-token
 softmax classifier, and hand-derived analytic gradients for all of it
-(backpropagation through time, batch size 1, no padding).
+(backpropagation through time, batch size 1, no padding). Inference also
+runs time-major batches of equal-length sentences through the same runner.
 
 The LSTM cell stores its four gates stacked row-wise in the order
 (i, f, o, c): W (4H x H) acts on the previous hidden state, U (4H x D) on
@@ -108,43 +109,52 @@ def _swap_oc(arr, out=None):
     return np.concatenate([arr[:2 * H], arr[3 * H:], arr[2 * H:3 * H]], out=out)
 
 
-def _run_cell(params, inputs):
-    """Run a cell over inputs in their given order; returns (T x H states,
-    a cache for _backprop_cell). The input-side projection is hoisted out of
-    the time loop, so each step costs one matmul."""
+def _run_cell(params, inputs, bptt=False):
+    """Run a cell over inputs in their given order: one sequence (T x D) or
+    a time-major batch of equal-length sequences (T x B x D). Returns the
+    states (T x H, or T x B x H) and, with bptt, the cache _backprop_cell
+    needs (None without). The input-side projection is hoisted out of the
+    time loop, so each step costs one matmul."""
     T = len(inputs)
     if T == 0:
         raise EmptySequence("cannot run a recurrent layer over an empty sequence")
     inputs = np.asarray(inputs, dtype=np.float64)
     H = params.hidden
-    W = params.W
-    xu = inputs @ params.U.T + params.b  # (T, gH)
-    states = np.empty((T, H))
-    h = np.zeros(H)
+    # the input side as one 2-D product over all steps and rows: numpy's
+    # stacked 3-D matmul is several times slower
+    xu = inputs.reshape(-1, inputs.shape[-1]) @ params.U.T + params.b
+    xu = xu.reshape(inputs.shape[:-1] + (-1,))  # (T, [B,] gH)
+    # a contiguous W^T speeds up the multi-row product; for one row the
+    # view keeps the bits of W @ h
+    WT = params.W.T if inputs.ndim == 2 else np.ascontiguousarray(params.W.T)
+    states = np.empty(inputs.shape[:-1] + (H,))
+    h = np.zeros(inputs.shape[1:-1] + (H,))
     if params.kind == "rnn":
         for t in range(T):
-            h = np.tanh(W @ h + xu[t])
+            h = np.tanh(h @ WT + xu[t])
             states[t] = h
-        return states, (inputs, states)
-    gates = np.empty((T, 4 * H))  # i, f, o after sigmoid; g after tanh
-    cells = np.empty((T, H))
-    tanhc = np.empty((T, H))
-    c = np.zeros(H)
+        return states, (inputs, states) if bptt else None
+    if bptt:
+        gates = np.empty(xu.shape)  # i, f, o after sigmoid; g after tanh
+        cells = np.empty(states.shape)
+        tanhc = np.empty(states.shape)
+    c = np.zeros_like(h)
     with np.errstate(over="ignore"):  # saturated exp underflows to 0/1
         for t in range(T):
-            a = W @ h + xu[t]
-            sig = 1.0 / (1.0 + np.exp(-a[:3 * H]))
-            g = np.tanh(a[3 * H:])
-            i, f, o = sig[:H], sig[H:2 * H], sig[2 * H:]
+            a = h @ WT + xu[t]
+            sig = 1.0 / (1.0 + np.exp(-a[..., :3 * H]))
+            g = np.tanh(a[..., 3 * H:])
+            i, f, o = sig[..., :H], sig[..., H:2 * H], sig[..., 2 * H:]
             c = f * c + i * g
             tc = np.tanh(c)
             h = o * tc
-            gates[t, :3 * H] = sig
-            gates[t, 3 * H:] = g
-            cells[t] = c
-            tanhc[t] = tc
+            if bptt:
+                gates[t, ..., :3 * H] = sig
+                gates[t, ..., 3 * H:] = g
+                cells[t] = c
+                tanhc[t] = tc
             states[t] = h
-    return states, (inputs, states, gates, cells, tanhc)
+    return states, (inputs, states, gates, cells, tanhc) if bptt else None
 
 
 def _backprop_cell(params, cache, dstates, grads, prefix):
@@ -189,14 +199,14 @@ def _backprop_cell(params, cache, dstates, grads, prefix):
     return da_all @ params.U
 
 
-def _run_direction(params, inputs, direction):
+def _run_direction(params, inputs, direction, bptt=False):
     """One recurrent pass: "fwd" processes positions first to last, "bwd"
     last to first; both start from a zero state. Returns (states aligned to
-    input positions, cache for _backprop_direction)."""
+    input positions, cache for _backprop_direction or None)."""
     if direction == "bwd":
-        states, cache = _run_cell(params, inputs[::-1])
+        states, cache = _run_cell(params, inputs[::-1], bptt)
         return states[::-1], cache
-    return _run_cell(params, inputs)
+    return _run_cell(params, inputs, bptt)
 
 
 def _backprop_direction(params, cache, dstates, grads, prefix, direction):
@@ -223,7 +233,7 @@ def run_bilayer(fwd_params, bwd_params, inputs):
     width is exactly 2H."""
     fwd = run_layer(fwd_params, inputs, "fwd")
     bwd = run_layer(bwd_params, inputs, "bwd")
-    return np.concatenate([fwd, bwd], axis=1)
+    return np.concatenate([fwd, bwd], axis=-1)
 
 
 @dataclass
@@ -334,20 +344,22 @@ def init_params(config, rng, extra=None, forget_bias=1.0):
     return tagger
 
 
-def forward(tagger, inputs, rng=None):
-    """Per-token label distributions for one sentence.
+def forward(tagger, inputs, rng=None, bptt=False):
+    """Per-token label distributions for one sentence (T x D inputs) or for
+    a time-major batch of equal-length sentences (T x B x D inputs).
 
     Train mode is selected by passing an rng: inter-layer inverted dropout
     masks are drawn from it (kept activations divided by the keep
     probability). Without an rng the pass is deterministic inference.
-    Returns (T x L probabilities, cache for the backward pass).
+    Returns (T x [B x] L probabilities, cache); the cache holds the
+    per-step cell states the backward pass needs only with bptt.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[1] != tagger.config.input_dim:
+    if inputs.ndim not in (2, 3) or inputs.shape[-1] != tagger.config.input_dim:
         raise DimensionMismatch(
             f"forward: inputs {inputs.shape} do not match model input dim "
             f"{tagger.config.input_dim}")
-    if len(inputs) == 0:
+    if inputs.size == 0:
         raise EmptySequence("cannot tag an empty sentence")
     config = tagger.config
     keep = 1.0 - config.dropout
@@ -359,9 +371,9 @@ def forward(tagger, inputs, rng=None):
         outputs = []
         dir_caches = {}
         for d in config.directions:
-            states, dir_caches[d] = _run_direction(layer[d], current, d)
+            states, dir_caches[d] = _run_direction(layer[d], current, d, bptt)
             outputs.append(states)
-        out = np.concatenate(outputs, axis=1) if len(outputs) > 1 else outputs[0]
+        out = np.concatenate(outputs, axis=-1) if len(outputs) > 1 else outputs[0]
         mask = None
         if use_dropout:
             mask = (rng.random(out.shape) < keep) / keep
@@ -378,9 +390,9 @@ def forward(tagger, inputs, rng=None):
 
 
 def _softmax_rows(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _log_softmax_rows(logits):
@@ -402,7 +414,7 @@ def loss_and_gradients(tagger, inputs, gold_indices, rng=None):
         if not 0 <= idx < n_labels:
             raise IndexError(f"label index {idx} out of range [0, {n_labels})")
 
-    probs, cache = forward(tagger, inputs, rng=rng)
+    probs, cache = forward(tagger, inputs, rng=rng, bptt=True)
     T = len(inputs)
     logp = _log_softmax_rows(cache["logits"])
     loss = -float(np.mean(logp[np.arange(T), gold_indices]))
@@ -441,9 +453,10 @@ def sentence_loss(tagger, inputs, gold_indices, rng=None):
 
 
 def predict_indices(tagger, inputs):
-    """Argmax label index per token (deterministic inference)."""
+    """Argmax label index per token (deterministic inference): a list for
+    one sentence, one list per sentence for a time-major batch."""
     probs, _ = forward(tagger, inputs, rng=None)
-    return [int(np.argmax(probs[t])) for t in range(len(probs))]
+    return probs.argmax(axis=-1).T.tolist()
 
 
 def _config_blob(tagger):

@@ -172,7 +172,7 @@ def gradient_extremeness(cell_params, seq_len, input_dim, seed):
     # own linearized dynamics then dominate the gradient product
     rng = derive_rng(seed, 104)
     inputs = rng.normal(0.0, 1e-30, size=(seq_len, input_dim))
-    states, cache = model._run_cell(cell_params, inputs)
+    states, cache = model._run_cell(cell_params, inputs, bptt=True)
     dstates = np.zeros_like(states)
     dstates[-1] = 1.0
     grads = {name: np.zeros_like(arr) for name, arr in cell_params.items()}

@@ -16,6 +16,11 @@ from .eval import score
 from .numerics import derive_rng
 
 
+# tokens per inference batch: sentences of length T run max(1, 256 // T)
+# at a time
+BATCH_TOKENS = 256
+
+
 class EmptyCorpus(ValueError):
     pass
 
@@ -95,21 +100,27 @@ def clip_gradients(grads, max_norm):
     return grads
 
 
-def tag_sentence(tagger, extractor, sentence, entity_types=None):
-    """Predict labels for one sentence (argmax per token, then IOB repair)
-    and store them on the tokens."""
-    inputs = extractor.assemble(sentence)
-    indices = model.predict_indices(tagger, inputs)
-    labels = [tagger.config.labels[i] for i in indices]
-    labels = corpus.repair_iob(labels, entity_types)
-    for tok, label in zip(sentence, labels):
-        tok.predicted_label = label
-    return sentence
-
-
 def tag_corpus(tagger, extractor, sentences, entity_types=None):
+    """Predict labels for every sentence (argmax per token, then IOB repair)
+    and store them on the tokens. Sentences of equal length run together,
+    unpadded, as time-major batches of at most BATCH_TOKENS tokens."""
+    by_length = {}
     for sent in sentences:
-        tag_sentence(tagger, extractor, sent, entity_types)
+        if len(sent):
+            by_length.setdefault(len(sent), []).append(sent)
+    labels = tagger.config.labels
+    for length, group in by_length.items():
+        rows = max(1, BATCH_TOKENS // length)
+        for start in range(0, len(group), rows):
+            chunk = group[start:start + rows]
+            batch = np.empty((length, len(chunk), extractor.input_dim))
+            for b, sent in enumerate(chunk):
+                extractor.assemble(sent, out=batch[:, b])
+            for sent, indices in zip(chunk, model.predict_indices(tagger, batch)):
+                predicted = corpus.repair_iob([labels[i] for i in indices],
+                                              entity_types)
+                for tok, label in zip(sent, predicted):
+                    tok.predicted_label = label
     return sentences
 
 

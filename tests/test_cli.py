@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from seqtag import cli, model
+from seqtag import cli, corpus, model
+from seqtag.train import ExperimentSetup, build_tagger
 from seqtag.eval import score_conll_lines
 
 FAST = ["--hidden", "8", "--embedding-dim", "12", "--max-epochs", "2",
@@ -246,6 +247,14 @@ def _user_error_args(tmp_path, toy_path, case):
     binary = tmp_path / "binary.conll"
     binary.write_bytes(b"\x80\x81 N B-NP O\n\n")
     regex = ["--features", "word,regex", "--regex-file"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIG_CASES.get(case, {})), encoding="utf-8")
+    tagged = str(tmp_path / "tagged.conll")
+    tag_model = str(tmp_path / "tag.sqtg")  # with a feature pipeline record
+    toy = corpus.read_conll(toy_path)
+    setup = ExperimentSetup(train_sentences=toy, dev_sentences=toy,
+                            embedding_dim=4, hidden=2, layers=1)
+    model.save(build_tagger(setup, 0)[0], tag_model)
     return {
         "hidden-zero": train + ["--hidden", "0"],
         "negative-lr": train + ["--lr", "-1"],
@@ -268,7 +277,47 @@ def _user_error_args(tmp_path, toy_path, case):
             ablate + ["--preset", "table5", "--regex-file", missing],
         "binary-corpus": ["stats", str(binary)],
         "directory-corpus": ["stats", str(tmp_path)],
+        "config-str-for-int": train + ["--config", str(config)],
+        "config-bool-for-int": train + ["--config", str(config)],
+        "config-str-for-float": train + ["--config", str(config)],
+        "config-int-for-bool": train + ["--config", str(config)],
+        "config-null": train + ["--config", str(config)],
+        "eval-gold-directory": ["eval", "--gold", str(tmp_path)],
+        "tag-input-directory": ["tag", "--model", tag_model,
+                                "--input", str(tmp_path), "--output", tagged],
+        "tag-model-directory": ["tag", "--model", str(tmp_path),
+                                "--input", toy_path, "--output", tagged],
+        "tag-output-directory": ["tag", "--model", tag_model,
+                                 "--input", toy_path, "--output", str(tmp_path)],
+        "tag-binary-input": ["tag", "--model", tag_model,
+                             "--input", str(binary), "--output", tagged],
+        "seed-negative": train + ["--seed", "-1"],
+        "seed-negative-in-config": train + ["--config", str(config)],
     }[case]
+
+
+CONFIG_CASES = {
+    "config-str-for-int": {"layers": "2"},
+    "config-bool-for-int": {"layers": True},
+    "config-str-for-float": {"dropout": "0.5"},
+    "config-int-for-bool": {"bidi": 1},
+    "config-null": {"layers": None},
+    "seed-negative-in-config": {"seed": -1},
+}
+
+USER_ERROR_MESSAGES = {
+    "config-str-for-int": "config key 'layers' must be int, got '2'",
+    "config-bool-for-int": "config key 'layers' must be int, got True",
+    "config-str-for-float": "config key 'dropout' must be float, got '0.5'",
+    "config-int-for-bool": "config key 'bidi' must be bool, got 1",
+    "config-null": "config key 'layers' must be int, got None",
+    "eval-gold-directory": "cannot read {tmp}: Is a directory",
+    "tag-input-directory": "cannot read {tmp}: Is a directory",
+    "tag-model-directory": "cannot read {tmp}: Is a directory",
+    "tag-output-directory": "cannot write {tmp}: Is a directory",
+    "seed-negative": "--seed must be >= 0, got -1",
+    "seed-negative-in-config": "--seed must be >= 0, got -1",
+}
 
 
 @pytest.mark.parametrize("case", ["hidden-zero", "negative-lr",
@@ -282,7 +331,14 @@ def _user_error_args(tmp_path, toy_path, case):
                                   "unused-missing-regex-file",
                                   "unused-missing-embeddings",
                                   "ablate-unused-missing-regex-file",
-                                  "binary-corpus", "directory-corpus"])
+                                  "binary-corpus", "directory-corpus",
+                                  "config-str-for-int", "config-bool-for-int",
+                                  "config-str-for-float", "config-int-for-bool",
+                                  "config-null", "eval-gold-directory",
+                                  "tag-input-directory", "tag-model-directory",
+                                  "tag-output-directory", "tag-binary-input",
+                                  "seed-negative",
+                                  "seed-negative-in-config"])
 def test_user_errors_exit_1_with_message(tmp_path, toy_path, capsys, case):
     rc = cli.main(_user_error_args(tmp_path, toy_path, case))
     err = capsys.readouterr().err
@@ -290,6 +346,18 @@ def test_user_errors_exit_1_with_message(tmp_path, toy_path, capsys, case):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not list(tmp_path.glob("m.sqtg*")) + list(tmp_path.glob("abl.*"))
+    assert not list(tmp_path.glob("tagged.conll*"))
+    if case in USER_ERROR_MESSAGES:
+        assert USER_ERROR_MESSAGES[case].format(tmp=tmp_path) in err
+
+
+def test_config_int_is_a_valid_float(tmp_path, toy_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dropout": 0, "lr": 1}), encoding="utf-8")
+    rc, out = _train(tmp_path, toy_path, "--config", str(config))
+    assert rc == 0
+    options = json.load(open(out + ".manifest.json"))["options"]
+    assert (options["dropout"], options["lr"]) == (0, 1)
 
 
 def test_train_and_ablate_row_store_the_same_pipeline(tmp_path, toy_path):

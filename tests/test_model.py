@@ -172,6 +172,52 @@ def test_forward_rejects_wrong_width():
         forward(tagger, np.zeros((3, 7)))
 
 
+@pytest.mark.parametrize("cell", ["lstm", "rnn"])
+@pytest.mark.parametrize("bidirectional", [True, False])
+def test_forward_batch_matches_per_sentence(cell, bidirectional):
+    # a time-major batch of equal-length sentences gives each sentence the
+    # distributions it gets alone, up to the last bits of a multi-row gemm
+    cfg = _config(layers=2, hidden=5, cell=cell, bidirectional=bidirectional,
+                  dropout=0.5)
+    tagger = init_params(cfg, derive_rng(24, 1))
+    batch = derive_rng(24, 2).uniform(-2, 2, size=(7, 6, 4))
+    probs, _ = forward(tagger, batch)
+    assert probs.shape == (7, 6, 3)
+    for b in range(6):
+        alone, _ = forward(tagger, batch[:, b])
+        assert np.allclose(probs[:, b], alone, rtol=0.0, atol=1e-12)
+        assert np.array_equal(probs[:, b].argmax(axis=-1),
+                              alone.argmax(axis=-1))
+    assert model.predict_indices(tagger, batch) == [
+        model.predict_indices(tagger, batch[:, b]) for b in range(6)]
+
+
+def test_forward_inference_keeps_no_bptt_cache():
+    tagger = init_params(_config(layers=2, bidirectional=True),
+                         derive_rng(25, 1))
+    x = derive_rng(25, 2).uniform(-1, 1, size=(4, 4))
+    _, infer_cache = forward(tagger, x)
+    assert all(c is None for layer in infer_cache["layers"]
+               for c in layer["dirs"].values())
+    _, train_cache = forward(tagger, x, bptt=True)
+    assert all(len(c) == 5 for layer in train_cache["layers"]
+               for c in layer["dirs"].values())
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (0, 3, 4), (3, 0, 4)])
+def test_forward_rejects_empty_input(shape):
+    tagger = init_params(_config(), derive_rng(26, 1))
+    with pytest.raises(EmptySequence):
+        forward(tagger, np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 2, 7), (3, 2, 1, 4)])
+def test_forward_rejects_bad_shapes(shape):
+    tagger = init_params(_config(), derive_rng(27, 1))
+    with pytest.raises(DimensionMismatch):
+        forward(tagger, np.zeros(shape))
+
+
 def test_loss_uniform_equals_log_label_count():
     cfg = _config(layers=1)
     tagger = Tagger(cfg)  # all-zero parameters: logits are all zero

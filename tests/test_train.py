@@ -30,6 +30,51 @@ def _mini_corpus():
     ]
 
 
+def _tag_alone(tagger, extractor, sentences, entity_types=None):
+    """Labels from tagging each sentence on its own."""
+    out = []
+    for sent in sentences:
+        indices = model.predict_indices(tagger, extractor.assemble(sent))
+        out.append(corpus.repair_iob(
+            [tagger.config.labels[i] for i in indices], entity_types))
+    return out
+
+
+def test_tag_corpus_matches_per_sentence_tagging_on_toy(toy_sentences):
+    tagger, extractor = _tiny_setup(toy_sentences, hidden=8, layers=2)
+    expected = _tag_alone(tagger, extractor, toy_sentences)
+    train.tag_corpus(tagger, extractor, toy_sentences)
+    assert [s.predicted_labels() for s in toy_sentences] == expected
+    assert len({l for labels in expected for l in labels}) > 1
+
+
+def test_tag_corpus_splits_large_length_groups(monkeypatch):
+    # 40 sentences of length 30 exceed one batch (256 // 30 = 8 rows)
+    rng = derive_rng(28, 1)
+    vocab = [f"w{i}" for i in range(50)]
+    lengths = [30] * 40 + [int(n) for n in rng.integers(1, 13, size=60)]
+    sentences = [corpus.Sentence([corpus.Token(vocab[rng.integers(0, 50)])
+                                  for _ in range(n)])
+                 for n in rng.permutation(lengths)]
+    tagger, extractor = _tiny_setup(sentences, hidden=6, layers=2)
+    tagger.proj_w *= 20.0  # spread the labels out
+    expected = _tag_alone(tagger, extractor, sentences)
+    shapes = []
+    real_forward = model.forward
+
+    def recording_forward(tagger, inputs, *args, **kwargs):
+        shapes.append(inputs.shape)
+        return real_forward(tagger, inputs, *args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", recording_forward)
+    train.tag_corpus(tagger, extractor, sentences)
+    assert [s.predicted_labels() for s in sentences] == expected
+    assert len({l for labels in expected for l in labels}) > 1
+    assert [s[1] for s in shapes if s[0] == 30] == [8] * 5
+    assert all(s[0] * s[1] <= train.BATCH_TOKENS for s in shapes)
+    assert sum(s[0] * s[1] for s in shapes) == sum(lengths)
+
+
 def test_clip_gradients_scales_above_budget():
     grads = {"a": np.array([6.0, 8.0])}  # norm 10
     train.clip_gradients(grads, 5.0)
