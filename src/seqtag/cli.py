@@ -42,6 +42,19 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error; here that is a CliError (exit 1,
+    as for every other user error) carrying the usage line. Flags must be
+    spelled out: an abbreviation such as `selfcheck --seed` would otherwise
+    silently mean `--seeds`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise CliError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def default_regex_file():
     return str(resources.files("seqtag").joinpath("data/vi_regex_rules.txt"))
 
@@ -97,6 +110,9 @@ def resolve_options(args, names):
         from_file = _read_json(args.config, "config file")
         if not isinstance(from_file, dict):
             raise CliError(f"{args.config}: config file must hold a JSON object")
+        for name in from_file:
+            if name not in DEFAULTS:
+                raise CliError(f"{args.config}: unknown config key {name!r}")
     resolved = {}
     for name in names:
         value = getattr(args, name, None)
@@ -415,7 +431,7 @@ def cmd_selfcheck(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="seqtag",
         description="Bi-LSTM named entity tagger: train, tag, evaluate, "
                     "run ablations, corpus stats, and self checks.")
@@ -423,12 +439,12 @@ def build_parser():
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def shared(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--config", default=None,
-                       help="JSON file of option defaults")
         p.add_argument("--quiet", action="store_true")
 
     def train_flags(p):
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--config", default=None,
+                       help="JSON file of option defaults")
         p.add_argument("--train", required=True, help="training CoNLL file")
         p.add_argument("--dev", required=True, help="validation CoNLL file")
         p.add_argument("--embeddings", default=None,
@@ -511,9 +527,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,12 @@ the H-blocks a_i, a_f, a_o, a_c,
 
 Stacking makes each step one matmul, and the input side U x is computed for
 all steps before the time loop (Appleyard et al., 2016, arXiv 1604.01946).
+The backward pass hoists work the same way: every gate's local derivative
+is computed for all steps before its time loop, which then carries only
+the dh/dc recurrence, and dW, dU and db are single matmuls (or a sum) over
+all steps after it. Training keeps the parameters and their gradients as
+views into two flat vectors (Tagger.flatten, Tagger.flat_views), so the
+SGD update is one vector operation.
 
 Model files use a small versioned binary container (magic "SQTG"); see
 save()/load().
@@ -157,46 +163,59 @@ def _run_cell(params, inputs, bptt=False):
     return states, (inputs, states, gates, cells, tanhc) if bptt else None
 
 
-def _backprop_cell(params, cache, dstates, grads, prefix):
+def _backprop_cell(params, cache, dstates, grads, prefix, input_grads=True):
     """BPTT for one cell over one direction. dstates[t] is the gradient
     arriving at the hidden state emitted at step t (in the cell's own time
-    order). Accumulates into `grads` and returns input gradients in the
-    same order."""
+    order). Writes the W, U and b gradients into `grads[prefix + name]`,
+    which must be float64 arrays of the parameter shapes, and returns the
+    input gradients in the same order (None without input_grads).
+
+    Every per-step local derivative is computed for all T steps before the
+    time loop, so the loop only carries the dh/dc recurrence: one
+    elementwise multiply over the stacked gates (the o block then takes dh
+    in place of dc) and one `da @ W` per step. dW = da[1:]^T h[:-1], dU and
+    db are computed over all steps after the loop."""
     inputs, states = cache[:2]
-    lstm = params.kind == "lstm"
-    if lstm:
-        gates, cells, tanhc = cache[2:]
     T, H = states.shape
     W = params.W
-    da_all = np.empty((T, len(params.b)))
-    dh_next = np.zeros(H)
-    dc_next = np.zeros(H)
-    dW = np.zeros_like(W)
-    for t in range(T - 1, -1, -1):
-        dh = dstates[t] + dh_next
-        h_prev = states[t - 1] if t > 0 else np.zeros(H)
-        da = da_all[t]
-        if lstm:
-            i, f, o = gates[t, :H], gates[t, H:2 * H], gates[t, 2 * H:3 * H]
-            g = gates[t, 3 * H:]
-            tc = tanhc[t]
-            c_prev = cells[t - 1] if t > 0 else np.zeros(H)
-            do = dh * tc
-            dc = dc_next + dh * o * (1.0 - tc * tc)
-            da[:H] = dc * g * i * (1.0 - i)
-            da[H:2 * H] = dc * c_prev * f * (1.0 - f)
-            da[2 * H:3 * H] = do * o * (1.0 - o)
-            da[3 * H:] = dc * i * (1.0 - g * g)
-            dc_next = dc * f
-        else:
-            h = states[t]
-            da[:] = dh * (1.0 - h * h)
-        dW += np.outer(da, h_prev)
-        dh_next = W.T @ da
-    grads[prefix + "W"] += dW
-    grads[prefix + "U"] += da_all.T @ inputs
-    grads[prefix + "b"] += da_all.sum(axis=0)
-    return da_all @ params.U
+    if params.kind == "lstm":
+        gates, cells, tanhc = cache[2:]
+        sig = gates[:, :3 * H]
+        dsig = sig * (1.0 - sig)
+        i, f, o, g = (gates[:, k * H:(k + 1) * H] for k in range(4))
+        # da = factor * (dc, dc, dh, dc) over the gate blocks (i, f, o, c)
+        factor = np.empty((T, 4, H))
+        factor[:, 0] = g * dsig[:, :H]
+        factor[0, 1] = 0.0  # c_prev is zero before the first step
+        factor[1:, 1] = cells[:-1] * dsig[1:, H:2 * H]
+        factor[:, 2] = tanhc * dsig[:, 2 * H:]
+        factor[:, 3] = i * (1.0 - g * g)
+        dc_dh = o * (1.0 - tanhc * tanhc)
+        da = np.empty((T, 4, H))
+        da_rows = da.reshape(T, 4 * H)
+        dh_next = np.zeros(H)
+        dc_next = np.zeros(H)
+        for t in range(T - 1, -1, -1):
+            dh = dstates[t] + dh_next
+            dc = dc_next + dh * dc_dh[t]
+            np.multiply(factor[t], dc, out=da[t])
+            np.multiply(factor[t, 2], dh, out=da[t, 2])
+            if t:
+                dc_next = dc * f[t]
+                dh_next = da_rows[t] @ W
+        da = da_rows
+    else:
+        dtanh = 1.0 - states * states
+        da = np.empty((T, H))
+        dh_next = np.zeros(H)
+        for t in range(T - 1, -1, -1):
+            np.multiply(dstates[t] + dh_next, dtanh[t], out=da[t])
+            if t:
+                dh_next = da[t] @ W
+    np.matmul(da[1:].T, states[:-1], out=grads[prefix + "W"])
+    np.matmul(da.T, inputs, out=grads[prefix + "U"])
+    np.sum(da, axis=0, out=grads[prefix + "b"])
+    return da @ params.U if input_grads else None
 
 
 def _run_direction(params, inputs, direction, bptt=False):
@@ -209,11 +228,14 @@ def _run_direction(params, inputs, direction, bptt=False):
     return _run_cell(params, inputs, bptt)
 
 
-def _backprop_direction(params, cache, dstates, grads, prefix, direction):
+def _backprop_direction(params, cache, dstates, grads, prefix, direction,
+                        input_grads=True):
     """Backward pass of _run_direction; gradients aligned to positions."""
     if direction == "bwd":
-        return _backprop_cell(params, cache, dstates[::-1], grads, prefix)[::-1]
-    return _backprop_cell(params, cache, dstates, grads, prefix)
+        dx = _backprop_cell(params, cache, dstates[::-1], grads, prefix,
+                            input_grads)
+        return None if dx is None else dx[::-1]
+    return _backprop_cell(params, cache, dstates, grads, prefix, input_grads)
 
 
 def run_layer(params, inputs, direction="fwd"):
@@ -324,8 +346,30 @@ class Tagger:
     def params(self):
         return dict(self.param_items())
 
-    def zero_grads(self):
-        return {name: np.zeros_like(arr) for name, arr in self.param_items()}
+    def flatten(self):
+        """Copy every parameter into one flat float64 vector in
+        param_items() order and rebind the cells' W/U/b and proj_w/proj_b
+        to views into it, so one vector op updates them all. Returns the
+        vector."""
+        theta = np.concatenate([arr.reshape(-1) for _, arr in self.param_items()])
+        views = self.flat_views(theta)
+        for l, layer in enumerate(self.layers):
+            for d, cell in layer.items():
+                cell.W, cell.U, cell.b = (views[f"layer{l}.{d}.{n}"]
+                                          for n in ("W", "U", "b"))
+        self.proj_w, self.proj_b = views["proj.W"], views["proj.b"]
+        return theta
+
+    def flat_views(self, flat):
+        """name -> view of `flat` shaped like that parameter, in
+        param_items() order: the layout flatten() gives the parameters.
+        Views of a gradient vector of that size are buffers
+        loss_and_gradients can write into."""
+        views, offset = {}, 0
+        for name, arr in self.param_items():
+            views[name] = flat[offset:offset + arr.size].reshape(arr.shape)
+            offset += arr.size
+        return views
 
 
 def init_params(config, rng, extra=None, forget_bias=1.0):
@@ -400,10 +444,12 @@ def _log_softmax_rows(logits):
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def loss_and_gradients(tagger, inputs, gold_indices, rng=None):
+def loss_and_gradients(tagger, inputs, gold_indices, rng=None, grads=None):
     """Mean per-token cross-entropy and its gradient w.r.t. every parameter,
-    by backpropagation through time. Gradients come back as a dict matching
-    param_items() names."""
+    by backpropagation through time. Gradients come back as a dict keyed by
+    param_items() names in that order. Each block is written exactly once,
+    into the arrays of `grads` when given (e.g. Tagger.flat_views of a
+    gradient vector), else into fresh arrays."""
     config = tagger.config
     n_labels = len(config.labels)
     gold_indices = list(gold_indices)
@@ -413,34 +459,35 @@ def loss_and_gradients(tagger, inputs, gold_indices, rng=None):
     for idx in gold_indices:
         if not 0 <= idx < n_labels:
             raise IndexError(f"label index {idx} out of range [0, {n_labels})")
+    if grads is None:
+        grads = {name: np.empty_like(arr) for name, arr in tagger.param_items()}
 
     probs, cache = forward(tagger, inputs, rng=rng, bptt=True)
     T = len(inputs)
     logp = _log_softmax_rows(cache["logits"])
     loss = -float(np.mean(logp[np.arange(T), gold_indices]))
 
-    grads = tagger.zero_grads()
     dlogits = probs.copy()
-    for t, idx in enumerate(gold_indices):
-        dlogits[t, idx] -= 1.0
+    dlogits[np.arange(T), gold_indices] -= 1.0
     dlogits /= T
 
-    grads["proj.W"] += dlogits.T @ cache["features"]
-    grads["proj.b"] += dlogits.sum(axis=0)
+    np.matmul(dlogits.T, cache["features"], out=grads["proj.W"])
+    np.sum(dlogits, axis=0, out=grads["proj.b"])
     dcurrent = dlogits @ tagger.proj_w
 
+    hidden = config.hidden
     for l in range(config.layers - 1, -1, -1):
         layer_cache = cache["layers"][l]
         if layer_cache["mask"] is not None:
             dcurrent = dcurrent * layer_cache["mask"]
-        hidden = config.hidden
-        dinput = np.zeros_like(layer_cache["input"], dtype=np.float64)
-        for k, d in enumerate(config.directions):
-            dinput += _backprop_direction(
-                tagger.layers[l][d], layer_cache["dirs"][d],
-                dcurrent[:, k * hidden:(k + 1) * hidden], grads,
-                f"layer{l}.{d}.", d)
-        dcurrent = dinput
+        # the first layer's inputs are features: no gradient needed
+        dinputs = [_backprop_direction(
+            tagger.layers[l][d], layer_cache["dirs"][d],
+            dcurrent[:, k * hidden:(k + 1) * hidden], grads,
+            f"layer{l}.{d}.", d, input_grads=l > 0)
+            for k, d in enumerate(config.directions)]
+        if l:
+            dcurrent = dinputs[0] if len(dinputs) == 1 else dinputs[0] + dinputs[1]
     return loss, grads
 
 

@@ -86,12 +86,14 @@ class TrainLog:
 
 def clip_gradients(grads, max_norm):
     """Scale the whole gradient block so its global L2 norm is at most
-    max_norm; a no-op below the threshold and on all-zero gradients."""
+    max_norm; a no-op below the threshold and on all-zero gradients.
+    `grads` maps names to arrays, which are scaled in place."""
     if max_norm <= 0:
         raise ValueError("max_norm must be > 0")
     total = 0.0
     for arr in grads.values():
-        total += float(np.sum(arr * arr))
+        flat = arr.reshape(-1)
+        total += float(flat @ flat)
     norm = np.sqrt(total)
     if norm > max_norm:
         factor = max_norm / norm
@@ -132,6 +134,8 @@ def evaluate_tagger(tagger, extractor, sentences, types=None, entity_types=None)
 def train(tagger, train_sentences, dev_sentences, extractor, config,
           eval_fn=None, progress=None):
     """Optimize `tagger` in place; returns (best checkpoint, TrainLog).
+    The run starts by moving the tagger's parameters into one flat vector
+    (Tagger.flatten), so its arrays are views into that vector afterwards.
 
     Per epoch: visit sentences in a seeded shuffle order, clip each
     sentence's gradients to the global-norm budget, apply the SGD update,
@@ -160,6 +164,11 @@ def train(tagger, train_sentences, dev_sentences, extractor, config,
 
     shuffle_rng = derive_rng(config.seed, 1)
     dropout_rng = derive_rng(config.seed, 2) if tagger.config.dropout > 0 else None
+    # the parameters and the gradients each live in one flat vector for the
+    # whole run, so the update is two in-place vector ops
+    theta = tagger.flatten()
+    grad = np.zeros_like(theta)
+    grads = tagger.flat_views(grad)
 
     log = TrainLog()
     best_f1 = -1.0
@@ -176,13 +185,13 @@ def train(tagger, train_sentences, dev_sentences, extractor, config,
             total_loss = 0.0
             for sent_idx in order:
                 inputs, gold = prepared[sent_idx]
-                loss, grads = model.loss_and_gradients(tagger, inputs, gold,
-                                                       rng=dropout_rng)
+                loss, _ = model.loss_and_gradients(tagger, inputs, gold,
+                                                   rng=dropout_rng, grads=grads)
                 if not np.isfinite(loss):
                     raise NonFiniteLoss(epoch, int(sent_idx), loss)
                 clip_gradients(grads, config.clip_norm)
-                for name, arr in tagger.param_items():
-                    arr -= config.learning_rate * grads[name]
+                grad *= config.learning_rate
+                theta -= grad
                 total_loss += loss
             epoch_loss = total_loss / len(prepared)
             dev_f1 = float(eval_fn(tagger))

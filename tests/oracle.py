@@ -76,3 +76,44 @@ def lstm_step(params, x_t, prev):
 def rnn_step(params, x_t, prev_h):
     """One vanilla-RNN step; returns the new hidden state."""
     return np.tanh(matvec(params.W, prev_h) + matvec(params.U, x_t) + params.b)
+
+
+def backprop_cell(params, cache, dstates, grads, prefix):
+    """Reference BPTT for one cell: the per-step loop, each gate's local
+    derivative taken inside the loop and dW summed as outer products.
+    Accumulates into `grads` and returns the input gradients."""
+    inputs, states = cache[:2]
+    lstm = params.kind == "lstm"
+    if lstm:
+        gates, cells, tanhc = cache[2:]
+    T, H = states.shape
+    W = params.W
+    da_all = np.empty((T, len(params.b)))
+    dh_next = np.zeros(H)
+    dc_next = np.zeros(H)
+    dW = np.zeros_like(W)
+    for t in range(T - 1, -1, -1):
+        dh = dstates[t] + dh_next
+        h_prev = states[t - 1] if t > 0 else np.zeros(H)
+        da = da_all[t]
+        if lstm:
+            i, f, o = gates[t, :H], gates[t, H:2 * H], gates[t, 2 * H:3 * H]
+            g = gates[t, 3 * H:]
+            tc = tanhc[t]
+            c_prev = cells[t - 1] if t > 0 else np.zeros(H)
+            do = dh * tc
+            dc = dc_next + dh * o * (1.0 - tc * tc)
+            da[:H] = dc * g * i * (1.0 - i)
+            da[H:2 * H] = dc * c_prev * f * (1.0 - f)
+            da[2 * H:3 * H] = do * o * (1.0 - o)
+            da[3 * H:] = dc * i * (1.0 - g * g)
+            dc_next = dc * f
+        else:
+            h = states[t]
+            da[:] = dh * (1.0 - h * h)
+        dW += np.outer(da, h_prev)
+        dh_next = W.T @ da
+    grads[prefix + "W"] += dW
+    grads[prefix + "U"] += da_all.T @ inputs
+    grads[prefix + "b"] += da_all.sum(axis=0)
+    return da_all @ params.U

@@ -293,6 +293,18 @@ def _user_error_args(tmp_path, toy_path, case):
                              "--input", str(binary), "--output", tagged],
         "seed-negative": train + ["--seed", "-1"],
         "seed-negative-in-config": train + ["--config", str(config)],
+        "unknown-config-key": train + ["--config", str(config)],
+        # usage errors from argparse
+        "missing-required-flag": ["train", "--train", toy_path],
+        "hidden-not-int": train + ["--hidden", "abc"],
+        "unknown-flag": train + ["--bogus"],
+        "tag-with-config": ["tag", "--model", tag_model, "--input", toy_path,
+                            "--output", tagged, "--config", str(bad_json)],
+        "tag-with-seed": ["tag", "--model", tag_model, "--input", toy_path,
+                          "--output", tagged, "--seed", "-5"],
+        "eval-with-seed": ["eval", "--gold", toy_path, "--seed", "1"],
+        "stats-with-config": ["stats", toy_path, "--config", str(config)],
+        "selfcheck-with-seed": ["selfcheck", "--seeds", "1", "--seed", "3"],
     }[case]
 
 
@@ -303,6 +315,7 @@ CONFIG_CASES = {
     "config-int-for-bool": {"bidi": 1},
     "config-null": {"layers": None},
     "seed-negative-in-config": {"seed": -1},
+    "unknown-config-key": {"hidden": 4, "hiden": 4},
 }
 
 USER_ERROR_MESSAGES = {
@@ -317,7 +330,20 @@ USER_ERROR_MESSAGES = {
     "tag-output-directory": "cannot write {tmp}: Is a directory",
     "seed-negative": "--seed must be >= 0, got -1",
     "seed-negative-in-config": "--seed must be >= 0, got -1",
+    "unknown-config-key": "config.json: unknown config key 'hiden'",
+    "missing-required-flag": "the following arguments are required: --dev",
+    "hidden-not-int": "argument --hidden: invalid int value: 'abc'",
+    "unknown-flag": "unrecognized arguments: --bogus",
+    "tag-with-config": "unrecognized arguments: --config",
+    "tag-with-seed": "unrecognized arguments: --seed -5",
+    "eval-with-seed": "unrecognized arguments: --seed 1",
+    "stats-with-config": "unrecognized arguments: --config",
+    "selfcheck-with-seed": "unrecognized arguments: --seed 3",
 }
+
+USAGE_ERRORS = ["missing-required-flag", "hidden-not-int", "unknown-flag",
+                "tag-with-config", "tag-with-seed", "eval-with-seed",
+                "stats-with-config", "selfcheck-with-seed"]
 
 
 @pytest.mark.parametrize("case", ["hidden-zero", "negative-lr",
@@ -338,7 +364,8 @@ USER_ERROR_MESSAGES = {
                                   "tag-input-directory", "tag-model-directory",
                                   "tag-output-directory", "tag-binary-input",
                                   "seed-negative",
-                                  "seed-negative-in-config"])
+                                  "seed-negative-in-config",
+                                  "unknown-config-key"] + USAGE_ERRORS)
 def test_user_errors_exit_1_with_message(tmp_path, toy_path, capsys, case):
     rc = cli.main(_user_error_args(tmp_path, toy_path, case))
     err = capsys.readouterr().err
@@ -349,6 +376,17 @@ def test_user_errors_exit_1_with_message(tmp_path, toy_path, capsys, case):
     assert not list(tmp_path.glob("tagged.conll*"))
     if case in USER_ERROR_MESSAGES:
         assert USER_ERROR_MESSAGES[case].format(tmp=tmp_path) in err
+    if case in USAGE_ERRORS:
+        assert err.splitlines()[1].startswith("usage: seqtag")
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["-h"], ["train", "-h"],
+                                  ["tag", "--help"]])
+def test_help_and_version_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 
 def test_config_int_is_a_valid_float(tmp_path, toy_path):

@@ -17,21 +17,21 @@ CONFIGS = {
     "readme-bilstm": (
         ["--features", "word,case", "--hidden", "32", "--embedding-dim", "32",
          "--max-epochs", "60", "--patience", "8"],
-        ("b1301c4312fe0c8d07d3f6d30835335346d5b11445177c60544ce02ff2042a87",
+        ("6fa041508abf4248e7319951bb8da43826455fb19520573e89439809a341911a",
          "e12569ed39adb2336f5f77a5347da15e79e2c23c39e98ac489ea546d11e6479c",
          "8647e7dd3248e8a5af641b4c5716bdceae81dfd9878baad46ca2d3c83234b666")),
     "rnn-all-features-onehot": (
         ["--cell", "rnn", "--features", "word,pos,chunk,case,regex",
          "--embedding-mode", "onehot", "--hidden", "16", "--max-epochs", "6",
          "--patience", "3"],
-        ("0f568a6e960101730fb2819cec9d1761ce70fe724db58871dd2e96fe1b2f7f57",
+        ("2bb2c9484c4ad23455485425635bc69e928fb39b8acf4ef0d52e789918d6acee",
          "b55cf3c9dbb63615202760d845e4e4d7c21b3eb4df82a18830234c4aa940d394",
          "359e4c03173f03911fd1edbd1b7055f338aa5f0c5289e82cdc64b490a60b9ba4")),
     "one-layer-uni-lstm": (
         ["--no-bidi", "--layers", "1", "--features", "word,pos,chunk",
          "--hidden", "16", "--embedding-dim", "16", "--max-epochs", "6",
          "--patience", "3"],
-        ("7c411d543d3c3530461bacdb14734a5ded544fccc9992fb1a2a5d4c47ddd3266",
+        ("769dd3612d79677f81eebc36ef662f7d9a87bbd1d68342d6c5a0adfdf107570e",
          "e3455d1dd37a19a5c64bb32215081e60c6708da5655592000c6dc43a4ba246e1",
          "c18abb7718fcd9b37630204540bf1c29f111163cd575df312fa483c260e3a484")),
 }

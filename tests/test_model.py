@@ -9,7 +9,9 @@ from seqtag.model import (BadMagic, CellParams, ChecksumMismatch,
                           UnsupportedVersion, forward, init_params, load,
                           loss_and_gradients, run_bilayer, run_layer, save)
 from seqtag.numerics import DimensionMismatch, derive_rng
+from seqtag import selfcheck
 from seqtag.selfcheck import check_gradients
+import oracle
 from oracle import LstmState, gate, lstm_step, rnn_step
 
 
@@ -267,6 +269,62 @@ def test_gradients_match_rnn_cell():
     res = check_gradients(seeds=range(1), hidden=4, input_dim=3, seq_len=5,
                           n_labels=3, layers=1, bidirectional=True, cell="rnn")
     assert res.passed, f"worst relative error {res.worst_error}"
+
+
+@pytest.mark.parametrize("cell", ["lstm", "rnn"])
+@pytest.mark.parametrize("T", [1, 2, 7])
+def test_backprop_cell_matches_reference_loop(cell, T):
+    rng = derive_rng(T, 7)
+    params = CellParams.init(rng, 5, 3, cell)
+    params.b = rng.normal(0.0, 0.5, size=params.b.shape)
+    inputs = rng.normal(size=(T, 3))
+    dstates = rng.normal(size=(T, 5))
+    _, cache = model._run_cell(params, inputs, bptt=True)
+    want = {name: np.zeros_like(arr) for name, arr in params.items()}
+    got = {name: np.full_like(arr, np.nan) for name, arr in params.items()}
+    want_dx = oracle.backprop_cell(params, cache, dstates, want, "")
+    got_dx = model._backprop_cell(params, cache, dstates, got, "")
+    for name in want:
+        np.testing.assert_allclose(got[name], want[name], rtol=1e-12,
+                                   atol=1e-15)
+    np.testing.assert_allclose(got_dx, want_dx, rtol=1e-12, atol=1e-15)
+    assert model._backprop_cell(params, cache, dstates, got, "",
+                                input_grads=False) is None
+
+
+def test_gradient_extremeness_matches_reference_loop(monkeypatch):
+    got = selfcheck.compare_recurrence_pathology()
+    monkeypatch.setattr(model, "_backprop_cell", oracle.backprop_cell)
+    want = selfcheck.compare_recurrence_pathology()
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+    assert np.isfinite(got).all()
+
+
+def test_loss_and_gradients_writes_into_given_buffers():
+    tagger = init_params(_config(layers=2, bidirectional=True), derive_rng(4, 0))
+    x = derive_rng(4, 1).uniform(-1, 1, size=(6, 4))
+    gold = [0, 1, 2, 0, 2, 1]
+    loss, fresh = loss_and_gradients(tagger, x, gold)
+    flat = np.full(sum(a.size for a in fresh.values()), np.nan)
+    views = tagger.flat_views(flat)  # every block must be written
+    loss2, grads = loss_and_gradients(tagger, x, gold, grads=views)
+    assert grads is views and loss2 == loss
+    assert list(fresh) == [name for name, _ in tagger.param_items()]
+    for name, arr in fresh.items():
+        assert np.array_equal(grads[name], arr)
+    assert np.isfinite(flat).all()
+
+
+def test_flatten_rebinds_parameters_to_one_vector():
+    tagger = init_params(_config(layers=2, bidirectional=True), derive_rng(5, 0))
+    before = {name: arr.copy() for name, arr in tagger.param_items()}
+    theta = tagger.flatten()
+    assert theta.size == sum(a.size for a in before.values())
+    for name, arr in tagger.param_items():
+        assert np.shares_memory(arr, theta)
+        assert np.array_equal(arr, before[name])
+    theta[:] = 0.0
+    assert all(not arr.any() for _, arr in tagger.param_items())
 
 
 def test_corrupted_gradient_fails_check():

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,15 @@ from seqtag import corpus, features, model, train
 from seqtag.numerics import derive_rng
 
 
-def _tiny_setup(sentences, dim=8, hidden=6, dropout=0.0, layers=1, seed=3):
+def _tiny_setup(sentences, dim=8, hidden=6, dropout=0.0, layers=1, seed=3,
+                cell="lstm"):
     table = features.random_table(dim, seed=seed)
     extractor = features.build_extractor(sentences,
                                          features.FeatureConfig(("word",)),
                                          table)
     cfg = model.TaggerConfig(labels=corpus.label_alphabet(),
                              input_dim=extractor.input_dim, hidden=hidden,
-                             layers=layers, bidirectional=True,
+                             layers=layers, cell=cell, bidirectional=True,
                              dropout=dropout)
     tagger = model.init_params(cfg, derive_rng(seed, 0))
     return tagger, extractor
@@ -103,6 +106,46 @@ def test_clip_gradients_preserves_direction():
     cos = (flat_before @ flat_after /
            (np.linalg.norm(flat_before) * np.linalg.norm(flat_after)))
     assert abs(cos - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("cell", ["lstm", "rnn"])
+def test_clipped_step_matches_per_array_clip_and_update(cell):
+    sents = _mini_corpus()[1:2]
+    tagger, extractor = _tiny_setup(sents, dropout=0.5, layers=2, cell=cell)
+    reference = copy.deepcopy(tagger)
+    cfg = train.TrainConfig(seed=4, max_epochs=1, clip_norm=0.05)
+    best, _ = train.train(tagger, sents, [], extractor, cfg,
+                          eval_fn=lambda t: 0.0)
+
+    # the same step, one parameter array at a time
+    label_index = {l: i for i, l in enumerate(reference.config.labels)}
+    _, grads = model.loss_and_gradients(
+        reference, extractor.assemble(sents[0]),
+        [label_index[t.gold_label] for t in sents[0]], rng=derive_rng(4, 2))
+    norm = np.sqrt(sum(np.sum(g * g) for g in grads.values()))
+    assert norm > cfg.clip_norm  # the step clips
+    for g in grads.values():
+        g *= cfg.clip_norm / norm
+    for name, arr in reference.param_items():
+        arr -= cfg.learning_rate * grads[name]
+    for (name, want), (_, got), (_, kept) in zip(
+            reference.param_items(), tagger.param_items(), best.param_items()):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+        assert np.array_equal(kept, got)
+
+
+def test_train_updates_one_flat_parameter_vector():
+    sents = _mini_corpus()
+    tagger, extractor = _tiny_setup(sents)
+    old_proj = tagger.proj_w
+    cfg = train.TrainConfig(seed=1, max_epochs=1)
+    train.train(tagger, sents, sents, extractor, cfg)
+    arrays = [arr for _, arr in tagger.param_items()]
+    base = arrays[0].base
+    assert base is not None and base.ndim == 1
+    assert all(arr.base is base for arr in arrays)
+    assert base.size == sum(arr.size for arr in arrays)
+    assert not np.shares_memory(old_proj, base)
 
 
 def test_early_stopping_returns_best_not_last():
