@@ -9,6 +9,7 @@ Flag precedence: command line > --config JSON file > built-in defaults.
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -100,7 +101,7 @@ class RunManifest:
             handle.write("\n")
 
 
-def resolve_options(args, names):
+def resolve_options(args):
     """Materialize every option: command line beats the --config file beats
     DEFAULTS. argparse defaults are None so an unset flag is detectable. A
     config value must have the type of its default (an int is a valid
@@ -114,7 +115,7 @@ def resolve_options(args, names):
             if name not in DEFAULTS:
                 raise CliError(f"{args.config}: unknown config key {name!r}")
     resolved = {}
-    for name in names:
+    for name in DEFAULTS:
         value = getattr(args, name, None)
         if value is None and name in from_file:
             value = from_file[name]
@@ -123,9 +124,9 @@ def resolve_options(args, names):
                 raise CliError(f"{args.config}: config key {name!r} must be "
                                f"{expected.__name__}, got {value!r}")
         if value is None:
-            value = DEFAULTS.get(name)
+            value = DEFAULTS[name]
         resolved[name] = value
-    if resolved.get("seed", 0) < 0:
+    if resolved["seed"] < 0:
         raise CliError(f"--seed must be >= 0, got {resolved['seed']}")
     return resolved
 
@@ -170,10 +171,13 @@ def _embedding_mode(name):
     return "pretrained" if name == "skipgram" else name
 
 
-TRAIN_OPTION_NAMES = ["seed", "embedding_mode", "embedding_dim", "features",
-                      "entity_types", "scheme", "max_len", "hidden", "layers",
-                      "cell", "bidi", "dropout", "lr", "clip", "patience",
-                      "max_epochs"]
+def _check_output(path):
+    """Fail before any training if `path` cannot be created: its directory
+    must exist and the path must not be a directory."""
+    if os.path.isdir(path):
+        raise CliError(f"cannot write {path}: Is a directory")
+    if not path or not os.path.isdir(os.path.dirname(path) or "."):
+        raise CliError(f"cannot write {path}: No such file or directory")
 
 
 def _setup(args, opts, rows=()):
@@ -193,6 +197,9 @@ def _setup(args, opts, rows=()):
                                       entity_types)
     except ValueError as exc:
         raise CliError(str(exc))
+    for path, sents in ((args.train, train_sents), (args.dev, dev_sents)):
+        if not sents:
+            raise CliError(f"{path}: no sentences")
     score_sents = read(args.test) if getattr(args, "test", None) else None
     rules = None
     if any(features.REGEX in (fs or ())
@@ -235,7 +242,8 @@ def _train_config(opts):
 
 
 def cmd_train(args):
-    opts = resolve_options(args, TRAIN_OPTION_NAMES)
+    _check_output(args.out)
+    opts = resolve_options(args)
     setup = _setup(args, opts)
     tcfg = _train_config(opts)
     manifest = _manifest("train", opts, args.train, args.dev, args.embeddings,
@@ -369,7 +377,9 @@ def cmd_stats(args):
 
 
 def cmd_ablate(args):
-    opts = resolve_options(args, TRAIN_OPTION_NAMES)
+    prefix = args.out or "ablation"
+    _check_output(prefix + ".txt")
+    opts = resolve_options(args)
     if args.preset:
         if args.preset not in train.ABLATION_PRESETS:
             raise CliError(f"unknown preset {args.preset!r}; choose from "
@@ -399,8 +409,8 @@ def cmd_ablate(args):
     results = train.ablate(setup, rows, tcfg, save_dir=args.save_models)
 
     text = train.render_ablation(results)
-    print(text, end="")
-    prefix = args.out or "ablation"
+    if not args.quiet:
+        print(text, end="")
     with open(prefix + ".txt", "w", encoding="utf-8") as handle:
         handle.write(text)
     with open(prefix + ".tsv", "w", encoding="utf-8") as handle:
@@ -438,10 +448,8 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def shared(p):
-        p.add_argument("--quiet", action="store_true")
-
     def train_flags(p):
+        p.add_argument("--quiet", action="store_true")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--config", default=None,
                        help="JSON file of option defaults")
@@ -475,13 +483,11 @@ def build_parser():
                        default=None)
 
     p = sub.add_parser("train", help="train a tagger")
-    shared(p)
     train_flags(p)
     p.add_argument("--out", required=True, help="model file to write")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("tag", help="tag a CoNLL file with a trained model")
-    shared(p)
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None, help="default: stdout")
@@ -490,7 +496,6 @@ def build_parser():
 
     p = sub.add_parser("eval", help="score a file with gold and predicted "
                                     "label columns (conlleval convention)")
-    shared(p)
     p.add_argument("--gold", required=True,
                    help="file with gold second-to-last, predictions last")
     p.add_argument("--types", default=None,
@@ -498,7 +503,6 @@ def build_parser():
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="rerun training across configurations")
-    shared(p)
     train_flags(p)
     p.add_argument("--test", default=None,
                    help="CoNLL file to score rows on (default: dev)")
@@ -511,13 +515,11 @@ def build_parser():
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("stats", help="entity statistics of a CoNLL file")
-    shared(p)
     p.add_argument("file")
     p.add_argument("--entity-types", dest="entity_types", default=None)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("selfcheck", help="run the gradient and scorer checks")
-    shared(p)
     p.add_argument("--seeds", type=int, default=None)
     p.add_argument("--corrupt-gradient", dest="corrupt_gradient",
                    action="store_true",

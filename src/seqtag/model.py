@@ -18,9 +18,11 @@ all steps before the time loop (Appleyard et al., 2016, arXiv 1604.01946).
 The backward pass hoists work the same way: every gate's local derivative
 is computed for all steps before its time loop, which then carries only
 the dh/dc recurrence, and dW, dU and db are single matmuls (or a sum) over
-all steps after it. Training keeps the parameters and their gradients as
-views into two flat vectors (Tagger.flatten, Tagger.flat_views), so the
-SGD update is one vector operation.
+all steps after it. A Tagger's parameters are views, in param_items()
+order, into one flat vector `theta` that it allocates when built, and
+gradients are views into a vector of the same layout (Tagger.flat_views):
+an SGD update, a checkpoint copy and a finite-difference probe each act on
+one vector.
 
 Model files use a small versioned binary container (magic "SQTG"); see
 save()/load().
@@ -80,14 +82,22 @@ class CellParams:
     has g = 4 gates in the order (i, f, o, c); a vanilla RNN, h = tanh(W
     h_prev + U x + b), has g = 1."""
 
-    def __init__(self, hidden, input_dim, kind="lstm"):
+    def __init__(self, hidden, input_dim, kind="lstm", flat=None):
+        """All-zero parameters; with `flat`, a vector of size() elements, W,
+        U and b are views into it in that order."""
         rows = GATE_COUNT[kind] * hidden
         self.kind = kind
         self.hidden = hidden
         self.input_dim = input_dim
-        self.W = np.zeros((rows, hidden))
-        self.U = np.zeros((rows, input_dim))
-        self.b = np.zeros(rows)
+        if flat is None:
+            flat = np.zeros(self.size(hidden, input_dim, kind))
+        self.W = flat[:rows * hidden].reshape(rows, hidden)
+        self.U = flat[rows * hidden:-rows].reshape(rows, input_dim)
+        self.b = flat[-rows:]
+
+    @staticmethod
+    def size(hidden, input_dim, kind="lstm"):
+        return GATE_COUNT[kind] * hidden * (hidden + input_dim + 1)
 
     @classmethod
     def init(cls, rng, hidden, input_dim, kind="lstm", forget_bias=1.0):
@@ -321,15 +331,25 @@ class Tagger:
     """
 
     def __init__(self, config, extra=None):
+        """All-zero parameters, every array a view into `self.theta`."""
         self.config = config
         self.extra = extra or {}
-        self.layers = [{d: CellParams(config.hidden, config.layer_input_dim(l),
-                                      config.cell)
-                        for d in config.directions}
-                       for l in range(config.layers)]
-        n_labels = len(config.labels)
-        self.proj_w = np.zeros((n_labels, config.layer_output_dim))
-        self.proj_b = np.zeros(n_labels)
+        n_labels, width = len(config.labels), config.layer_output_dim
+        sizes = [CellParams.size(config.hidden, config.layer_input_dim(l),
+                                 config.cell) for l in range(config.layers)]
+        self.theta = np.zeros(len(config.directions) * sum(sizes)
+                              + n_labels * (width + 1))
+        offset = 0
+        self.layers = []
+        for l, size in enumerate(sizes):
+            self.layers.append({})
+            for d in config.directions:
+                self.layers[l][d] = CellParams(
+                    config.hidden, config.layer_input_dim(l), config.cell,
+                    self.theta[offset:offset + size])
+                offset += size
+        self.proj_w = self.theta[offset:-n_labels].reshape(n_labels, width)
+        self.proj_b = self.theta[-n_labels:]
 
     def param_items(self):
         """All parameters as (name, array) pairs in the canonical order used
@@ -343,28 +363,10 @@ class Tagger:
         out.append(("proj.b", self.proj_b))
         return out
 
-    def params(self):
-        return dict(self.param_items())
-
-    def flatten(self):
-        """Copy every parameter into one flat float64 vector in
-        param_items() order and rebind the cells' W/U/b and proj_w/proj_b
-        to views into it, so one vector op updates them all. Returns the
-        vector."""
-        theta = np.concatenate([arr.reshape(-1) for _, arr in self.param_items()])
-        views = self.flat_views(theta)
-        for l, layer in enumerate(self.layers):
-            for d, cell in layer.items():
-                cell.W, cell.U, cell.b = (views[f"layer{l}.{d}.{n}"]
-                                          for n in ("W", "U", "b"))
-        self.proj_w, self.proj_b = views["proj.W"], views["proj.b"]
-        return theta
-
     def flat_views(self, flat):
         """name -> view of `flat` shaped like that parameter, in
-        param_items() order: the layout flatten() gives the parameters.
-        Views of a gradient vector of that size are buffers
-        loss_and_gradients can write into."""
+        param_items() order: the layout of `theta`. Views of a vector the
+        size of `theta` are buffers loss_and_gradients can write into."""
         views, offset = {}, 0
         for name, arr in self.param_items():
             views[name] = flat[offset:offset + arr.size].reshape(arr.shape)
@@ -378,13 +380,14 @@ def init_params(config, rng, extra=None, forget_bias=1.0):
     memory out)."""
     tagger = Tagger(config, extra=extra)
     for l, layer in enumerate(tagger.layers):
-        for d in config.directions:
-            layer[d] = CellParams.init(rng, config.hidden,
-                                       config.layer_input_dim(l), config.cell,
-                                       forget_bias)
+        for cell in layer.values():
+            fresh = CellParams.init(rng, config.hidden,
+                                    config.layer_input_dim(l), config.cell,
+                                    forget_bias)
+            cell.W[...], cell.U[...], cell.b[...] = fresh.W, fresh.U, fresh.b
     fan_in = config.layer_output_dim
-    tagger.proj_w = uniform_matrix(rng, len(config.labels), fan_in,
-                                   np.sqrt(3.0 / fan_in))
+    tagger.proj_w[...] = uniform_matrix(rng, len(config.labels), fan_in,
+                                        np.sqrt(3.0 / fan_in))
     return tagger
 
 
@@ -448,8 +451,8 @@ def loss_and_gradients(tagger, inputs, gold_indices, rng=None, grads=None):
     """Mean per-token cross-entropy and its gradient w.r.t. every parameter,
     by backpropagation through time. Gradients come back as a dict keyed by
     param_items() names in that order. Each block is written exactly once,
-    into the arrays of `grads` when given (e.g. Tagger.flat_views of a
-    gradient vector), else into fresh arrays."""
+    into the arrays of `grads` when given, else into the views of a fresh
+    vector laid out like `theta` (Tagger.flat_views)."""
     config = tagger.config
     n_labels = len(config.labels)
     gold_indices = list(gold_indices)
@@ -460,7 +463,7 @@ def loss_and_gradients(tagger, inputs, gold_indices, rng=None, grads=None):
         if not 0 <= idx < n_labels:
             raise IndexError(f"label index {idx} out of range [0, {n_labels})")
     if grads is None:
-        grads = {name: np.empty_like(arr) for name, arr in tagger.param_items()}
+        grads = tagger.flat_views(np.empty_like(tagger.theta))
 
     probs, cache = forward(tagger, inputs, rng=rng, bptt=True)
     T = len(inputs)
@@ -535,13 +538,13 @@ def save(tagger, sink):
     for name, arr in tagger.param_items():
         if _gate_swapped(tagger.config, name):
             arr = _swap_oc(arr)
-        out += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    out += _checksum(bytes(out))
+        out += memoryview(np.ascontiguousarray(arr, dtype="<f8"))
+    out += _checksum(out)
     if isinstance(sink, (str, os.PathLike)):
         with open(sink, "wb") as handle:
-            handle.write(bytes(out))
+            handle.write(out)
     else:
-        sink.write(bytes(out))
+        sink.write(out)
 
 
 def load(source):
@@ -572,14 +575,12 @@ def load(source):
         raise BadConfigRecord(f"unreadable config record ({exc!r})") from None
     tagger = Tagger(config, extra=extra)
 
-    param_bytes = sum(arr.size * 8 for _, arr in tagger.param_items())
-    expected = 12 + blob_len + param_bytes + 8
+    expected = 12 + blob_len + tagger.theta.nbytes + 8
     if len(data) < expected:
         raise TruncatedFile(
             f"file is {len(data)} bytes, expected {expected} for this config")
 
-    body, stored_sum = data[:-8], data[-8:]
-    if _checksum(body) != stored_sum:
+    if _checksum(memoryview(data)[:-8]) != data[-8:]:
         raise ChecksumMismatch("stored checksum does not match file contents")
     if len(data) != expected:
         raise TrailingBytes(f"{len(data) - expected} unexpected trailing bytes")

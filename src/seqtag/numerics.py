@@ -42,34 +42,24 @@ def uniform_matrix(rng, rows, cols, bound):
 
 
 def finite_diff_grad(f, params, epsilon=1e-5):
-    """Central-difference gradient of scalar f over a parameter block.
-
-    `params` is either a single float64 array or a dict of name -> array;
-    the result mirrors the structure. Arrays are perturbed in place and
-    restored, so f may close over `params` directly.
-    """
-    if isinstance(params, np.ndarray):
-        block = {"_": params}
-        grads = {"_": None}
-    else:
-        block = params
-        grads = {}
-    for name, arr in block.items():
-        g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            hi = f(params)
-            flat[i] = orig - epsilon
-            lo = f(params)
-            flat[i] = orig
-            gflat[i] = (hi - lo) / (2.0 * epsilon)
-        grads[name] = g
-    if isinstance(params, np.ndarray):
-        return grads["_"]
-    return grads
+    """Central-difference gradient of scalar f over one C-contiguous float64
+    array, returned in its shape. The array is perturbed in place, one
+    element at a time, and restored, so f may close over it or over views
+    of it (a Tagger's parameters over its `theta`)."""
+    if not params.flags.c_contiguous:  # reshape would perturb a copy
+        raise ValueError("finite_diff_grad needs a C-contiguous array")
+    grad = np.zeros_like(params)
+    flat = params.reshape(-1)
+    gflat = grad.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + epsilon
+        hi = f(params)
+        flat[i] = orig - epsilon
+        lo = f(params)
+        flat[i] = orig
+        gflat[i] = (hi - lo) / (2.0 * epsilon)
+    return grad
 
 
 def gradient_relative_error(analytic, numeric, floor=1e-6):

@@ -33,8 +33,9 @@ def check_gradients(seeds=range(20), hidden=8, input_dim=10, seq_len=5,
 
     With dropout > 0 the masks are frozen by re-deriving the same RNG for
     every loss evaluation, so the finite differences probe the identical
-    stochastic function. `corrupt` deliberately perturbs one analytic
-    gradient entry (negative control: the check must then fail).
+    stochastic function. The probes perturb the tagger's parameter vector
+    `theta` one element at a time. `corrupt` deliberately perturbs one
+    analytic gradient entry (negative control: the check must then fail).
     """
     seeds = list(seeds)
     if not seeds:
@@ -54,16 +55,18 @@ def check_gradients(seeds=range(20), hidden=8, input_dim=10, seq_len=5,
         def dropout_rng():
             return derive_rng(seed, 102) if dropout > 0 else None
 
+        grad = np.empty_like(tagger.theta)
         _, analytic = model.loss_and_gradients(tagger, inputs, gold,
-                                               rng=dropout_rng())
+                                               rng=dropout_rng(),
+                                               grads=tagger.flat_views(grad))
         if corrupt:
-            first = next(iter(analytic))
-            analytic[first].reshape(-1)[0] += 1e-2
+            grad[0] += 1e-2
         numeric = finite_diff_grad(
             lambda _: model.sentence_loss(tagger, inputs, gold,
                                           rng=dropout_rng()),
-            tagger.params(), epsilon=epsilon)
-        worst = max(worst, gradient_relative_error(analytic, numeric))
+            tagger.theta, epsilon=epsilon)
+        worst = max(worst, gradient_relative_error(
+            analytic, tagger.flat_views(numeric)))
     return GradientCheckResult(worst, tolerance, len(seeds))
 
 

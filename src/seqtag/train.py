@@ -4,8 +4,8 @@ F1 (best checkpoint returned, not the last), and an ablation driver that
 retrains the tagger across feature/architecture variants.
 """
 
+import copy
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field, replace
 
@@ -42,13 +42,12 @@ class TrainConfig:
     max_epochs: int = 100
     patience: int = 5
     seed: int = 42
-    shuffle: bool = True
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be > 0")
+        for name in ("learning_rate", "clip_norm"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:  # nan fails both comparisons
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.max_epochs < 1:
@@ -133,9 +132,10 @@ def evaluate_tagger(tagger, extractor, sentences, types=None, entity_types=None)
 
 def train(tagger, train_sentences, dev_sentences, extractor, config,
           eval_fn=None, progress=None):
-    """Optimize `tagger` in place; returns (best checkpoint, TrainLog).
-    The run starts by moving the tagger's parameters into one flat vector
-    (Tagger.flatten), so its arrays are views into that vector afterwards.
+    """Optimize `tagger` in place by updating its `theta`; returns (best
+    checkpoint, a second Tagger with its own vector, and the TrainLog).
+    Every parameter array must still be a view into `theta`: ValueError
+    names a rebound block, which would otherwise silently stop learning.
 
     Per epoch: visit sentences in a seeded shuffle order, clip each
     sentence's gradients to the global-norm budget, apply the SGD update,
@@ -144,6 +144,11 @@ def train(tagger, train_sentences, dev_sentences, extractor, config,
     best dev F1 is returned. `eval_fn(tagger) -> float` overrides the dev
     evaluation (used by tests and callers with custom selection metrics).
     """
+    theta = tagger.theta
+    for name, arr in tagger.param_items():
+        if not np.shares_memory(arr, theta):
+            raise ValueError(f"parameter {name} is not a view into "
+                             f"tagger.theta; write into it, do not rebind it")
     train_sentences = list(train_sentences)
     if not train_sentences:
         raise EmptyCorpus("training set is empty")
@@ -164,58 +169,48 @@ def train(tagger, train_sentences, dev_sentences, extractor, config,
 
     shuffle_rng = derive_rng(config.seed, 1)
     dropout_rng = derive_rng(config.seed, 2) if tagger.config.dropout > 0 else None
-    # the parameters and the gradients each live in one flat vector for the
-    # whole run, so the update is two in-place vector ops
-    theta = tagger.flatten()
+    # one gradient vector laid out like theta for the whole run, so the
+    # update is two in-place vector ops
     grad = np.zeros_like(theta)
     grads = tagger.flat_views(grad)
+    best = model.Tagger(tagger.config, extra=copy.deepcopy(tagger.extra))
 
     log = TrainLog()
     best_f1 = -1.0
     since_improvement = 0
-    ckpt_fd, ckpt_path = tempfile.mkstemp(suffix=".sqtg")
-    os.close(ckpt_fd)
-    try:
-        for epoch in range(1, config.max_epochs + 1):
-            started = time.perf_counter()
-            if config.shuffle:
-                order = shuffle_rng.permutation(len(prepared))
-            else:
-                order = np.arange(len(prepared))
-            total_loss = 0.0
-            for sent_idx in order:
-                inputs, gold = prepared[sent_idx]
-                loss, _ = model.loss_and_gradients(tagger, inputs, gold,
-                                                   rng=dropout_rng, grads=grads)
-                if not np.isfinite(loss):
-                    raise NonFiniteLoss(epoch, int(sent_idx), loss)
-                clip_gradients(grads, config.clip_norm)
-                grad *= config.learning_rate
-                theta -= grad
-                total_loss += loss
-            epoch_loss = total_loss / len(prepared)
-            dev_f1 = float(eval_fn(tagger))
-            entry = EpochRecord(epoch, epoch_loss, dev_f1,
-                                time.perf_counter() - started)
-            log.entries.append(entry)
-            if progress is not None:
-                progress(entry)
-            if dev_f1 > best_f1:
-                best_f1 = dev_f1
-                log.best_epoch = epoch
-                log.best_dev_f1 = dev_f1
-                since_improvement = 0
-                model.save(tagger, ckpt_path)
-            else:
-                since_improvement += 1
-                if since_improvement >= config.patience:
-                    log.stop_reason = f"early_stop(patience={config.patience})"
-                    break
-        if not log.stop_reason:
-            log.stop_reason = f"max_epochs({config.max_epochs})"
-        best = model.load(ckpt_path)
-    finally:
-        os.unlink(ckpt_path)
+    for epoch in range(1, config.max_epochs + 1):
+        started = time.perf_counter()
+        total_loss = 0.0
+        for sent_idx in shuffle_rng.permutation(len(prepared)):
+            inputs, gold = prepared[sent_idx]
+            loss, _ = model.loss_and_gradients(tagger, inputs, gold,
+                                               rng=dropout_rng, grads=grads)
+            if not np.isfinite(loss):
+                raise NonFiniteLoss(epoch, int(sent_idx), loss)
+            clip_gradients(grads, config.clip_norm)
+            grad *= config.learning_rate
+            theta -= grad
+            total_loss += loss
+        epoch_loss = total_loss / len(prepared)
+        dev_f1 = float(eval_fn(tagger))
+        entry = EpochRecord(epoch, epoch_loss, dev_f1,
+                            time.perf_counter() - started)
+        log.entries.append(entry)
+        if progress is not None:
+            progress(entry)
+        if dev_f1 > best_f1:
+            best_f1 = dev_f1
+            log.best_epoch = epoch
+            log.best_dev_f1 = dev_f1
+            since_improvement = 0
+            best.theta[:] = theta
+        else:
+            since_improvement += 1
+            if since_improvement >= config.patience:
+                log.stop_reason = f"early_stop(patience={config.patience})"
+                break
+    if not log.stop_reason:
+        log.stop_reason = f"max_epochs({config.max_epochs})"
     return best, log
 
 

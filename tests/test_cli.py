@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from seqtag import cli, corpus, model
+from seqtag import cli, corpus, model, train as train_module
 from seqtag.train import ExperimentSetup, build_tagger
 from seqtag.eval import score_conll_lines
 
@@ -197,6 +197,22 @@ def test_cmd_ablate_preset(tmp_path, toy_path, capsys):
     assert os.path.exists(prefix + ".manifest.json")
 
 
+def test_quiet_ablate_prints_nothing_and_writes_its_files(tmp_path, toy_path,
+                                                        capsys):
+    prefix = str(tmp_path / "abl")
+    argv = ["ablate", "--train", toy_path, "--dev", toy_path, "--preset",
+            "table4", "--seed", "7", "--out", prefix] + FAST
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == ""
+    text = open(prefix + ".txt").read()
+    assert "Bi-LSTM" in text
+    assert os.path.exists(prefix + ".tsv")
+    assert os.path.exists(prefix + ".manifest.json")
+    argv.remove("--quiet")
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == text
+
+
 def test_cmd_ablate_rows_file_and_failure(tmp_path, toy_path):
     rows = tmp_path / "rows.json"
     rows.write_text(json.dumps([
@@ -305,6 +321,24 @@ def _user_error_args(tmp_path, toy_path, case):
         "eval-with-seed": ["eval", "--gold", toy_path, "--seed", "1"],
         "stats-with-config": ["stats", toy_path, "--config", str(config)],
         "selfcheck-with-seed": ["selfcheck", "--seeds", "1", "--seed", "3"],
+        # --quiet belongs to train and ablate only
+        "tag-with-quiet": ["tag", "--model", tag_model, "--input", toy_path,
+                           "--output", tagged, "--quiet"],
+        "eval-with-quiet": ["eval", "--gold", toy_path, "--quiet"],
+        "stats-with-quiet": ["stats", toy_path, "--quiet"],
+        "selfcheck-with-quiet": ["selfcheck", "--seeds", "1", "--quiet"],
+        # refused before any training
+        "empty-train-corpus": train + ["--train", os.devnull],
+        "out-in-missing-directory":
+            train + ["--out", str(tmp_path / "none" / "m.sqtg")],
+        "out-is-a-directory": train + ["--out", str(tmp_path)],
+        "out-empty": train + ["--out", ""],
+        "ablate-out-in-missing-directory":
+            ablate + ["--preset", "table5", "--out", str(tmp_path / "none" / "abl")],
+        "lr-nan": train + ["--lr", "nan"],
+        "lr-inf": train + ["--lr", "inf"],
+        "clip-nan": train + ["--clip", "nan"],
+        "clip-inf": train + ["--clip", "inf"],
     }[case]
 
 
@@ -339,11 +373,27 @@ USER_ERROR_MESSAGES = {
     "eval-with-seed": "unrecognized arguments: --seed 1",
     "stats-with-config": "unrecognized arguments: --config",
     "selfcheck-with-seed": "unrecognized arguments: --seed 3",
+    "tag-with-quiet": "unrecognized arguments: --quiet",
+    "eval-with-quiet": "unrecognized arguments: --quiet",
+    "stats-with-quiet": "unrecognized arguments: --quiet",
+    "selfcheck-with-quiet": "unrecognized arguments: --quiet",
+    "empty-train-corpus": f"{os.devnull}: no sentences",
+    "out-in-missing-directory":
+        "cannot write {tmp}/none/m.sqtg: No such file or directory",
+    "out-is-a-directory": "cannot write {tmp}: Is a directory",
+    "out-empty": "cannot write : No such file or directory",
+    "ablate-out-in-missing-directory":
+        "cannot write {tmp}/none/abl.txt: No such file or directory",
+    "lr-nan": "learning_rate must be finite and > 0, got nan",
+    "lr-inf": "learning_rate must be finite and > 0, got inf",
+    "clip-nan": "clip_norm must be finite and > 0, got nan",
+    "clip-inf": "clip_norm must be finite and > 0, got inf",
 }
 
 USAGE_ERRORS = ["missing-required-flag", "hidden-not-int", "unknown-flag",
                 "tag-with-config", "tag-with-seed", "eval-with-seed",
-                "stats-with-config", "selfcheck-with-seed"]
+                "stats-with-config", "selfcheck-with-seed", "tag-with-quiet",
+                "eval-with-quiet", "stats-with-quiet", "selfcheck-with-quiet"]
 
 
 @pytest.mark.parametrize("case", ["hidden-zero", "negative-lr",
@@ -365,9 +415,21 @@ USAGE_ERRORS = ["missing-required-flag", "hidden-not-int", "unknown-flag",
                                   "tag-output-directory", "tag-binary-input",
                                   "seed-negative",
                                   "seed-negative-in-config",
-                                  "unknown-config-key"] + USAGE_ERRORS)
-def test_user_errors_exit_1_with_message(tmp_path, toy_path, capsys, case):
-    rc = cli.main(_user_error_args(tmp_path, toy_path, case))
+                                  "unknown-config-key", "empty-train-corpus",
+                                  "out-in-missing-directory",
+                                  "out-is-a-directory", "out-empty",
+                                  "ablate-out-in-missing-directory",
+                                  "lr-nan", "lr-inf", "clip-nan", "clip-inf"]
+                         + USAGE_ERRORS)
+def test_user_errors_exit_1_with_message(tmp_path, toy_path, capsys,
+                                         monkeypatch, case):
+    argv = _user_error_args(tmp_path, toy_path, case)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a user error must be caught before training")
+
+    monkeypatch.setattr(train_module, "train", no_training)
+    rc = cli.main(argv)
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ")

@@ -315,16 +315,35 @@ def test_loss_and_gradients_writes_into_given_buffers():
     assert np.isfinite(flat).all()
 
 
-def test_flatten_rebinds_parameters_to_one_vector():
-    tagger = init_params(_config(layers=2, bidirectional=True), derive_rng(5, 0))
-    before = {name: arr.copy() for name, arr in tagger.param_items()}
-    theta = tagger.flatten()
-    assert theta.size == sum(a.size for a in before.values())
+def _assert_arrays_tile_theta(tagger):
+    """Every parameter array is a view of its own stretch of `theta`, in
+    param_items() order, and together they cover all of it."""
+    saved = tagger.theta.copy()
+    tagger.theta[:] = np.arange(tagger.theta.size)
+    offset = 0
     for name, arr in tagger.param_items():
-        assert np.shares_memory(arr, theta)
-        assert np.array_equal(arr, before[name])
-    theta[:] = 0.0
-    assert all(not arr.any() for _, arr in tagger.param_items())
+        assert np.array_equal(arr.reshape(-1),
+                              np.arange(offset, offset + arr.size)), name
+        offset += arr.size
+    assert offset == tagger.theta.size
+    tagger.theta[:] = saved
+
+
+@pytest.mark.parametrize("cell", ["lstm", "rnn"])
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_parameter_arrays_tile_theta(cell, bidirectional):
+    cfg = _config(layers=2, cell=cell, bidirectional=bidirectional)
+    empty = Tagger(cfg)
+    assert empty.theta.dtype == np.float64 and not empty.theta.any()
+    _assert_arrays_tile_theta(empty)
+    tagger = init_params(cfg, derive_rng(5, 0))
+    _assert_arrays_tile_theta(tagger)
+    buf = io.BytesIO()
+    save(tagger, buf)
+    buf.seek(0)
+    loaded = load(buf)
+    _assert_arrays_tile_theta(loaded)
+    assert np.array_equal(loaded.theta, tagger.theta)
 
 
 def test_corrupted_gradient_fails_check():

@@ -127,17 +127,22 @@ def test_finite_diff_on_constant():
     assert np.max(np.abs(grad)) < 1e-9
 
 
-def test_finite_diff_dict_block():
-    params = {"a": np.array([1.0, 2.0]), "b": np.array([[3.0]])}
+def test_finite_diff_through_views_restores_the_array():
+    theta = np.array([1.0, 2.0, 3.0])
+    a, b = theta[:2], theta[2:].reshape(1, 1)
 
-    def f(p):
-        return float((p["a"] ** 2).sum() + 5.0 * p["b"][0, 0])
+    def f(_):
+        return float((a ** 2).sum() + 5.0 * b[0, 0])
 
-    grads = finite_diff_grad(f, params)
-    assert grads["a"] == pytest.approx([2.0, 4.0], abs=1e-8)
-    assert grads["b"][0, 0] == pytest.approx(5.0, abs=1e-8)
+    grad = finite_diff_grad(f, theta)
+    assert grad == pytest.approx([2.0, 4.0, 5.0], abs=1e-8)
     # perturbations were restored
-    assert np.array_equal(params["a"], np.array([1.0, 2.0]))
+    assert np.array_equal(theta, [1.0, 2.0, 3.0])
+
+
+def test_finite_diff_rejects_a_non_contiguous_array():
+    with pytest.raises(ValueError, match="C-contiguous"):
+        finite_diff_grad(lambda p: float(p.sum()), np.ones((3, 2)).T)
 
 
 def test_derive_rng_streams_are_independent_and_stable():

@@ -134,18 +134,34 @@ def test_clipped_step_matches_per_array_clip_and_update(cell):
         assert np.array_equal(kept, got)
 
 
-def test_train_updates_one_flat_parameter_vector():
+def test_train_updates_theta_in_place_and_returns_its_own_vector():
     sents = _mini_corpus()
     tagger, extractor = _tiny_setup(sents)
-    old_proj = tagger.proj_w
+    theta = tagger.theta
+    before = theta.copy()
     cfg = train.TrainConfig(seed=1, max_epochs=1)
-    train.train(tagger, sents, sents, extractor, cfg)
-    arrays = [arr for _, arr in tagger.param_items()]
-    base = arrays[0].base
-    assert base is not None and base.ndim == 1
-    assert all(arr.base is base for arr in arrays)
-    assert base.size == sum(arr.size for arr in arrays)
-    assert not np.shares_memory(old_proj, base)
+    best, _ = train.train(tagger, sents, sents, extractor, cfg)
+    assert tagger.theta is theta and not np.array_equal(theta, before)
+    assert all(np.shares_memory(arr, theta) for _, arr in tagger.param_items())
+    # one epoch: the best checkpoint is the last one, in its own vector
+    assert not np.shares_memory(best.theta, theta)
+    assert np.array_equal(best.theta, theta)
+    assert all(np.shares_memory(arr, best.theta)
+               for _, arr in best.param_items())
+    assert best.config == tagger.config and best.extra == tagger.extra
+
+
+@pytest.mark.parametrize("block", ["proj.W", "layer0.bwd.b"])
+def test_train_rejects_a_rebound_parameter_block(block):
+    sents = _mini_corpus()
+    tagger, extractor = _tiny_setup(sents)
+    if block == "proj.W":
+        tagger.proj_w = tagger.proj_w.copy()
+    else:
+        tagger.layers[0]["bwd"].b = tagger.layers[0]["bwd"].b + 0.0
+    cfg = train.TrainConfig(seed=1, max_epochs=1)
+    with pytest.raises(ValueError, match=f"parameter {block} is not a view"):
+        train.train(tagger, sents, sents, extractor, cfg)
 
 
 def test_early_stopping_returns_best_not_last():
