@@ -379,6 +379,9 @@ def cmd_stats(args):
 def cmd_ablate(args):
     prefix = args.out or "ablation"
     _check_output(prefix + ".txt")
+    if args.save_models is not None and os.path.exists(args.save_models) \
+            and not os.path.isdir(args.save_models):
+        raise CliError(f"cannot write {args.save_models}: Not a directory")
     opts = resolve_options(args)
     if args.preset:
         if args.preset not in train.ABLATION_PRESETS:

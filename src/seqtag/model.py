@@ -19,10 +19,11 @@ The backward pass hoists work the same way: every gate's local derivative
 is computed for all steps before its time loop, which then carries only
 the dh/dc recurrence, and dW, dU and db are single matmuls (or a sum) over
 all steps after it. A Tagger's parameters are views, in param_items()
-order, into one flat vector `theta` that it allocates when built, and
-gradients are views into a vector of the same layout (Tagger.flat_views):
-an SGD update, a checkpoint copy and a finite-difference probe each act on
-one vector.
+order, into one flat vector `theta`, and gradients are views into a vector
+of the same layout (Tagger.flat_views): an SGD update and a checkpoint copy
+each act on one vector. A Tagger built on a block of K such vectors runs
+all K through the same forward pass at once, which is how the
+finite-difference oracle evaluates its perturbed copies of `theta`.
 
 Model files use a small versioned binary container (magic "SQTG"); see
 save()/load().
@@ -84,16 +85,18 @@ class CellParams:
 
     def __init__(self, hidden, input_dim, kind="lstm", flat=None):
         """All-zero parameters; with `flat`, a vector of size() elements, W,
-        U and b are views into it in that order."""
+        U and b are views into it in that order. A (K, size()) `flat` holds
+        K parameter rows, and W, U and b then have a leading K axis."""
         rows = GATE_COUNT[kind] * hidden
         self.kind = kind
         self.hidden = hidden
         self.input_dim = input_dim
         if flat is None:
             flat = np.zeros(self.size(hidden, input_dim, kind))
-        self.W = flat[:rows * hidden].reshape(rows, hidden)
-        self.U = flat[rows * hidden:-rows].reshape(rows, input_dim)
-        self.b = flat[-rows:]
+        lead = flat.shape[:-1]
+        self.W = flat[..., :rows * hidden].reshape(lead + (rows, hidden))
+        self.U = flat[..., rows * hidden:-rows].reshape(lead + (rows, input_dim))
+        self.b = flat[..., -rows:]
 
     @staticmethod
     def size(hidden, input_dim, kind="lstm"):
@@ -130,26 +133,43 @@ def _run_cell(params, inputs, bptt=False):
     a time-major batch of equal-length sequences (T x B x D). Returns the
     states (T x H, or T x B x H) and, with bptt, the cache _backprop_cell
     needs (None without). The input-side projection is hoisted out of the
-    time loop, so each step costs one matmul."""
+    time loop, so each step costs one matmul.
+
+    Cell parameters with a leading axis of K rows (W of K x gH x H) run K
+    cells at once over one sequence, shared by all rows (T x D) or one per
+    row (T x K x D), and return T x K x H states; each step is then one
+    stacked matmul (K x 1 x H) @ (K x H x gH)."""
     T = len(inputs)
     if T == 0:
         raise EmptySequence("cannot run a recurrent layer over an empty sequence")
     inputs = np.asarray(inputs, dtype=np.float64)
     H = params.hidden
-    # the input side as one 2-D product over all steps and rows: numpy's
-    # stacked 3-D matmul is several times slower
-    xu = inputs.reshape(-1, inputs.shape[-1]) @ params.U.T + params.b
-    xu = xu.reshape(inputs.shape[:-1] + (-1,))  # (T, [B,] gH)
-    # a contiguous W^T speeds up the multi-row product; for one row the
-    # view keeps the bits of W @ h
-    WT = params.W.T if inputs.ndim == 2 else np.ascontiguousarray(params.W.T)
-    states = np.empty(inputs.shape[:-1] + (H,))
-    h = np.zeros(inputs.shape[1:-1] + (H,))
+    if params.W.ndim == 3:
+        K, gH = params.b.shape
+        if inputs.ndim == 2:  # shared inputs: one 2-D gemm over all rows
+            xu = inputs @ params.U.reshape(K * gH, -1).T
+        else:  # one (T x D) @ (D x gH) product per row
+            xu = _row_matmul(inputs, params.U)
+        # (T, K, 1, gH): each row's step is a 1 x gH product
+        xu = xu.reshape(T, K, 1, gH) + params.b[:, None]
+        WT = params.W.transpose(0, 2, 1)
+        out_shape = (T, K, H)
+    else:
+        # the input side as one 2-D product over all steps and rows: numpy's
+        # stacked 3-D matmul is several times slower
+        xu = inputs.reshape(-1, inputs.shape[-1]) @ params.U.T + params.b
+        xu = xu.reshape(inputs.shape[:-1] + (-1,))  # (T, [B,] gH)
+        # a contiguous W^T speeds up the multi-row product; for one row the
+        # view keeps the bits of W @ h
+        WT = params.W.T if inputs.ndim == 2 else np.ascontiguousarray(params.W.T)
+        out_shape = inputs.shape[:-1] + (H,)
+    states = np.empty(xu.shape[:-1] + (H,))
+    h = np.zeros(xu.shape[1:-1] + (H,))
     if params.kind == "rnn":
         for t in range(T):
             h = np.tanh(h @ WT + xu[t])
             states[t] = h
-        return states, (inputs, states) if bptt else None
+        return states.reshape(out_shape), (inputs, states) if bptt else None
     if bptt:
         gates = np.empty(xu.shape)  # i, f, o after sigmoid; g after tanh
         cells = np.empty(states.shape)
@@ -170,7 +190,15 @@ def _run_cell(params, inputs, bptt=False):
                 cells[t] = c
                 tanhc[t] = tc
             states[t] = h
-    return states, (inputs, states, gates, cells, tanhc) if bptt else None
+    return (states.reshape(out_shape),
+            (inputs, states, gates, cells, tanhc) if bptt else None)
+
+
+def _row_matmul(inputs, weights):
+    """Per-row x @ w.T of T x K x D inputs and K x R x D weights, as
+    T x K x R: the products of one-row taggers, row by row."""
+    return (inputs.transpose(1, 0, 2)
+            @ weights.transpose(0, 2, 1)).transpose(1, 0, 2)
 
 
 def _backprop_cell(params, cache, dstates, grads, prefix, input_grads=True):
@@ -328,17 +356,31 @@ class Tagger:
     `extra` is an arbitrary JSON-serializable dict carried through the model
     file; the CLI stores the feature pipeline description there so a saved
     model can be applied to new text.
+
+    A tagger built on a (K, n) `theta` is a row tagger: every parameter
+    array gains a leading K axis, and forward() and sentence_loss() evaluate
+    K parameter vectors on one sentence at once (the finite-difference
+    oracle's batch). Training takes a one-row tagger only.
     """
 
-    def __init__(self, config, extra=None):
-        """All-zero parameters, every array a view into `self.theta`."""
+    def __init__(self, config, extra=None, theta=None):
+        """Every parameter array is a view into `self.theta`: the given
+        C-contiguous float64 vector, or (K, n) block of K vectors, of the
+        tagger's parameter count n; all zeros when none is given."""
         self.config = config
         self.extra = extra or {}
         n_labels, width = len(config.labels), config.layer_output_dim
         sizes = [CellParams.size(config.hidden, config.layer_input_dim(l),
                                  config.cell) for l in range(config.layers)]
-        self.theta = np.zeros(len(config.directions) * sum(sizes)
-                              + n_labels * (width + 1))
+        n = len(config.directions) * sum(sizes) + n_labels * (width + 1)
+        if theta is None:
+            theta = np.zeros(n)
+        elif (theta.ndim not in (1, 2) or theta.shape[-1] != n
+              or theta.dtype != np.float64 or not theta.flags.c_contiguous):
+            raise ValueError(f"theta must be a C-contiguous float64 array of "
+                             f"shape ({n},) or (K, {n}), got {theta.dtype} "
+                             f"{theta.shape}")
+        self.theta = theta
         offset = 0
         self.layers = []
         for l, size in enumerate(sizes):
@@ -346,10 +388,16 @@ class Tagger:
             for d in config.directions:
                 self.layers[l][d] = CellParams(
                     config.hidden, config.layer_input_dim(l), config.cell,
-                    self.theta[offset:offset + size])
+                    theta[..., offset:offset + size])
                 offset += size
-        self.proj_w = self.theta[offset:-n_labels].reshape(n_labels, width)
-        self.proj_b = self.theta[-n_labels:]
+        self.proj_w = theta[..., offset:-n_labels].reshape(
+            theta.shape[:-1] + (n_labels, width))
+        self.proj_b = theta[..., -n_labels:]
+
+    def __reduce__(self):
+        # copy and pickle rebuild the views on the copied theta; numpy would
+        # otherwise copy each view on its own
+        return Tagger, (self.config, self.extra, self.theta)
 
     def param_items(self):
         """All parameters as (name, array) pairs in the canonical order used
@@ -400,12 +448,19 @@ def forward(tagger, inputs, rng=None, bptt=False):
     probability). Without an rng the pass is deterministic inference.
     Returns (T x [B x] L probabilities, cache); the cache holds the
     per-step cell states the backward pass needs only with bptt.
+
+    A row tagger of K rows takes one sentence and returns T x K x L
+    probabilities. Its dropout masks are drawn at the one-row shape, as for
+    a one-row tagger, and shared by all rows.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim not in (2, 3) or inputs.shape[-1] != tagger.config.input_dim:
+    rows = tagger.theta.ndim == 2
+    if inputs.ndim not in ((2,) if rows else (2, 3)) \
+            or inputs.shape[-1] != tagger.config.input_dim:
         raise DimensionMismatch(
             f"forward: inputs {inputs.shape} do not match model input dim "
-            f"{tagger.config.input_dim}")
+            f"{tagger.config.input_dim}"
+            + (" (a row tagger takes one sentence)" if rows else ""))
     if inputs.size == 0:
         raise EmptySequence("cannot tag an empty sentence")
     config = tagger.config
@@ -423,13 +478,18 @@ def forward(tagger, inputs, rng=None, bptt=False):
         out = np.concatenate(outputs, axis=-1) if len(outputs) > 1 else outputs[0]
         mask = None
         if use_dropout:
-            mask = (rng.random(out.shape) < keep) / keep
-            out = out * mask
+            shape = (len(out), out.shape[-1]) if rows else out.shape
+            mask = (rng.random(shape) < keep) / keep
+            out = out * (mask[:, None] if rows else mask)
         layer_caches.append({"input": current, "dirs": dir_caches,
                              "mask": mask, "output": out})
         current = out
 
-    logits = current @ tagger.proj_w.T + tagger.proj_b
+    if rows:
+        logits = _row_matmul(current, tagger.proj_w)
+    else:
+        logits = current @ tagger.proj_w.T
+    logits += tagger.proj_b
     probs = _softmax_rows(logits)
     cache = {"layers": layer_caches, "features": current, "logits": logits,
              "probs": probs}
@@ -443,8 +503,8 @@ def _softmax_rows(logits):
 
 
 def _log_softmax_rows(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def loss_and_gradients(tagger, inputs, gold_indices, rng=None, grads=None):
@@ -452,7 +512,11 @@ def loss_and_gradients(tagger, inputs, gold_indices, rng=None, grads=None):
     by backpropagation through time. Gradients come back as a dict keyed by
     param_items() names in that order. Each block is written exactly once,
     into the arrays of `grads` when given, else into the views of a fresh
-    vector laid out like `theta` (Tagger.flat_views)."""
+    vector laid out like `theta` (Tagger.flat_views). Row taggers are
+    refused."""
+    if tagger.theta.ndim != 1:
+        raise ValueError("loss_and_gradients takes a one-row tagger, got "
+                         f"{len(tagger.theta)} parameter rows")
     config = tagger.config
     n_labels = len(config.labels)
     gold_indices = list(gold_indices)
@@ -495,11 +559,14 @@ def loss_and_gradients(tagger, inputs, gold_indices, rng=None, grads=None):
 
 
 def sentence_loss(tagger, inputs, gold_indices, rng=None):
-    """Mean per-token cross-entropy only (no gradients); the function the
+    """Mean per-token cross-entropy only (no gradients): a float, or an
+    array of K losses for a row tagger of K rows. The function the
     finite-difference oracle evaluates."""
     _, cache = forward(tagger, inputs, rng=rng)
     logp = _log_softmax_rows(cache["logits"])
-    return -float(np.mean(logp[np.arange(len(inputs)), list(gold_indices)]))
+    gold = logp[np.arange(len(inputs)), ..., list(gold_indices)]  # T x [K]
+    loss = -np.mean(gold, axis=0)
+    return loss if tagger.theta.ndim == 2 else float(loss)
 
 
 def predict_indices(tagger, inputs):
@@ -528,7 +595,10 @@ def save(tagger, sink):
     length-prefixed UTF-8 config record, parameter blocks as little-endian
     float64 in param_items() order, then a 64-bit checksum (leading 8 bytes
     of SHA-256) over everything before it. LSTM blocks are written in the
-    per-gate order (i, f, c, o) of the v1 format."""
+    per-gate order (i, f, c, o) of the v1 format. Row taggers are refused."""
+    if tagger.theta.ndim != 1:
+        raise ValueError("save takes a one-row tagger, got "
+                         f"{len(tagger.theta)} parameter rows")
     blob = _config_blob(tagger)
     out = bytearray()
     out += MAGIC

@@ -41,25 +41,33 @@ def uniform_matrix(rng, rows, cols, bound):
     return rng.uniform(-bound, bound, size=(rows, cols))
 
 
+FD_BLOCK = 32  # elements perturbed per evaluation of f
+
+
 def finite_diff_grad(f, params, epsilon=1e-5):
-    """Central-difference gradient of scalar f over one C-contiguous float64
-    array, returned in its shape. The array is perturbed in place, one
-    element at a time, and restored, so f may close over it or over views
-    of it (a Tagger's parameters over its `theta`)."""
-    if not params.flags.c_contiguous:  # reshape would perturb a copy
+    """Central-difference gradient over one C-contiguous float64 array,
+    returned in its shape. The elements are probed FD_BLOCK at a time: for k
+    of them, f gets a (2k, n) block whose rows are copies of the flattened
+    array, row j with element j of the group raised by epsilon and row k + j
+    with it lowered, and returns the 2k values of the function at those rows
+    (sentence_loss of a Tagger built on the block, say). The block is
+    allocated once per call; `params` itself is never written."""
+    if not params.flags.c_contiguous:  # f's rows would not match its layout
         raise ValueError("finite_diff_grad needs a C-contiguous array")
-    grad = np.zeros_like(params)
     flat = params.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + epsilon
-        hi = f(params)
-        flat[i] = orig - epsilon
-        lo = f(params)
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * epsilon)
-    return grad
+    n = flat.size
+    grad = np.empty(n)
+    block = np.empty((2 * FD_BLOCK, n))
+    for start in range(0, n, FD_BLOCK):
+        k = min(FD_BLOCK, n - start)
+        rows = block[:2 * k]
+        rows[...] = flat
+        j = np.arange(k)
+        rows[j, start + j] += epsilon
+        rows[k + j, start + j] -= epsilon
+        values = np.asarray(f(rows), dtype=np.float64)
+        grad[start:start + k] = (values[:k] - values[k:]) / (2.0 * epsilon)
+    return grad.reshape(params.shape)
 
 
 def gradient_relative_error(analytic, numeric, floor=1e-6):

@@ -33,9 +33,11 @@ def check_gradients(seeds=range(20), hidden=8, input_dim=10, seq_len=5,
 
     With dropout > 0 the masks are frozen by re-deriving the same RNG for
     every loss evaluation, so the finite differences probe the identical
-    stochastic function. The probes perturb the tagger's parameter vector
-    `theta` one element at a time. `corrupt` deliberately perturbs one
-    analytic gradient entry (negative control: the check must then fail).
+    stochastic function. Every element of the parameter vector `theta` is
+    probed: each evaluation builds a row tagger on a block of perturbed
+    copies of `theta` and runs it through the production sentence_loss.
+    `corrupt` deliberately perturbs one analytic gradient entry (negative
+    control: the check must then fail).
     """
     seeds = list(seeds)
     if not seeds:
@@ -62,8 +64,8 @@ def check_gradients(seeds=range(20), hidden=8, input_dim=10, seq_len=5,
         if corrupt:
             grad[0] += 1e-2
         numeric = finite_diff_grad(
-            lambda _: model.sentence_loss(tagger, inputs, gold,
-                                          rng=dropout_rng()),
+            lambda block: model.sentence_loss(model.Tagger(config, theta=block),
+                                              inputs, gold, rng=dropout_rng()),
             tagger.theta, epsilon=epsilon)
         worst = max(worst, gradient_relative_error(
             analytic, tagger.flat_views(numeric)))

@@ -117,3 +117,22 @@ def backprop_cell(params, cache, dstates, grads, prefix):
     grads[prefix + "U"] += da_all.T @ inputs
     grads[prefix + "b"] += da_all.sum(axis=0)
     return da_all @ params.U
+
+
+def finite_diff_grad_loop(f, params, epsilon=1e-5):
+    """Reference central differences, one element at a time: `params` is
+    perturbed in place and restored, and scalar f (which may close over it
+    or over views of it) is evaluated twice per element. Returns the
+    gradient in the shape of `params`."""
+    grad = np.zeros_like(params)
+    flat = params.reshape(-1)
+    gflat = grad.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + epsilon
+        hi = f(params)
+        flat[i] = orig - epsilon
+        lo = f(params)
+        flat[i] = orig
+        gflat[i] = (hi - lo) / (2.0 * epsilon)
+    return grad

@@ -335,6 +335,8 @@ def _user_error_args(tmp_path, toy_path, case):
         "out-empty": train + ["--out", ""],
         "ablate-out-in-missing-directory":
             ablate + ["--preset", "table5", "--out", str(tmp_path / "none" / "abl")],
+        "ablate-save-models-is-a-file":
+            ablate + ["--preset", "table5", "--save-models", str(bad_json)],
         "lr-nan": train + ["--lr", "nan"],
         "lr-inf": train + ["--lr", "inf"],
         "clip-nan": train + ["--clip", "nan"],
@@ -384,6 +386,7 @@ USER_ERROR_MESSAGES = {
     "out-empty": "cannot write : No such file or directory",
     "ablate-out-in-missing-directory":
         "cannot write {tmp}/none/abl.txt: No such file or directory",
+    "ablate-save-models-is-a-file": "cannot write {tmp}/bad.json: Not a directory",
     "lr-nan": "learning_rate must be finite and > 0, got nan",
     "lr-inf": "learning_rate must be finite and > 0, got inf",
     "clip-nan": "clip_norm must be finite and > 0, got nan",
@@ -419,6 +422,7 @@ USAGE_ERRORS = ["missing-required-flag", "hidden-not-int", "unknown-flag",
                                   "out-in-missing-directory",
                                   "out-is-a-directory", "out-empty",
                                   "ablate-out-in-missing-directory",
+                                  "ablate-save-models-is-a-file",
                                   "lr-nan", "lr-inf", "clip-nan", "clip-inf"]
                          + USAGE_ERRORS)
 def test_user_errors_exit_1_with_message(tmp_path, toy_path, capsys,

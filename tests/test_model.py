@@ -1,9 +1,11 @@
+import copy
 import io
+import pickle
 
 import numpy as np
 import pytest
 
-from seqtag import model
+from seqtag import model, numerics
 from seqtag.model import (BadMagic, CellParams, ChecksumMismatch,
                           EmptySequence, Tagger, TaggerConfig, TruncatedFile,
                           UnsupportedVersion, forward, init_params, load,
@@ -351,6 +353,119 @@ def test_corrupted_gradient_fails_check():
                           n_labels=3, layers=1, bidirectional=False,
                           corrupt=True)
     assert not res.passed
+
+
+def _row_block(cfg, seed, rows):
+    """`rows` distinct parameter vectors for cfg around a fresh init."""
+    theta = init_params(cfg, derive_rng(seed, 0)).theta
+    return theta + derive_rng(seed, 1).normal(0.0, 0.1, size=(rows, theta.size))
+
+
+@pytest.mark.parametrize("cell", ["lstm", "rnn"])
+def test_row_tagger_arrays_are_views_of_each_row(cell):
+    cfg = _config(layers=2, cell=cell, bidirectional=True)
+    block = _row_block(cfg, 20, 3)
+    rows = Tagger(cfg, theta=block)
+    assert rows.theta is block
+    for k in range(3):
+        one = Tagger(cfg, theta=block[k].copy())
+        for (name, arr), (_, want) in zip(rows.param_items(), one.param_items()):
+            assert np.shares_memory(arr, block), name
+            assert np.array_equal(arr[k], want), name
+
+
+def test_tagger_rejects_a_theta_of_the_wrong_layout():
+    cfg = _config()
+    n = Tagger(cfg).theta.size
+    for theta in (np.zeros(n + 1), np.zeros((2, 2, n)), np.zeros(n, np.float32),
+                  np.zeros((n, 2)).T):
+        with pytest.raises(ValueError, match="theta"):
+            Tagger(cfg, theta=theta)
+
+
+def test_row_forward_matches_one_row_forwards_with_dropout():
+    cfg = _config(layers=2, bidirectional=True, dropout=0.5)
+    block = _row_block(cfg, 21, 5)
+    x = derive_rng(21, 2).uniform(-1, 1, size=(6, 4))
+    gold = [0, 2, 1, 1, 0, 2]
+    probs, _ = forward(Tagger(cfg, theta=block), x, rng=derive_rng(21, 3))
+    losses = model.sentence_loss(Tagger(cfg, theta=block), x, gold,
+                                 rng=derive_rng(21, 3))
+    assert probs.shape == (6, 5, 3) and losses.shape == (5,)
+    for k in range(5):
+        one = Tagger(cfg, theta=block[k].copy())
+        want, _ = forward(one, x, rng=derive_rng(21, 3))
+        # the masks matter, and every row got the one-row draw
+        assert not np.allclose(want, forward(one, x)[0])
+        np.testing.assert_allclose(probs[:, k], want, rtol=0, atol=1e-12)
+        assert losses[k] == pytest.approx(
+            model.sentence_loss(one, x, gold, rng=derive_rng(21, 3)),
+            rel=0, abs=1e-12)
+
+
+def test_row_tagger_takes_one_sentence_and_is_neither_trained_nor_saved():
+    cfg = _config()
+    rows = Tagger(cfg, theta=_row_block(cfg, 22, 2))
+    with pytest.raises(DimensionMismatch, match="one sentence"):
+        forward(rows, np.zeros((3, 2, 4)))
+    with pytest.raises(ValueError, match="one-row tagger"):
+        loss_and_gradients(rows, np.zeros((3, 4)), [0, 1, 2])
+    buf = io.BytesIO()
+    with pytest.raises(ValueError, match="one-row tagger"):
+        save(rows, buf)
+    assert not buf.getvalue()
+
+
+@pytest.mark.parametrize("cell", ["lstm", "rnn"])
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_batched_finite_differences_match_the_loop(cell, bidirectional):
+    cfg = _config(layers=2, hidden=2, cell=cell, bidirectional=bidirectional,
+                  dropout=0.5)
+    tagger = init_params(cfg, derive_rng(23, 0))
+    assert tagger.theta.size % numerics.FD_BLOCK  # the last block is partial
+    x = derive_rng(23, 1).uniform(-1, 1, size=(4, 4))
+    gold = [0, 2, 1, 1]
+    batched = numerics.finite_diff_grad(
+        lambda block: model.sentence_loss(Tagger(cfg, theta=block), x, gold,
+                                          rng=derive_rng(23, 2)),
+        tagger.theta)
+    loop = oracle.finite_diff_grad_loop(
+        lambda _: model.sentence_loss(tagger, x, gold, rng=derive_rng(23, 2)),
+        tagger.theta)
+    assert np.abs(loop).max() > 1e-3
+    assert np.max(np.abs(batched - loop)) <= 1e-9
+
+
+def test_gradient_check_evaluates_the_production_loss_per_block(monkeypatch):
+    calls = []
+    production = model.sentence_loss
+
+    def counting(tagger, *args, **kwargs):
+        calls.append(tagger.theta.shape)
+        return production(tagger, *args, **kwargs)
+
+    monkeypatch.setattr(model, "sentence_loss", counting)
+    assert check_gradients(seeds=[0]).passed
+    n = Tagger(TaggerConfig(labels=["L0", "L1", "L2", "L3"], input_dim=10,
+                            hidden=8)).theta.size
+    blocks = -(-n // numerics.FD_BLOCK)
+    assert len(calls) == blocks
+    assert calls[:-1] == [(2 * numerics.FD_BLOCK, n)] * (blocks - 1)
+    assert calls[-1] == (2 * (n - (blocks - 1) * numerics.FD_BLOCK), n)
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy,
+                                   lambda t: pickle.loads(pickle.dumps(t))],
+                         ids=["deepcopy", "pickle"])
+def test_copies_tile_their_own_theta(clone):
+    tagger = init_params(_config(layers=2, bidirectional=True),
+                         derive_rng(24, 0), extra={"pipeline": [1, "a"]})
+    twin = clone(tagger)
+    assert not np.shares_memory(twin.theta, tagger.theta)
+    assert twin.theta.tobytes() == tagger.theta.tobytes()
+    assert all(np.shares_memory(arr, twin.theta) for _, arr in twin.param_items())
+    _assert_arrays_tile_theta(twin)
+    assert twin.config == tagger.config and twin.extra == tagger.extra
 
 
 def test_init_params_bounds_and_determinism():

@@ -1,6 +1,6 @@
-"""Seeded randomness and the finite-difference oracle of seqtag.numerics,
-the tagger's row softmax, and the shape-checked operations of the per-gate
-reference cell in tests/oracle.py."""
+"""Seeded randomness and the row-batched finite-difference oracle of
+seqtag.numerics, the tagger's row softmax, and the shape-checked operations
+of the per-gate reference cell in tests/oracle.py."""
 
 import numpy as np
 import pytest
@@ -117,32 +117,33 @@ def test_uniform_vector_rejects_bad_arguments():
 
 def test_finite_diff_on_square():
     theta = np.array([3.0])
-    grad = finite_diff_grad(lambda p: float(p[0] ** 2), theta)
+    grad = finite_diff_grad(lambda rows: rows[:, 0] ** 2, theta)
     assert grad[0] == pytest.approx(6.0, abs=1e-8)
 
 
 def test_finite_diff_on_constant():
     theta = np.array([1.0, 2.0])
-    grad = finite_diff_grad(lambda p: 7.5, theta)
+    grad = finite_diff_grad(lambda rows: np.full(len(rows), 7.5), theta)
     assert np.max(np.abs(grad)) < 1e-9
 
 
 def test_finite_diff_through_views_restores_the_array():
     theta = np.array([1.0, 2.0, 3.0])
-    a, b = theta[:2], theta[2:].reshape(1, 1)
 
-    def f(_):
-        return float((a ** 2).sum() + 5.0 * b[0, 0])
+    def f(rows):
+        # per-row views shaped like a model's blocks
+        a, b = rows[:, :2], rows[:, 2:].reshape(-1, 1, 1)
+        return (a ** 2).sum(axis=1) + 5.0 * b[:, 0, 0]
 
     grad = finite_diff_grad(f, theta)
     assert grad == pytest.approx([2.0, 4.0, 5.0], abs=1e-8)
-    # perturbations were restored
+    # the probes went to copies: theta is unchanged
     assert np.array_equal(theta, [1.0, 2.0, 3.0])
 
 
 def test_finite_diff_rejects_a_non_contiguous_array():
     with pytest.raises(ValueError, match="C-contiguous"):
-        finite_diff_grad(lambda p: float(p.sum()), np.ones((3, 2)).T)
+        finite_diff_grad(lambda rows: rows.sum(axis=1), np.ones((3, 2)).T)
 
 
 def test_derive_rng_streams_are_independent_and_stable():

@@ -151,6 +151,18 @@ def test_train_updates_theta_in_place_and_returns_its_own_vector():
     assert best.config == tagger.config and best.extra == tagger.extra
 
 
+def test_train_accepts_a_deep_copy_and_trains_it_like_the_original():
+    sents = _mini_corpus()
+    tagger, extractor = _tiny_setup(sents, dropout=0.5)
+    twin = copy.deepcopy(tagger)
+    cfg = train.TrainConfig(seed=1, max_epochs=2)
+    best_twin, log_twin = train.train(twin, sents, sents, extractor, cfg)
+    best, log = train.train(tagger, sents, sents, extractor, cfg)
+    assert twin.theta.tobytes() == tagger.theta.tobytes()
+    assert best_twin.theta.tobytes() == best.theta.tobytes()
+    assert log_twin.to_text() == log.to_text()
+
+
 @pytest.mark.parametrize("block", ["proj.W", "layer0.bwd.b"])
 def test_train_rejects_a_rebound_parameter_block(block):
     sents = _mini_corpus()
