@@ -84,14 +84,15 @@ class EmbeddingTable:
         rng = numerics.derive_rng(self.seed, _word_stream_key(word))
         return numerics.uniform_vector(rng, self.dim, self._bound)
 
-    def _onehot(self, index):
-        v = np.zeros(self.dim)
-        v[index] = 1.0
-        return v
+    def onehot_index(self, word):
+        """The one slot a one-hot mode word sets (the last one is UNK)."""
+        return self.vocab.get(word, self.dim - 1)
 
     def lookup(self, word):
         if self.mode == "onehot":
-            return self._onehot(self.vocab.get(word, self.dim - 1))
+            v = np.zeros(self.dim)
+            v[self.onehot_index(word)] = 1.0
+            return v
         vec = self.vectors.get(word)
         if vec is not None:
             return vec
@@ -170,15 +171,15 @@ def first_seen(sentences, field):
                               for sent in sentences for tok in sent))
 
 
-def case_feature(surface):
-    """One-hot over {AllCaps, InitCap, Lower, Mixed, NoLetter}.
+def case_category(surface):
+    """Index into CASE_CATEGORIES {AllCaps, InitCap, Lower, Mixed, NoLetter}.
 
     Unicode-aware; underscores (the multi-syllable joiner) are treated as
     syllable separators, so Ha_Noi-style tokens where every syllable is
     initial-capitalized classify as InitCap.
     """
     if not surface:
-        raise ValueError("case_feature: empty surface form")
+        raise ValueError("case_category: empty surface form")
     letters = [c for c in surface if c.isalpha()]
     if not letters:
         category = "NoLetter"
@@ -190,9 +191,7 @@ def case_feature(surface):
         category = "Lower"
     else:
         category = "Mixed"
-    v = np.zeros(len(CASE_CATEGORIES))
-    v[CASE_CATEGORIES.index(category)] = 1.0
-    return v
+    return CASE_CATEGORIES.index(category)
 
 
 def _is_init_cap(surface):
@@ -233,11 +232,21 @@ class RegexRuleSet:
         for r in self.rules:
             if r.scope not in RULE_SCOPES:
                 raise ValueError(f"rule {r.name!r}: unknown scope {r.scope!r}")
-        self._compiled = [(r, r.compiled()) for r in self.rules]
+        self._compiled = [r.compiled() for r in self.rules]
+        # (K, the columns of the rules with scope prevK), self being K = 0
+        scopes = [RULE_SCOPES.index(r.scope) for r in self.rules]
+        self.scope_columns = [
+            (k, np.array([j for j, s in enumerate(scopes) if s == k]))
+            for k in sorted(set(scopes))]
 
     @property
     def width(self):
         return len(self.rules)
+
+    def match_bits(self, surface):
+        """Bit j is set when rule j's pattern matches `surface` in full."""
+        return sum(1 << j for j, compiled in enumerate(self._compiled)
+                   if compiled.fullmatch(surface))
 
     def rule_names(self):
         return [r.name for r in self.rules]
@@ -267,26 +276,10 @@ def load_regex_rules(source):
     return RegexRuleSet(rules)
 
 
-def regex_features(sentence, rules):
-    """Per-token binary vectors, one slot per rule. A rule with scope prevK
-    fires on token t when token t-K exists and its surface matches the
-    pattern in full."""
-    out = np.zeros((len(sentence), rules.width))
-    surfaces = [t.surface for t in sentence]
-    offsets = {"self": 0, "prev1": 1, "prev2": 2}
-    for j, (rule, compiled) in enumerate(rules._compiled):
-        k = offsets[rule.scope]
-        for t in range(len(surfaces)):
-            if t - k < 0:
-                continue
-            if compiled.fullmatch(surfaces[t - k]):
-                out[t, j] = 1.0
-    return out
-
-
 class TagEncoder:
-    """One-hot encoder over a tagset, first-seen order, with a reserved
-    final UNK index for tags never seen in training."""
+    """Tag ids over a tagset, first-seen order, with a reserved final UNK
+    id for tags never seen in training; a tag's block of the input is
+    one-hot at its id."""
 
     def __init__(self, tags):
         self.index = {}
@@ -301,10 +294,10 @@ class TagEncoder:
     def unk_index(self):
         return len(self.index)
 
-    def encode(self, tag):
-        v = np.zeros(self.width)
-        v[self.index.get(tag, self.unk_index)] = 1.0
-        return v
+    def tag_ids(self, tags, offset=0):
+        """offset + the id of each tag, UNK for tags outside the tagset."""
+        get, unk = self.index.get, len(self.index)
+        return [offset + get(tag, unk) for tag in tags]
 
     def tags(self):
         return list(self.index)
@@ -336,6 +329,10 @@ class FeatureExtractor:
     pos_encoder: TagEncoder | None = None
     chunk_encoder: TagEncoder | None = None
     rules: RegexRuleSet | None = None
+    # surface -> (the table's word vector, or its one-hot index; case
+    # category; rule match bits), filled on first sight
+    _types: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def input_dim(self):
@@ -350,23 +347,66 @@ class FeatureExtractor:
             width += self.rules.width
         return width
 
+    def _new_type(self, surface):
+        table = self.table
+        record = (table.onehot_index(surface) if table.mode == "onehot"
+                  else table.lookup(surface),
+                  case_category(surface) if self.config.has(CASE) else 0,
+                  self.rules.match_bits(surface)
+                  if self.config.has(REGEX) and self.rules is not None else 0)
+        self._types[surface] = record
+        return record
+
     def assemble(self, sentence, out=None):
         """T x D matrix of per-token input vectors, blocks concatenated in
         the fixed order [word | pos | chunk | case | regex]; written into
-        `out` when given."""
-        config = self.config
-        blocks = [np.stack([self.table.lookup(t.surface) for t in sentence])]
+        `out` when given.
+
+        Each surface form is looked up, case-classified and matched against
+        the rules once, on first sight, and later tokens gather that record.
+        The table, the encoders and the rules must therefore not change
+        after the first call."""
+        if not len(sentence):
+            raise ValueError("assemble: empty sentence")
+        types, new_type = self._types, self._new_type
+        words, cases, bits = zip(*[types.get(t.surface) or new_type(t.surface)
+                                   for t in sentence])
+        T = len(words)
+        if out is None:
+            out = np.empty((T, self.input_dim))
+        config, dim = self.config, self.table.dim
+        rows = np.arange(T)
+        if self.table.mode == "onehot":
+            out[:] = 0.0
+            out[rows, words] = 1.0
+        else:
+            out[:, :dim] = words
+            out[:, dim:] = 0.0
+        hot = []  # per one-hot block, the column each token sets
+        col = dim
         if config.has(POS):
-            blocks.append(np.stack([self.pos_encoder.encode(t.pos)
-                                    for t in sentence]))
+            hot.append(self.pos_encoder.tag_ids([t.pos for t in sentence], col))
+            col += self.pos_encoder.width
         if config.has(CHUNK):
-            blocks.append(np.stack([self.chunk_encoder.encode(t.chunk)
-                                    for t in sentence]))
+            hot.append(self.chunk_encoder.tag_ids([t.chunk for t in sentence], col))
+            col += self.chunk_encoder.width
         if config.has(CASE):
-            blocks.append(np.stack([case_feature(t.surface) for t in sentence]))
-        if config.has(REGEX) and self.rules is not None:
-            blocks.append(regex_features(sentence, self.rules))
-        return np.concatenate(blocks, axis=1, out=out)
+            hot.append([col + c for c in cases])
+            col += len(CASE_CATEGORIES)
+        if hot:
+            out[rows, hot] = 1.0
+        if config.has(REGEX) and self.rules is not None and self.rules.width:
+            width = self.rules.width
+            nbytes = (width + 7) // 8
+            packed = b"".join(m.to_bytes(nbytes, "little") for m in bits)
+            matches = np.unpackbits(
+                np.frombuffer(packed, np.uint8).reshape(T, nbytes), axis=1,
+                count=width, bitorder="little")
+            # a prevK rule fires on token t when token t-K matches
+            for k, cols in self.rules.scope_columns:
+                if k < T:
+                    out[k:, col + cols] = matches[:T - k, cols]
+        return out
 
     def to_dict(self):
         """JSON-ready record of the pipeline, stored in a saved model so that

@@ -16,9 +16,9 @@ from .eval import score
 from .numerics import derive_rng
 
 
-# tokens per inference batch: sentences of length T run max(1, 256 // T)
+# tokens per inference batch: sentences of length T run max(1, 512 // T)
 # at a time
-BATCH_TOKENS = 256
+BATCH_TOKENS = 512
 
 
 class EmptyCorpus(ValueError):

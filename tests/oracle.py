@@ -1,12 +1,14 @@
-"""Per-gate reference for the recurrent cells, for tests to compare the
-stacked-gate runner in seqtag.model against. Each step is evaluated gate by
-gate with shape-checked dense operations, exactly as the equations read.
+"""Slow references for tests to compare seqtag against: the recurrent
+cells evaluated gate by gate with shape-checked dense operations, exactly
+as the equations read; BPTT and finite differences as per-step and
+per-element loops; and feature assembly as per-token one-hot vectors.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from seqtag import features
 from seqtag.numerics import DimensionMismatch
 
 GATE_ORDER = ("i", "f", "o", "c")  # row-block order of a stacked LSTM cell
@@ -136,3 +138,53 @@ def finite_diff_grad_loop(f, params, epsilon=1e-5):
         flat[i] = orig
         gflat[i] = (hi - lo) / (2.0 * epsilon)
     return grad
+
+
+def encode(encoder, tag):
+    """One-hot vector of `tag` over a TagEncoder's tagset plus UNK."""
+    v = np.zeros(encoder.width)
+    v[encoder.index.get(tag, encoder.unk_index)] = 1.0
+    return v
+
+
+def case_feature(surface):
+    """One-hot vector of the surface's case category."""
+    v = np.zeros(len(features.CASE_CATEGORIES))
+    v[features.case_category(surface)] = 1.0
+    return v
+
+
+def regex_features(sentence, rules):
+    """Per-token binary vectors, one slot per rule. A rule with scope prevK
+    fires on token t when token t-K exists and its surface matches the
+    pattern in full."""
+    out = np.zeros((len(sentence), rules.width))
+    surfaces = [t.surface for t in sentence]
+    offsets = {"self": 0, "prev1": 1, "prev2": 2}
+    for j, rule in enumerate(rules.rules):
+        compiled = rule.compiled()
+        k = offsets[rule.scope]
+        for t in range(len(surfaces)):
+            if t - k < 0:
+                continue
+            if compiled.fullmatch(surfaces[t - k]):
+                out[t, j] = 1.0
+    return out
+
+
+def assemble_reference(extractor, sentence):
+    """T x D inputs built token by token and concatenated block by block
+    in the order [word | pos | chunk | case | regex]."""
+    config = extractor.config
+    blocks = [np.stack([extractor.table.lookup(t.surface) for t in sentence])]
+    if config.has(features.POS):
+        blocks.append(np.stack([encode(extractor.pos_encoder, t.pos)
+                                for t in sentence]))
+    if config.has(features.CHUNK):
+        blocks.append(np.stack([encode(extractor.chunk_encoder, t.chunk)
+                                for t in sentence]))
+    if config.has(features.CASE):
+        blocks.append(np.stack([case_feature(t.surface) for t in sentence]))
+    if config.has(features.REGEX) and extractor.rules is not None:
+        blocks.append(regex_features(sentence, extractor.rules))
+    return np.concatenate(blocks, axis=1)

@@ -1,15 +1,20 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracle import assemble_reference, case_feature, encode, regex_features
+from seqtag import cli
 from seqtag.corpus import Sentence, Token
-from seqtag.features import (CASE_CATEGORIES, DimMismatch, FeatureConfig,
-                             FeatureExtractor, RegexRule, RegexRuleSet,
-                             TagEncoder, UnparseableValue, case_feature,
-                             embedding_table, first_seen, load_embeddings,
-                             load_regex_rules, oov_bound, random_table,
-                             regex_features)
+from seqtag.features import (ALL_FEATURES, CASE_CATEGORIES, DimMismatch,
+                             FeatureConfig, FeatureExtractor, RegexRule,
+                             RegexRuleSet, TagEncoder, UnparseableValue,
+                             build_extractor, case_category, embedding_table,
+                             first_seen, load_embeddings, load_regex_rules,
+                             oov_bound, random_table)
 
 
 def _sentence(surfaces, pos="N", chunk="B-NP"):
@@ -112,7 +117,7 @@ def test_case_feature_categories(surface, category):
 
 def test_case_feature_rejects_empty():
     with pytest.raises(ValueError):
-        case_feature("")
+        case_category("")
 
 
 def test_load_regex_rules_format():
@@ -183,8 +188,13 @@ def test_default_rule_file_loads_and_fires():
 def test_encode_tagset_width_and_unk():
     enc = TagEncoder(["N", "V", "A"])
     assert enc.width == 4
-    assert enc.encode("N")[0] == 1.0
-    assert enc.encode("X")[enc.unk_index] == 1.0
+    assert encode(enc, "N")[0] == 1.0
+    assert encode(enc, "X")[enc.unk_index] == 1.0
+
+
+def test_tag_ids_offset_and_unk():
+    enc = TagEncoder(["N", "V", "A"])
+    assert enc.tag_ids(["N", "X", "A"], offset=3) == [3, 3 + enc.unk_index, 5]
 
 
 def test_encode_tagset_first_seen_determinism():
@@ -237,3 +247,127 @@ def test_feature_config_normalizes():
     assert "word" in cfg2.enabled
     with pytest.raises(ValueError):
         FeatureConfig(("word", "sparkles"))
+
+
+# ---- per-type gather assembly against the per-token reference ----
+
+OPTIONAL_FEATURES = ALL_FEATURES[1:]
+FEATURE_SUBSETS = [("word",) + c for n in range(len(OPTIONAL_FEATURES) + 1)
+                   for c in itertools.combinations(OPTIONAL_FEATURES, n)]
+TABLES = ["random", "onehot", "pretrained", "pretrained-no-fallback"]
+
+
+def _table(kind, sentences):
+    """A fresh table of one kind over the vocabulary of `sentences`. The
+    pretrained vectors cover some surfaces exactly and others only in
+    lower case, so both fallback settings take different paths."""
+    if kind in ("random", "onehot"):
+        return embedding_table(kind, 5, 11, vocab=first_seen(sentences, "surface"))
+    lines = []
+    for i, word in enumerate(first_seen(sentences, "surface")):
+        if i % 3 == 2:
+            continue  # left to the OOV draw
+        key = word.lower() if i % 3 == 1 else word
+        lines.append(" ".join([key] + [str((i * 7 + d) % 13 / 10) for d in range(5)]))
+    return load_embeddings(io.StringIO("\n".join(lines) + "\n"), 5, seed=11,
+                           lowercase_fallback=kind == "pretrained")
+
+
+def _pair(kind, train_sentences, enabled, rules):
+    """Two extractors of the same pipeline, each on its own table, so the
+    reference draws its OOV vectors independently of the gather path."""
+    return [build_extractor(train_sentences, FeatureConfig(enabled),
+                            _table(kind, train_sentences), rules)
+            for _ in range(2)]
+
+
+def _default_rules():
+    return load_regex_rules(cli.default_regex_file())
+
+
+@pytest.mark.parametrize("kind", TABLES)
+@pytest.mark.parametrize("enabled", FEATURE_SUBSETS, ids="+".join)
+def test_assemble_matches_reference_on_toy(toy_sentences, enabled, kind):
+    # fitted on the first 30 sentences, so later ones meet unseen words
+    # and tags; two passes, so the second one gathers cached types
+    fast, slow = _pair(kind, toy_sentences[:30], enabled, _default_rules())
+    for sent in toy_sentences + toy_sentences:
+        assert np.array_equal(fast.assemble(sent),
+                              assemble_reference(slow, sent))
+
+
+@pytest.mark.parametrize("surfaces", [["tỉnh"], ["công_ty", "Vinamilk"],
+                                      ["tỉnh", "Hà", "Giang"]])
+def test_assemble_short_sentences_under_prev2_rules(surfaces):
+    rules = RegexRuleSet([RegexRule("KW2", "prev2", "(?:tỉnh|công_ty)"),
+                          RegexRule("KW1", "prev1", "(?:tỉnh|công_ty)"),
+                          RegexRule("CAP", "self", "[A-ZĐH].*")])
+    sent = _sentence(surfaces)
+    fast, slow = _pair("random", [sent], ALL_FEATURES, rules)
+    out = fast.assemble(sent)
+    assert np.array_equal(out, assemble_reference(slow, sent))
+    assert out[:, -3].sum() == (len(surfaces) > 2)
+
+
+def test_assemble_with_an_empty_rule_set():
+    sent = _sentence(["a", "1", "Bb"])
+    fast, slow = _pair("random", [sent], ALL_FEATURES, RegexRuleSet([]))
+    assert fast.input_dim == 5 + 2 + 2 + len(CASE_CATEGORIES)
+    assert np.array_equal(fast.assemble(sent), assemble_reference(slow, sent))
+
+
+@pytest.mark.parametrize("kind", ["random", "onehot"])
+def test_assemble_into_a_strided_batch_column(toy_sentences, kind):
+    fast, slow = _pair(kind, toy_sentences, ALL_FEATURES, _default_rules())
+    group = [s for s in toy_sentences if len(s) == len(toy_sentences[0])]
+    batch = np.full((len(group[0]), len(group), fast.input_dim), np.nan)
+    for b, sent in enumerate(group):
+        fast.assemble(sent, out=batch[:, b])
+    for b, sent in enumerate(group):
+        assert np.array_equal(batch[:, b], assemble_reference(slow, sent))
+
+
+surface_chars = st.one_of(st.sampled_from("_0179đĐaAzZ.-/"),
+                          st.characters(exclude_categories=("Cs",)))
+surfaces = st.text(surface_chars, min_size=1, max_size=8)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.tuples(surfaces, st.sampled_from(["N", "V", "Np"]),
+                          st.sampled_from(["B-NP", "I-NP", "O"])),
+                min_size=1, max_size=7))
+def test_assemble_matches_reference_on_random_surfaces(tokens):
+    rules = RegexRuleSet([RegexRule("NUM", "self", "[0-9]+"),
+                          RegexRule("D1", "prev1", "[đĐ].*"),
+                          RegexRule("JOIN2", "prev2", ".*_.*"),
+                          RegexRule("UP", "self", "[A-ZĐ][^_]*")])
+    fitted = [Sentence([Token("x", "N", "B-NP"), Token("y", "V", "O")])]
+    sent = Sentence([Token(s, p, c) for s, p, c in tokens])
+    fast, slow = _pair("random", fitted, ALL_FEATURES, rules)
+    assert np.array_equal(fast.assemble(sent), assemble_reference(slow, sent))
+
+
+def test_cached_word_vectors_are_the_tables_own():
+    sent = _sentence(["a", "b", "a"])
+    extractor = build_extractor([sent], FeatureConfig(ALL_FEATURES),
+                                random_table(4, seed=0))
+    extractor.assemble(sent)
+    for word in ("a", "b"):
+        assert extractor._types[word][0] is extractor.table.vectors[word]
+
+
+def test_second_pass_draws_nothing(toy_sentences):
+    extractor = build_extractor(toy_sentences, FeatureConfig(ALL_FEATURES),
+                                random_table(4, seed=0), _default_rules())
+    first = [extractor.assemble(s) for s in toy_sentences]
+    drawn = len(extractor.table)
+    assert drawn == len(first_seen(toy_sentences, "surface"))
+    second = [extractor.assemble(s) for s in toy_sentences]
+    assert len(extractor.table) == drawn
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
+def test_assemble_rejects_an_empty_sentence():
+    extractor = FeatureExtractor(FeatureConfig(("word",)), random_table(4, 0))
+    with pytest.raises(ValueError):
+        extractor.assemble(Sentence([]))

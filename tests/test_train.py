@@ -52,7 +52,7 @@ def test_tag_corpus_matches_per_sentence_tagging_on_toy(toy_sentences):
 
 
 def test_tag_corpus_splits_large_length_groups(monkeypatch):
-    # 40 sentences of length 30 exceed one batch (256 // 30 = 8 rows)
+    # 40 sentences of length 30 exceed one batch of BATCH_TOKENS // 30 rows
     rng = derive_rng(28, 1)
     vocab = [f"w{i}" for i in range(50)]
     lengths = [30] * 40 + [int(n) for n in rng.integers(1, 13, size=60)]
@@ -73,7 +73,10 @@ def test_tag_corpus_splits_large_length_groups(monkeypatch):
     train.tag_corpus(tagger, extractor, sentences)
     assert [s.predicted_labels() for s in sentences] == expected
     assert len({l for labels in expected for l in labels}) > 1
-    assert [s[1] for s in shapes if s[0] == 30] == [8] * 5
+    rows = train.BATCH_TOKENS // 30
+    full, rest = divmod(40, rows)
+    assert full >= 2
+    assert [s[1] for s in shapes if s[0] == 30] == [rows] * full + [rest] * (rest > 0)
     assert all(s[0] * s[1] <= train.BATCH_TOKENS for s in shapes)
     assert sum(s[0] * s[1] for s in shapes) == sum(lengths)
 
