@@ -238,15 +238,19 @@ class RegexRuleSet:
         self.scope_columns = [
             (k, np.array([j for j, s in enumerate(scopes) if s == k]))
             for k in sorted(set(scopes))]
+        self._packed = {}  # one bytes object per distinct match pattern
 
     @property
     def width(self):
         return len(self.rules)
 
     def match_bits(self, surface):
-        """Bit j is set when rule j's pattern matches `surface` in full."""
-        return sum(1 << j for j, compiled in enumerate(self._compiled)
+        """ceil(width / 8) bytes, little-endian: bit j is set when rule j's
+        pattern matches `surface` in full. Equal patterns share one object."""
+        bits = sum(1 << j for j, compiled in enumerate(self._compiled)
                    if compiled.fullmatch(surface))
+        return self._packed.setdefault(
+            bits, bits.to_bytes((self.width + 7) // 8, "little"))
 
     def rule_names(self):
         return [r.name for r in self.rules]
@@ -330,7 +334,7 @@ class FeatureExtractor:
     chunk_encoder: TagEncoder | None = None
     rules: RegexRuleSet | None = None
     # surface -> (the table's word vector, or its one-hot index; case
-    # category; rule match bits), filled on first sight
+    # category; packed rule match bits), filled on first sight
     _types: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -353,7 +357,7 @@ class FeatureExtractor:
                   else table.lookup(surface),
                   case_category(surface) if self.config.has(CASE) else 0,
                   self.rules.match_bits(surface)
-                  if self.config.has(REGEX) and self.rules is not None else 0)
+                  if self.config.has(REGEX) and self.rules is not None else b"")
         self._types[surface] = record
         return record
 
@@ -365,7 +369,9 @@ class FeatureExtractor:
         Each surface form is looked up, case-classified and matched against
         the rules once, on first sight, and later tokens gather that record.
         The table, the encoders and the rules must therefore not change
-        after the first call."""
+        after the first call. The records are never dropped: they grow by
+        one per distinct surface for the life of the extractor, in one-hot
+        mode too, as a random table grows by one vector per unseen word."""
         if not len(sentence):
             raise ValueError("assemble: empty sentence")
         types, new_type = self._types, self._new_type
@@ -397,11 +403,9 @@ class FeatureExtractor:
             out[rows, hot] = 1.0
         if config.has(REGEX) and self.rules is not None and self.rules.width:
             width = self.rules.width
-            nbytes = (width + 7) // 8
-            packed = b"".join(m.to_bytes(nbytes, "little") for m in bits)
             matches = np.unpackbits(
-                np.frombuffer(packed, np.uint8).reshape(T, nbytes), axis=1,
-                count=width, bitorder="little")
+                np.frombuffer(b"".join(bits), np.uint8).reshape(T, -1),
+                axis=1, count=width, bitorder="little")
             # a prevK rule fires on token t when token t-K matches
             for k, cols in self.rules.scope_columns:
                 if k < T:

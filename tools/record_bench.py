@@ -1,16 +1,14 @@
 """Record paired benchmark numbers for a change against its base revision.
 
-    python3 tools/record_bench.py --out BENCH_<n>.json [--base REV] [--head REV]
-        [--rounds 3] [--seconds 40] [--workloads tag-bulk,train-paper]
-        [--no-tier1]
+    python3 tools/record_bench.py --out BENCH_<n>.json [--base REV] [--rounds 3]
 
 The base revision (default HEAD) is exported with `git archive` into a
-temporary directory; so is --head when given, and otherwise the working
-tree is measured in place. Round r runs every workload once on each side
-with `perfbench/run.py --seed r --trace 0`, the side that goes first
-alternating from round to round, so that a drift in the host's speed
-falls on both sides alike. Unpaired runs on a host whose speed drifts
-mislead. The tier-1 suite is then timed once on each side.
+temporary directory, and the working tree is measured in place against it.
+Round r runs every workload once on each side with
+`perfbench/run.py --seed r --trace 0` at run.py's own run length, the side
+that goes first alternating from round to round, so that a drift in the
+host's speed falls on both sides alike. Unpaired runs on a host whose speed
+drifts mislead. The tier-1 suite is then timed once on each side.
 
 The output JSON holds every run's metrics, the per-side medians and, per
 metric, the number of rounds in which the head was lower (all three
@@ -52,10 +50,10 @@ def export(rev, into):
     return sha
 
 
-def run_workload(tree, workload, seed, seconds):
+def run_workload(tree, workload, seed):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--trace", "0"],
         cwd=tree, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
@@ -100,37 +98,24 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--base", default="HEAD")
-    parser.add_argument("--head", default=None,
-                        help="revision to measure; default: the working tree")
     parser.add_argument("--rounds", type=int, default=3)
-    parser.add_argument("--seconds", type=float, default=40.0)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--no-tier1", dest="tier1", action="store_false")
     args = parser.parse_args(argv)
-    workloads = args.workloads.split(",")
-    unknown = set(workloads) - set(WORKLOADS)
-    if unknown or args.rounds < 1:
-        parser.error(f"unknown workloads {sorted(unknown)}" if unknown
-                     else "--rounds must be >= 1")
+    if args.rounds < 1:
+        parser.error("--rounds must be >= 1")
 
     with tempfile.TemporaryDirectory(prefix="record-bench-") as scratch:
-        trees = {"base": Path(scratch) / "base"}
-        record = {"base": export(args.base, trees["base"])}
-        if args.head is None:
-            trees["head"] = ROOT
-            record["head"] = "working tree at " + git("rev-parse", "HEAD")
-        else:
-            trees["head"] = Path(scratch) / "head"
-            record["head"] = export(args.head, trees["head"])
-        record.update(rounds=args.rounds, seconds=args.seconds,
-                      nproc=len(os.sched_getaffinity(0)), workloads={})
+        trees = {"base": Path(scratch) / "base", "head": ROOT}
+        record = {"base": export(args.base, trees["base"]),
+                  "head": "working tree at " + git("rev-parse", "HEAD"),
+                  "rounds": args.rounds,
+                  "nproc": len(os.sched_getaffinity(0)), "workloads": {}}
 
-        for name in workloads:
+        for name in WORKLOADS:
             runs = []
             for r in range(args.rounds):
                 order = ("base", "head") if r % 2 == 0 else ("head", "base")
                 for side in order:
-                    run = run_workload(trees[side], name, r, args.seconds)
+                    run = run_workload(trees[side], name, r)
                     run.update(round=r, seed=r, side=side)
                     runs.append(run)
                     print(f"{name} round {r} {side}: "
@@ -139,12 +124,11 @@ def main(argv=None):
                           flush=True)
             record["workloads"][name] = {"runs": runs, **summarize(runs)}
 
-        if args.tier1:
-            record["tier1"] = {side: time_tier1(trees[side])
-                               for side in ("base", "head")}
-            print("tier-1: " + ", ".join(
-                f"{side} {t['seconds']} s ({t['summary']})"
-                for side, t in record["tier1"].items()), flush=True)
+        record["tier1"] = {side: time_tier1(trees[side])
+                           for side in ("base", "head")}
+        print("tier-1: " + ", ".join(
+            f"{side} {t['seconds']} s ({t['summary']})"
+            for side, t in record["tier1"].items()), flush=True)
 
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
