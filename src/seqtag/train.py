@@ -87,8 +87,8 @@ def clip_gradients(grads, max_norm):
     """Scale the whole gradient block so its global L2 norm is at most
     max_norm; a no-op below the threshold and on all-zero gradients.
     `grads` maps names to arrays, which are scaled in place."""
-    if max_norm <= 0:
-        raise ValueError("max_norm must be > 0")
+    if not 0 < max_norm < np.inf:  # nan fails both comparisons
+        raise ValueError(f"max_norm must be finite and > 0, got {max_norm}")
     total = 0.0
     for arr in grads.values():
         flat = arr.reshape(-1)
@@ -132,13 +132,15 @@ def evaluate_tagger(tagger, extractor, sentences, types=None, entity_types=None)
 
 def train(tagger, train_sentences, dev_sentences, extractor, config,
           eval_fn=None, progress=None):
-    """Optimize `tagger` in place by updating its `theta`; returns (best
-    checkpoint, a second Tagger with its own vector, and the TrainLog).
-    Every parameter array must still be a view into `theta`: ValueError
-    names a rebound block, which would otherwise silently stop learning.
+    """Optimize `tagger` in place by updating its `theta`; returns `(best,
+    log)`: the best checkpoint, a second Tagger with its own vector, and the
+    TrainLog. ValueError names a parameter array that is no longer a view
+    into `theta` (it would silently stop learning); an empty sentence
+    (ValueError) or an unknown gold label (KeyError) fails before any update.
 
-    Per epoch: visit sentences in a seeded shuffle order, clip each
-    sentence's gradients to the global-norm budget, apply the SGD update,
+    Per epoch: visit sentences in a seeded shuffle order, assemble each
+    one's inputs at its step (a run keeps no inputs, only the gold indices),
+    clip its gradients to the global-norm budget, apply the SGD update,
     then measure dev phrase F1. Training stops when dev F1 has not improved
     for `patience` epochs (or at max_epochs) and the checkpoint with the
     best dev F1 is returned. `eval_fn(tagger) -> float` overrides the dev
@@ -161,11 +163,9 @@ def train(tagger, train_sentences, dev_sentences, extractor, config,
             return evaluate_tagger(t, extractor, dev_sentences).overall.f1
 
     label_index = {label: i for i, label in enumerate(tagger.config.labels)}
-    prepared = []
-    for sent in train_sentences:
-        inputs = extractor.assemble(sent)
-        gold = [label_index[t.gold_label] for t in sent]
-        prepared.append((inputs, gold))
+    golds = [[label_index[t.gold_label] for t in sent] for sent in train_sentences]
+    if not all(golds):
+        raise ValueError("training set holds an empty sentence")
 
     shuffle_rng = derive_rng(config.seed, 1)
     dropout_rng = derive_rng(config.seed, 2) if tagger.config.dropout > 0 else None
@@ -181,9 +181,9 @@ def train(tagger, train_sentences, dev_sentences, extractor, config,
     for epoch in range(1, config.max_epochs + 1):
         started = time.perf_counter()
         total_loss = 0.0
-        for sent_idx in shuffle_rng.permutation(len(prepared)):
-            inputs, gold = prepared[sent_idx]
-            loss, _ = model.loss_and_gradients(tagger, inputs, gold,
+        for sent_idx in shuffle_rng.permutation(len(golds)):
+            inputs = extractor.assemble(train_sentences[sent_idx])
+            loss, _ = model.loss_and_gradients(tagger, inputs, golds[sent_idx],
                                                rng=dropout_rng, grads=grads)
             if not np.isfinite(loss):
                 raise NonFiniteLoss(epoch, int(sent_idx), loss)
@@ -191,7 +191,7 @@ def train(tagger, train_sentences, dev_sentences, extractor, config,
             grad *= config.learning_rate
             theta -= grad
             total_loss += loss
-        epoch_loss = total_loss / len(prepared)
+        epoch_loss = total_loss / len(golds)
         dev_f1 = float(eval_fn(tagger))
         entry = EpochRecord(epoch, epoch_loss, dev_f1,
                             time.perf_counter() - started)

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,14 @@ def test_clip_gradients_preserves_direction():
     cos = (flat_before @ flat_after /
            (np.linalg.norm(flat_before) * np.linalg.norm(flat_after)))
     assert abs(cos - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("max_norm", [np.nan, np.inf, 0.0, -1.0])
+def test_clip_gradients_refuses_a_budget_that_is_not_finite_and_positive(max_norm):
+    grads = {"a": np.array([6.0, 8.0])}
+    with pytest.raises(ValueError, match="max_norm"):
+        train.clip_gradients(grads, max_norm)
+    assert np.array_equal(grads["a"], [6.0, 8.0])
 
 
 @pytest.mark.parametrize("cell", ["lstm", "rnn"])
@@ -273,6 +282,48 @@ def test_empty_corpus_errors():
         train.train(tagger, [], sents, extractor, cfg)
     with pytest.raises(train.EmptyCorpus):
         train.train(tagger, sents, [], extractor, cfg)
+
+
+@pytest.mark.parametrize("bad, error", [
+    (corpus.Sentence([]), ValueError),
+    (corpus.Sentence([corpus.Token("anna", "N", "B-NP", "B-XYZ")]), KeyError),
+])
+def test_bad_training_sentence_is_refused_before_any_update(bad, error):
+    sents = _mini_corpus()
+    tagger, extractor = _tiny_setup(sents)
+    before = tagger.theta.copy()
+    cfg = train.TrainConfig(seed=1, max_epochs=1)
+    for position in (0, len(sents)):
+        with pytest.raises(error):
+            train.train(tagger, sents[:position] + [bad] + sents[position:],
+                        [], extractor, cfg, eval_fn=lambda t: 0.0)
+        assert tagger.theta.tobytes() == before.tobytes()
+
+
+def test_training_memory_does_not_grow_with_the_corpus():
+    # 200 five-token sentences of distinct words under a one-hot table: the
+    # inputs of the whole set would take tokens x input_dim x 8 B (~8 MB)
+    words = [f"w{i}" for i in range(1000)]
+    sents = [corpus.Sentence([corpus.Token(w, "N", "B-NP", "O")
+                              for w in words[i:i + 5]])
+             for i in range(0, len(words), 5)]
+    table = features.embedding_table("onehot", 0, 0, vocab=words)
+    extractor = features.build_extractor(
+        sents, features.FeatureConfig(("word",)), table)
+    cfg = model.TaggerConfig(labels=corpus.label_alphabet(),
+                             input_dim=extractor.input_dim, hidden=2,
+                             layers=1, bidirectional=True, dropout=0.0)
+    tagger = model.init_params(cfg, derive_rng(0, 0))
+    full_inputs = len(words) * extractor.input_dim * 8
+    tracemalloc.start()
+    try:
+        train.train(tagger, sents, [], extractor,
+                    train.TrainConfig(seed=0, max_epochs=1),
+                    eval_fn=lambda t: 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full_inputs / 4, (peak, full_inputs)
 
 
 def test_train_log_text_format():

@@ -10,9 +10,11 @@ that goes first alternating from round to round, so that a drift in the
 host's speed falls on both sides alike. Unpaired runs on a host whose speed
 drifts mislead. The tier-1 suite is then timed once on each side.
 
-The output JSON holds every run's metrics, the per-side medians and, per
-metric, the number of rounds in which the head was lower (all three
-end-to-end metrics are better lower).
+The output JSON holds every run's metrics, the per-side medians and
+quartiles (`statistics.quantiles(n=4)`, as in perfbench/baseline.json) and,
+per metric, the number of rounds in which the head was lower (all three
+end-to-end metrics are better lower) and the base median minus the head
+median, set against the base's interquartile range.
 """
 
 import argparse
@@ -75,7 +77,9 @@ def time_tier1(tree):
 
 
 def summarize(runs):
-    """Per-side medians and, per metric, the rounds the head was lower in."""
+    """Per-side medians and quartiles and, per metric, the rounds the head
+    was lower in and the gap between the medians against the base's
+    interquartile range."""
     by_side = {"base": {}, "head": {}}
     for run in runs:
         for name, value in run.get("metrics", {}).items():
@@ -83,15 +87,26 @@ def summarize(runs):
     medians = {side: {name: statistics.median(values)
                       for name, values in metrics.items()}
                for side, metrics in by_side.items()}
+    # statistics.quantiles(n=4), as perfbench/baseline.json gives them;
+    # it needs two values
+    quartiles = {side: {name: statistics.quantiles(values, n=4)
+                        for name, values in metrics.items() if len(values) > 1}
+                 for side, metrics in by_side.items()}
     pairs = {}
     for run in runs:
         pairs.setdefault(run["round"], {})[run["side"]] = run.get("metrics", {})
-    head_lower = {}
+    head_lower, gaps = {}, {}
     for name in medians["base"]:
         head_lower[name] = sum(
             p["head"][name] < p["base"][name] for p in pairs.values()
             if name in p.get("base", {}) and name in p.get("head", {}))
-    return {"medians": medians, "head_lower_rounds": head_lower}
+        if name in medians["head"] and name in quartiles["base"]:
+            q1, _, q3 = quartiles["base"][name]
+            gap = medians["base"][name] - medians["head"][name]
+            gaps[name] = {"base_minus_head": gap, "base_iqr": q3 - q1,
+                          "exceeds_base_iqr": abs(gap) > q3 - q1}
+    return {"medians": medians, "quartiles": quartiles,
+            "head_lower_rounds": head_lower, "median_gap": gaps}
 
 
 def main(argv=None):
