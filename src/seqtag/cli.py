@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -64,6 +65,21 @@ def toy_corpus_file():
     return str(resources.files("seqtag").joinpath("data/toy.conll"))
 
 
+@contextmanager
+def _writing(path):
+    """An OSError from opening, writing or closing `path` inside the block
+    becomes a CliError naming it: exit 1, no traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}")
+
+
+def _write_text(path, text):
+    with _writing(path), open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
 def _sha256(path):
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -95,10 +111,8 @@ class RunManifest:
             "input_digests": self.input_digests,
             "artifact_version": self.artifact_version,
         }
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(record, handle, ensure_ascii=False, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
+        _write_text(path, json.dumps(record, ensure_ascii=False, indent=2,
+                                     sort_keys=True) + "\n")
 
 
 def resolve_options(args):
@@ -269,9 +283,9 @@ def cmd_train(args):
     except train.NonFiniteLoss as exc:
         raise CliError(str(exc), exit_code=2)
 
-    model.save(best, args.out)
-    with open(args.out + ".log", "w", encoding="utf-8") as handle:
-        handle.write(log.to_text())
+    with _writing(args.out):
+        model.save(best, args.out)
+    _write_text(args.out + ".log", log.to_text())
     manifest.write(args.out + ".manifest.json")
     if not args.quiet:
         print(f"best epoch {log.best_epoch}: dev F1 {log.best_dev_f1:.2f}")
@@ -326,22 +340,20 @@ def cmd_tag(args):
 
     train.tag_corpus(tagger, extractor, sentences, entity_types)
 
-    try:
+    with _writing(args.output or "<stdout>"):
         out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-    except OSError as exc:
-        raise CliError(f"cannot write {args.output}: {exc.strerror}")
-    try:
-        for sent in sentences:
-            for tok in sent:
-                cols = [tok.surface, tok.pos, tok.chunk]
-                if has_gold:
-                    cols.append(tok.gold_label)
-                cols.append(tok.predicted_label)
-                out.write(" ".join(cols) + "\n")
-            out.write("\n")
-    finally:
-        if args.output:
-            out.close()
+        try:
+            for sent in sentences:
+                for tok in sent:
+                    cols = [tok.surface, tok.pos, tok.chunk]
+                    if has_gold:
+                        cols.append(tok.gold_label)
+                    cols.append(tok.predicted_label)
+                    out.write(" ".join(cols) + "\n")
+                out.write("\n")
+        finally:
+            if args.output:
+                out.close()
     if args.output:
         manifest = RunManifest("tag", {"model": args.model,
                                        "input": args.input,
@@ -414,10 +426,8 @@ def cmd_ablate(args):
     text = train.render_ablation(results)
     if not args.quiet:
         print(text, end="")
-    with open(prefix + ".txt", "w", encoding="utf-8") as handle:
-        handle.write(text)
-    with open(prefix + ".tsv", "w", encoding="utf-8") as handle:
-        handle.write(train.ablation_tsv(results))
+    _write_text(prefix + ".txt", text)
+    _write_text(prefix + ".tsv", train.ablation_tsv(results))
     manifest.write(prefix + ".manifest.json")
     return 0
 

@@ -4,7 +4,9 @@ corpus statistics, and train/dev splitting.
 
 The canonical label scheme inside the package is IOB2: every entity starts
 with B-. IOB1 files (B- only between adjacent same-type entities) can be
-converted on ingest.
+converted on ingest. Validation, repair, span extraction and conversion are
+each one walk over the labels (_walk), under one rule: an entity label
+continues an entity only when the previous label has the same entity type.
 """
 
 import os
@@ -33,7 +35,7 @@ class InvalidLabel(CorpusError):
 
 
 class InvalidSequence(CorpusError):
-    """An I-X label has no valid predecessor (strict IOB validation)."""
+    """A label has no valid predecessor: an I-X in IOB2, a B-X in IOB1."""
 
 
 class DevTooLarge(CorpusError):
@@ -120,18 +122,43 @@ def parse_label(label, entity_types=DEFAULT_ENTITY_TYPES):
     return prefix, etype
 
 
+def _walk(labels, entity_types, scheme=None):
+    """Yield (label, prefix, type, continues) for each label, where
+    `continues` says whether the previous label has the same entity type:
+    the one rule for when an entity label extends an entity, in IOB1 and
+    IOB2 alike (Tjong Kim Sang & Veenstra, 1999). Raises InvalidLabel as
+    parse_label does, and InvalidSequence at the label `scheme` requires to
+    continue an entity: an I-X in IOB2, a B-X in IOB1 (None checks none)."""
+    must_continue = {"IOB2": "I", "IOB1": "B"}.get(scheme)
+    prev, prev_type = "O", None
+    for i, label in enumerate(labels):
+        prefix, etype = parse_label(label, entity_types)
+        continues = etype is not None and etype == prev_type
+        if prefix == must_continue and not continues:
+            raise InvalidSequence(f"position {i}: {label!r} " + (
+                f"has no valid predecessor (previous label was {prev!r})"
+                if scheme == "IOB2" else
+                "is not preceded by an entity of the same type (IOB1)"))
+        yield label, prefix, etype, continues
+        prev, prev_type = label, etype
+
+
+def _mark_starts(walk, scheme):
+    """The labels of a _walk in `scheme`. An entity starts at every entity
+    label that does not continue one, marked B-X in IOB2 and I-X in IOB1,
+    so only such a label with the other marker is rewritten. A label that
+    continues an entity is kept: B-X then starts an adjacent entity of the
+    same type in either scheme."""
+    other, start = ("I", "B-") if scheme == "IOB2" else ("B", "I-")
+    return [start + etype if prefix == other and not continues else label
+            for label, prefix, etype, continues in walk]
+
+
 def validate_iob2(labels, entity_types=DEFAULT_ENTITY_TYPES):
     """Raise InvalidSequence unless `labels` is a syntactically valid IOB2
     sequence (every I-X preceded by B-X or I-X of the same type)."""
-    prev_prefix, prev_type = "O", None
-    for i, label in enumerate(labels):
-        prefix, etype = parse_label(label, entity_types)
-        if prefix == "I" and not (prev_prefix in ("B", "I") and prev_type == etype):
-            raise InvalidSequence(
-                f"position {i}: {label!r} has no valid predecessor "
-                f"(previous label was "
-                f"{'O' if prev_prefix == 'O' else prev_prefix + '-' + prev_type!r})")
-        prev_prefix, prev_type = prefix, etype
+    for _ in _walk(labels, entity_types, "IOB2"):
+        pass
 
 
 def repair_iob(labels, entity_types=DEFAULT_ENTITY_TYPES):
@@ -140,41 +167,25 @@ def repair_iob(labels, entity_types=DEFAULT_ENTITY_TYPES):
     The only repair rule: an I-X with no valid predecessor becomes B-X.
     Idempotent; valid input comes back unchanged.
     """
-    repaired = []
-    prev_prefix, prev_type = "O", None
-    for label in labels:
-        prefix, etype = parse_label(label, entity_types)
-        if prefix == "I" and not (prev_prefix in ("B", "I") and prev_type == etype):
-            label = "B-" + etype
-            prefix = "B"
-        repaired.append(label)
-        prev_prefix, prev_type = prefix, etype
-    return repaired
+    return _mark_starts(_walk(labels, entity_types), "IOB2")
 
 
 def extract_spans(labels, entity_types=DEFAULT_ENTITY_TYPES):
     """Maximal B-X (I-X)* runs of a valid IOB2 sequence, as EntitySpans.
 
-    Strict: raises InvalidSequence on an I-X without a valid predecessor.
-    Run repair_iob first for model output.
+    Strict: raises InvalidSequence on an I-X without a valid predecessor,
+    in the same walk. Run repair_iob first for model output.
     """
-    validate_iob2(labels, entity_types)
     spans = []
-    start = None
-    cur_type = None
-    for i, label in enumerate(labels):
-        prefix, etype = parse_label(label, entity_types)
-        if prefix == "B":
-            if start is not None:
-                spans.append(EntitySpan(cur_type, start, i - 1))
-            start, cur_type = i, etype
-        elif prefix == "O":
-            if start is not None:
-                spans.append(EntitySpan(cur_type, start, i - 1))
-            start, cur_type = None, None
-        # prefix == "I": continuation, validated above
-    if start is not None:
-        spans.append(EntitySpan(cur_type, start, len(labels) - 1))
+    opened = None  # (type, start) of the entity being read
+    for i, (_, prefix, etype, _) in enumerate(
+            _walk(labels, entity_types, "IOB2")):
+        if prefix != "I":  # validated: every I-X continues the open entity
+            if opened:
+                spans.append(EntitySpan(*opened, i - 1))
+            opened = (etype, i) if prefix == "B" else None
+    if opened:  # the loop ran, so i is the last position
+        spans.append(EntitySpan(*opened, i))
     return spans
 
 
@@ -192,60 +203,14 @@ def spans_to_labels(spans, length):
     return labels
 
 
-def _extract_spans_iob1(labels, entity_types=DEFAULT_ENTITY_TYPES):
-    """Span extraction under IOB1 semantics (I-X may open an entity; B-X is
-    only valid immediately after an entity of the same type)."""
-    spans = []
-    start = None
-    cur_type = None
-    for i, label in enumerate(labels):
-        prefix, etype = parse_label(label, entity_types)
-        if prefix == "O":
-            if start is not None:
-                spans.append(EntitySpan(cur_type, start, i - 1))
-                start, cur_type = None, None
-        elif prefix == "I":
-            if start is not None and etype == cur_type:
-                continue
-            if start is not None:
-                spans.append(EntitySpan(cur_type, start, i - 1))
-            start, cur_type = i, etype
-        else:  # B: separator between adjacent same-type entities
-            if start is None or etype != cur_type:
-                raise InvalidSequence(
-                    f"position {i}: {label!r} is not preceded by an entity "
-                    f"of the same type (IOB1)")
-            spans.append(EntitySpan(cur_type, start, i - 1))
-            start, cur_type = i, etype
-    if start is not None:
-        spans.append(EntitySpan(cur_type, start, len(labels) - 1))
-    return spans
-
-
-def _spans_to_labels_iob1(spans, length):
-    labels = ["O"] * length
-    prev_end = {}  # type -> end index of the most recent emitted span
-    for span in sorted(spans, key=lambda s: s.start):
-        adjacent = prev_end.get(span.entity_type) == span.start - 1
-        labels[span.start] = ("B-" if adjacent else "I-") + span.entity_type
-        for k in range(span.start + 1, span.end + 1):
-            labels[k] = "I-" + span.entity_type
-        prev_end[span.entity_type] = span.end
-    return labels
-
-
 def convert_scheme(labels, from_scheme, to_scheme, entity_types=DEFAULT_ENTITY_TYPES):
-    """Convert between IOB1 and IOB2, preserving the span set exactly."""
+    """Convert between IOB1 and IOB2, preserving the span set exactly. The
+    input is validated in `from_scheme`; IOB1 to IOB2 is then repair_iob's
+    rule, and IOB2 to IOB1 keeps B-X only where it continues an entity."""
     schemes = {"IOB1", "IOB2"}
     if from_scheme not in schemes or to_scheme not in schemes:
         raise ValueError(f"unknown scheme in {from_scheme!r} -> {to_scheme!r}")
-    if from_scheme == "IOB1":
-        spans = _extract_spans_iob1(labels, entity_types)
-    else:
-        spans = extract_spans(labels, entity_types)
-    if to_scheme == "IOB1":
-        return _spans_to_labels_iob1(spans, len(labels))
-    return spans_to_labels(spans, len(labels))
+    return _mark_starts(_walk(labels, entity_types, from_scheme), to_scheme)
 
 
 def split_columns(line):
@@ -289,15 +254,15 @@ def read_conll(source, columns=None, entity_types=DEFAULT_ENTITY_TYPES,
                 parse_label(label, entity_types)
             except InvalidLabel as exc:
                 raise InvalidLabel(f"line {lineno}: {exc}") from None
-        if scheme == "IOB1":
-            labels = convert_scheme(labels, "IOB1", "IOB2", entity_types)
-        elif strict:
-            try:
+        try:
+            if scheme == "IOB1":
+                labels = convert_scheme(labels, "IOB1", "IOB2", entity_types)
+            elif strict:
                 validate_iob2(labels, entity_types)
-            except InvalidSequence as exc:
-                raise InvalidSequence(f"near line {label_lines[0]}: {exc}") from None
-        else:
-            labels = repair_iob(labels, entity_types)
+            else:
+                labels = repair_iob(labels, entity_types)
+        except InvalidSequence as exc:
+            raise InvalidSequence(f"near line {label_lines[0]}: {exc}") from None
         for tok, label in zip(tokens, labels):
             tok.gold_label = label
         sentences.append(Sentence(tokens))

@@ -19,10 +19,10 @@ The backward pass hoists work the same way: every gate's local derivative
 is computed for all steps before its time loop, which then carries only
 the dh/dc recurrence, and dW, dU and db are single matmuls (or a sum) over
 all steps after it. A Tagger's parameters are views, in param_items()
-order, into one flat vector `theta`, and gradients are views into a vector
-of the same layout (Tagger.flat_views): an SGD update and a checkpoint copy
-each act on one vector. A Tagger built on a block of K such vectors runs
-all K through the same forward pass at once, which is how the
+order, into one flat vector `theta`, and a gradient is a vector of the same
+layout, whose blocks a Tagger built on it names: an SGD update and a
+checkpoint copy each act on one vector. A Tagger built on a block of K such
+vectors runs all K through the same forward pass at once, which is how the
 finite-difference oracle evaluates its perturbed copies of `theta`.
 
 Model files use a small versioned binary container (magic "SQTG"); see
@@ -201,12 +201,12 @@ def _row_matmul(inputs, weights):
             @ weights.transpose(0, 2, 1)).transpose(1, 0, 2)
 
 
-def _backprop_cell(params, cache, dstates, grads, prefix, input_grads=True):
+def _backprop_cell(params, cache, dstates, dparams, input_grads=True):
     """BPTT for one cell over one direction. dstates[t] is the gradient
     arriving at the hidden state emitted at step t (in the cell's own time
-    order). Writes the W, U and b gradients into `grads[prefix + name]`,
-    which must be float64 arrays of the parameter shapes, and returns the
-    input gradients in the same order (None without input_grads).
+    order). Writes the W, U and b gradients into the arrays of the
+    CellParams `dparams`, and returns the input gradients in the same order
+    (None without input_grads).
 
     Every per-step local derivative is computed for all T steps before the
     time loop, so the loop only carries the dh/dc recurrence: one
@@ -250,9 +250,9 @@ def _backprop_cell(params, cache, dstates, grads, prefix, input_grads=True):
             np.multiply(dstates[t] + dh_next, dtanh[t], out=da[t])
             if t:
                 dh_next = da[t] @ W
-    np.matmul(da[1:].T, states[:-1], out=grads[prefix + "W"])
-    np.matmul(da.T, inputs, out=grads[prefix + "U"])
-    np.sum(da, axis=0, out=grads[prefix + "b"])
+    np.matmul(da[1:].T, states[:-1], out=dparams.W)
+    np.matmul(da.T, inputs, out=dparams.U)
+    np.sum(da, axis=0, out=dparams.b)
     return da @ params.U if input_grads else None
 
 
@@ -266,14 +266,13 @@ def _run_direction(params, inputs, direction, bptt=False):
     return _run_cell(params, inputs, bptt)
 
 
-def _backprop_direction(params, cache, dstates, grads, prefix, direction,
+def _backprop_direction(params, cache, dstates, dparams, direction,
                         input_grads=True):
     """Backward pass of _run_direction; gradients aligned to positions."""
     if direction == "bwd":
-        dx = _backprop_cell(params, cache, dstates[::-1], grads, prefix,
-                            input_grads)
+        dx = _backprop_cell(params, cache, dstates[::-1], dparams, input_grads)
         return None if dx is None else dx[::-1]
-    return _backprop_cell(params, cache, dstates, grads, prefix, input_grads)
+    return _backprop_cell(params, cache, dstates, dparams, input_grads)
 
 
 def run_layer(params, inputs, direction="fwd"):
@@ -411,16 +410,6 @@ class Tagger:
         out.append(("proj.b", self.proj_b))
         return out
 
-    def flat_views(self, flat):
-        """name -> view of `flat` shaped like that parameter, in
-        param_items() order: the layout of `theta`. Views of a vector the
-        size of `theta` are buffers loss_and_gradients can write into."""
-        views, offset = {}, 0
-        for name, arr in self.param_items():
-            views[name] = flat[offset:offset + arr.size].reshape(arr.shape)
-            offset += arr.size
-        return views
-
 
 def init_params(config, rng, extra=None, forget_bias=1.0):
     """Fresh tagger: every matrix uniform in +-sqrt(3/fan_in), biases zero
@@ -507,13 +496,12 @@ def _log_softmax_rows(logits):
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def loss_and_gradients(tagger, inputs, gold_indices, rng=None, grads=None):
+def loss_and_gradients(tagger, inputs, gold_indices, rng=None, grad=None):
     """Mean per-token cross-entropy and its gradient w.r.t. every parameter,
-    by backpropagation through time. Gradients come back as a dict keyed by
-    param_items() names in that order. Each block is written exactly once,
-    into the arrays of `grads` when given, else into the views of a fresh
-    vector laid out like `theta` (Tagger.flat_views). Row taggers are
-    refused."""
+    by backpropagation through time: returns (loss, grad), the gradient a
+    vector laid out like `theta` (Tagger(config, theta=grad) names its
+    blocks). Every element is written exactly once, into `grad` when given,
+    else into a fresh vector. Row taggers are refused."""
     if tagger.theta.ndim != 1:
         raise ValueError("loss_and_gradients takes a one-row tagger, got "
                          f"{len(tagger.theta)} parameter rows")
@@ -526,8 +514,9 @@ def loss_and_gradients(tagger, inputs, gold_indices, rng=None, grads=None):
     for idx in gold_indices:
         if not 0 <= idx < n_labels:
             raise IndexError(f"label index {idx} out of range [0, {n_labels})")
-    if grads is None:
-        grads = tagger.flat_views(np.empty_like(tagger.theta))
+    if grad is None:
+        grad = np.empty_like(tagger.theta)
+    dtagger = Tagger(config, theta=grad)
 
     probs, cache = forward(tagger, inputs, rng=rng, bptt=True)
     T = len(inputs)
@@ -538,8 +527,8 @@ def loss_and_gradients(tagger, inputs, gold_indices, rng=None, grads=None):
     dlogits[np.arange(T), gold_indices] -= 1.0
     dlogits /= T
 
-    np.matmul(dlogits.T, cache["features"], out=grads["proj.W"])
-    np.sum(dlogits, axis=0, out=grads["proj.b"])
+    np.matmul(dlogits.T, cache["features"], out=dtagger.proj_w)
+    np.sum(dlogits, axis=0, out=dtagger.proj_b)
     dcurrent = dlogits @ tagger.proj_w
 
     hidden = config.hidden
@@ -550,12 +539,12 @@ def loss_and_gradients(tagger, inputs, gold_indices, rng=None, grads=None):
         # the first layer's inputs are features: no gradient needed
         dinputs = [_backprop_direction(
             tagger.layers[l][d], layer_cache["dirs"][d],
-            dcurrent[:, k * hidden:(k + 1) * hidden], grads,
-            f"layer{l}.{d}.", d, input_grads=l > 0)
+            dcurrent[:, k * hidden:(k + 1) * hidden], dtagger.layers[l][d], d,
+            input_grads=l > 0)
             for k, d in enumerate(config.directions)]
         if l:
             dcurrent = dinputs[0] if len(dinputs) == 1 else dinputs[0] + dinputs[1]
-    return loss, grads
+    return loss, grad
 
 
 def sentence_loss(tagger, inputs, gold_indices, rng=None):

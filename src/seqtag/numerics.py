@@ -71,20 +71,16 @@ def finite_diff_grad(f, params, epsilon=1e-5):
 
 
 def gradient_relative_error(analytic, numeric, floor=1e-6):
-    """Worst element-wise relative discrepancy between two gradient blocks.
+    """Worst element-wise relative discrepancy between two gradient arrays
+    (0 for empty ones).
 
     The denominator is floored so that entries where both gradients are
     essentially zero do not turn finite-difference noise into a spurious
     mismatch.
     """
-    worst = 0.0
-    for name in analytic:
-        a = np.asarray(analytic[name], dtype=np.float64)
-        n = np.asarray(numeric[name], dtype=np.float64)
-        if a.shape != n.shape:
-            raise DimensionMismatch(
-                f"gradient blocks disagree at {name}: {a.shape} vs {n.shape}")
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
-        err = np.max(np.abs(a - n) / denom) if a.size else 0.0
-        worst = max(worst, float(err))
-    return worst
+    a = np.asarray(analytic, dtype=np.float64)
+    n = np.asarray(numeric, dtype=np.float64)
+    if a.shape != n.shape:
+        raise DimensionMismatch(f"gradients disagree: {a.shape} vs {n.shape}")
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
+    return float(np.max(np.abs(a - n) / denom, initial=0.0))

@@ -170,9 +170,9 @@ def train(tagger, train_sentences, dev_sentences, extractor, config,
     shuffle_rng = derive_rng(config.seed, 1)
     dropout_rng = derive_rng(config.seed, 2) if tagger.config.dropout > 0 else None
     # one gradient vector laid out like theta for the whole run, so the
-    # update is two in-place vector ops
+    # update is two in-place vector ops; clipping takes its named blocks
     grad = np.zeros_like(theta)
-    grads = tagger.flat_views(grad)
+    grads = dict(model.Tagger(tagger.config, theta=grad).param_items())
     best = model.Tagger(tagger.config, extra=copy.deepcopy(tagger.extra))
 
     log = TrainLog()
@@ -184,7 +184,7 @@ def train(tagger, train_sentences, dev_sentences, extractor, config,
         for sent_idx in shuffle_rng.permutation(len(golds)):
             inputs = extractor.assemble(train_sentences[sent_idx])
             loss, _ = model.loss_and_gradients(tagger, inputs, golds[sent_idx],
-                                               rng=dropout_rng, grads=grads)
+                                               rng=dropout_rng, grad=grad)
             if not np.isfinite(loss):
                 raise NonFiniteLoss(epoch, int(sent_idx), loss)
             clip_gradients(grads, config.clip_norm)

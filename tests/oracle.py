@@ -80,10 +80,11 @@ def rnn_step(params, x_t, prev_h):
     return np.tanh(matvec(params.W, prev_h) + matvec(params.U, x_t) + params.b)
 
 
-def backprop_cell(params, cache, dstates, grads, prefix):
+def backprop_cell(params, cache, dstates, dparams):
     """Reference BPTT for one cell: the per-step loop, each gate's local
     derivative taken inside the loop and dW summed as outer products.
-    Accumulates into `grads` and returns the input gradients."""
+    Accumulates into the arrays of the CellParams `dparams` and returns the
+    input gradients."""
     inputs, states = cache[:2]
     lstm = params.kind == "lstm"
     if lstm:
@@ -115,9 +116,9 @@ def backprop_cell(params, cache, dstates, grads, prefix):
             da[:] = dh * (1.0 - h * h)
         dW += np.outer(da, h_prev)
         dh_next = W.T @ da
-    grads[prefix + "W"] += dW
-    grads[prefix + "U"] += da_all.T @ inputs
-    grads[prefix + "b"] += da_all.sum(axis=0)
+    dparams.W += dW
+    dparams.U += da_all.T @ inputs
+    dparams.b += da_all.sum(axis=0)
     return da_all @ params.U
 
 

@@ -262,6 +262,9 @@ def _user_error_args(tmp_path, toy_path, case):
     missing = str(tmp_path / "missing.txt")
     binary = tmp_path / "binary.conll"
     binary.write_bytes(b"\x80\x81 N B-NP O\n\n")
+    iob1 = tmp_path / "iob1.conll"  # B-PER on line 4 opens no adjacent entity
+    iob1.write_text("a N B-NP I-PER\n\nb N B-NP O\nc N B-NP B-PER\n\n",
+                    encoding="utf-8")
     regex = ["--features", "word,regex", "--regex-file"]
     config = tmp_path / "config.json"
     config.write_text(json.dumps(CONFIG_CASES.get(case, {})), encoding="utf-8")
@@ -307,6 +310,10 @@ def _user_error_args(tmp_path, toy_path, case):
                                  "--input", toy_path, "--output", str(tmp_path)],
         "tag-binary-input": ["tag", "--model", tag_model,
                              "--input", str(binary), "--output", tagged],
+        "tag-output-full": ["tag", "--model", tag_model, "--input", toy_path,
+                            "--output", "/dev/full"],
+        "iob1-sequence-error":
+            train + ["--scheme", "IOB1", "--train", str(iob1)],
         "seed-negative": train + ["--seed", "-1"],
         "seed-negative-in-config": train + ["--config", str(config)],
         "unknown-config-key": train + ["--config", str(config)],
@@ -364,6 +371,10 @@ USER_ERROR_MESSAGES = {
     "tag-input-directory": "cannot read {tmp}: Is a directory",
     "tag-model-directory": "cannot read {tmp}: Is a directory",
     "tag-output-directory": "cannot write {tmp}: Is a directory",
+    "tag-output-full": "cannot write /dev/full: No space left on device",
+    "iob1-sequence-error":
+        "iob1.conll: near line 3: position 1: 'B-PER' is not preceded by an "
+        "entity of the same type (IOB1)",
     "seed-negative": "--seed must be >= 0, got -1",
     "seed-negative-in-config": "--seed must be >= 0, got -1",
     "unknown-config-key": "config.json: unknown config key 'hiden'",
@@ -393,6 +404,9 @@ USER_ERROR_MESSAGES = {
     "clip-inf": "clip_norm must be finite and > 0, got inf",
 }
 
+NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full on this system")
+
 USAGE_ERRORS = ["missing-required-flag", "hidden-not-int", "unknown-flag",
                 "tag-with-config", "tag-with-seed", "eval-with-seed",
                 "stats-with-config", "selfcheck-with-seed", "tag-with-quiet",
@@ -416,6 +430,9 @@ USAGE_ERRORS = ["missing-required-flag", "hidden-not-int", "unknown-flag",
                                   "config-null", "eval-gold-directory",
                                   "tag-input-directory", "tag-model-directory",
                                   "tag-output-directory", "tag-binary-input",
+                                  pytest.param("tag-output-full",
+                                               marks=NEEDS_DEV_FULL),
+                                  "iob1-sequence-error",
                                   "seed-negative",
                                   "seed-negative-in-config",
                                   "unknown-config-key", "empty-train-corpus",
@@ -444,6 +461,17 @@ def test_user_errors_exit_1_with_message(tmp_path, toy_path, capsys,
         assert USER_ERROR_MESSAGES[case].format(tmp=tmp_path) in err
     if case in USAGE_ERRORS:
         assert err.splitlines()[1].startswith("usage: seqtag")
+
+
+@NEEDS_DEV_FULL
+def test_train_write_error_exits_1_with_message(toy_path, capsys):
+    # training runs before the model is written, so the model is tiny
+    rc = cli.main(["train", "--train", toy_path, "--dev", toy_path,
+                   "--out", "/dev/full", "--hidden", "2", "--layers", "1",
+                   "--embedding-dim", "4", "--max-epochs", "1", "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: cannot write /dev/full: No space left on device\n"
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["-h"], ["train", "-h"],

@@ -1,5 +1,6 @@
 import io
 import itertools
+import re
 
 import pytest
 
@@ -180,6 +181,39 @@ def test_convert_scheme_roundtrip_preserves_spans():
                 continue
             iob1 = convert_scheme(labels, "IOB2", "IOB1")
             assert convert_scheme(iob1, "IOB1", "IOB2") == labels
+
+
+def test_convert_scheme_iob1_roundtrip_and_refusal():
+    alphabet = ["O", "B-PER", "I-PER", "B-LOC", "I-LOC"]
+    for length in range(1, 6):
+        for combo in itertools.product(alphabet, repeat=length):
+            labels = list(combo)
+            # IOB1: a B-X only separates two adjacent entities of type X
+            valid = all(not lab.startswith("B-")
+                        or (k > 0 and labels[k - 1][2:] == lab[2:])
+                        for k, lab in enumerate(labels))
+            if not valid:
+                with pytest.raises(InvalidSequence):
+                    convert_scheme(labels, "IOB1", "IOB2")
+                continue
+            iob2 = convert_scheme(labels, "IOB1", "IOB2")
+            validate_iob2(iob2)
+            assert convert_scheme(iob2, "IOB2", "IOB1") == labels
+
+
+def test_invalid_sequence_messages():
+    with pytest.raises(InvalidSequence, match=re.escape(
+            "position 1: 'I-PER' has no valid predecessor "
+            "(previous label was 'B-LOC')")):
+        validate_iob2(["B-LOC", "I-PER"])
+    with pytest.raises(InvalidSequence, match=re.escape(
+            "position 0: 'I-PER' has no valid predecessor "
+            "(previous label was 'O')")):
+        extract_spans(["I-PER", "I-PER"])
+    with pytest.raises(InvalidSequence, match=re.escape(
+            "position 2: 'B-PER' is not preceded by an entity of the same "
+            "type (IOB1)")):
+        convert_scheme(["I-PER", "O", "B-PER"], "IOB1", "IOB2")
 
 
 def _sentence(labels):

@@ -235,9 +235,9 @@ def test_loss_confident_correct_prediction_near_zero():
     tagger = init_params(cfg, derive_rng(13, 1))
     tagger.proj_b = np.array([50.0, 0.0, 0.0])
     x = derive_rng(13, 2).uniform(-1, 1, size=(1, 4))
-    loss, grads = loss_and_gradients(tagger, x, [0])
+    loss, grad = loss_and_gradients(tagger, x, [0])
     assert loss < 1e-6
-    assert max(np.max(np.abs(g)) for g in grads.values()) < 1e-6
+    assert np.max(np.abs(grad)) < 1e-6
 
 
 def test_loss_rejects_bad_label_index():
@@ -273,6 +273,20 @@ def test_gradients_match_rnn_cell():
     assert res.passed, f"worst relative error {res.worst_error}"
 
 
+def test_gradient_check_fails_on_a_nan_gradient(monkeypatch):
+    exact = model.loss_and_gradients
+
+    def nan_at_5(*args, **kwargs):
+        loss, grad = exact(*args, **kwargs)
+        grad[5] = np.nan
+        return loss, grad
+
+    monkeypatch.setattr(model, "loss_and_gradients", nan_at_5)
+    res = check_gradients(seeds=range(2), hidden=3, input_dim=3, seq_len=3,
+                          n_labels=3, layers=1, bidirectional=False)
+    assert not res.passed
+
+
 @pytest.mark.parametrize("cell", ["lstm", "rnn"])
 @pytest.mark.parametrize("T", [1, 2, 7])
 def test_backprop_cell_matches_reference_loop(cell, T):
@@ -282,15 +296,14 @@ def test_backprop_cell_matches_reference_loop(cell, T):
     inputs = rng.normal(size=(T, 3))
     dstates = rng.normal(size=(T, 5))
     _, cache = model._run_cell(params, inputs, bptt=True)
-    want = {name: np.zeros_like(arr) for name, arr in params.items()}
-    got = {name: np.full_like(arr, np.nan) for name, arr in params.items()}
-    want_dx = oracle.backprop_cell(params, cache, dstates, want, "")
-    got_dx = model._backprop_cell(params, cache, dstates, got, "")
-    for name in want:
-        np.testing.assert_allclose(got[name], want[name], rtol=1e-12,
-                                   atol=1e-15)
+    want = CellParams(5, 3, cell)
+    got = CellParams(5, 3, cell, np.full(CellParams.size(5, 3, cell), np.nan))
+    want_dx = oracle.backprop_cell(params, cache, dstates, want)
+    got_dx = model._backprop_cell(params, cache, dstates, got)
+    for (name, w), (_, g) in zip(want.items(), got.items()):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15, err_msg=name)
     np.testing.assert_allclose(got_dx, want_dx, rtol=1e-12, atol=1e-15)
-    assert model._backprop_cell(params, cache, dstates, got, "",
+    assert model._backprop_cell(params, cache, dstates, got,
                                 input_grads=False) is None
 
 
@@ -307,13 +320,11 @@ def test_loss_and_gradients_writes_into_given_buffers():
     x = derive_rng(4, 1).uniform(-1, 1, size=(6, 4))
     gold = [0, 1, 2, 0, 2, 1]
     loss, fresh = loss_and_gradients(tagger, x, gold)
-    flat = np.full(sum(a.size for a in fresh.values()), np.nan)
-    views = tagger.flat_views(flat)  # every block must be written
-    loss2, grads = loss_and_gradients(tagger, x, gold, grads=views)
-    assert grads is views and loss2 == loss
-    assert list(fresh) == [name for name, _ in tagger.param_items()]
-    for name, arr in fresh.items():
-        assert np.array_equal(grads[name], arr)
+    flat = np.full(fresh.size, np.nan)  # every element must be written
+    loss2, grad = loss_and_gradients(tagger, x, gold, grad=flat)
+    assert grad is flat and loss2 == loss
+    assert fresh.shape == tagger.theta.shape  # laid out like theta
+    assert np.array_equal(grad, fresh)
     assert np.isfinite(flat).all()
 
 

@@ -83,7 +83,7 @@ def test_dimension_mismatch_names_both_shapes():
     with pytest.raises(DimensionMismatch, match=r"\(2, 3\).*\(4,\)"):
         matvec(np.zeros((2, 3)), np.zeros(4))
     with pytest.raises(DimensionMismatch, match=r"\(2,\).*\(3,\)"):
-        gradient_relative_error({"w": np.zeros(2)}, {"w": np.zeros(3)})
+        gradient_relative_error(np.zeros(2), np.zeros(3))
     with pytest.raises(DimensionMismatch):
         hadamard(np.zeros(2), np.zeros((2, 1)))
 

@@ -131,9 +131,10 @@ def test_clipped_step_matches_per_array_clip_and_update(cell):
 
     # the same step, one parameter array at a time
     label_index = {l: i for i, l in enumerate(reference.config.labels)}
-    _, grads = model.loss_and_gradients(
+    _, grad = model.loss_and_gradients(
         reference, extractor.assemble(sents[0]),
         [label_index[t.gold_label] for t in sents[0]], rng=derive_rng(4, 2))
+    grads = dict(model.Tagger(reference.config, theta=grad).param_items())
     norm = np.sqrt(sum(np.sum(g * g) for g in grads.values()))
     assert norm > cfg.clip_norm  # the step clips
     for g in grads.values():
@@ -256,9 +257,8 @@ def test_single_sgd_step_decreases_sentence_loss():
         tagger = model.init_params(cfg, derive_rng(100 + k, 0))
         x = rng.uniform(-1, 1, size=(4, 5))
         gold = [int(g) for g in rng.integers(0, 3, size=4)]
-        before, grads = model.loss_and_gradients(tagger, x, gold)
-        for name, arr in tagger.param_items():
-            arr -= 1e-4 * grads[name]
+        before, grad = model.loss_and_gradients(tagger, x, gold)
+        tagger.theta -= 1e-4 * grad
         after = model.sentence_loss(tagger, x, gold)
         if after < before:
             decreased += 1

@@ -3,7 +3,9 @@
     python3 tools/record_bench.py --out BENCH_<n>.json [--base REV] [--rounds 3]
 
 The base revision (default HEAD) is exported with `git archive` into a
-temporary directory, and the working tree is measured in place against it.
+temporary directory, and the working tree's files (tracked and untracked,
+not ignored) are copied into a second one, so that neither side runs beside
+caches or earlier results.
 Round r runs every workload once on each side with
 `perfbench/run.py --seed r --trace 0` at run.py's own run length, the side
 that goes first alternating from round to round, so that a drift in the
@@ -20,6 +22,7 @@ median, set against the base's interquartile range.
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -50,6 +53,16 @@ def export(rev, into):
     if archive.wait():
         raise RuntimeError(f"git archive {sha} failed")
     return sha
+
+
+def copy_worktree(into):
+    """The working tree's tracked and untracked, not ignored, files under
+    `into`; a tracked file deleted from the tree is left out."""
+    for name in git("ls-files", "-co", "--exclude-standard", "-z").split("\0"):
+        source = ROOT / name
+        if name and source.is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, into / name)
 
 
 def run_workload(tree, workload, seed):
@@ -119,7 +132,8 @@ def main(argv=None):
         parser.error("--rounds must be >= 1")
 
     with tempfile.TemporaryDirectory(prefix="record-bench-") as scratch:
-        trees = {"base": Path(scratch) / "base", "head": ROOT}
+        trees = {"base": Path(scratch) / "base", "head": Path(scratch) / "head"}
+        copy_worktree(trees["head"])
         record = {"base": export(args.base, trees["base"]),
                   "head": "working tree at " + git("rev-parse", "HEAD"),
                   "rounds": args.rounds,
