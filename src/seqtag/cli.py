@@ -8,11 +8,12 @@ Flag precedence: command line > --config JSON file > built-in defaults.
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 from . import __version__, corpus, features, model, selfcheck, train
@@ -80,6 +81,14 @@ def _write_text(path, text):
         handle.write(text)
 
 
+def _print(text):
+    """Write `text` to stdout and flush it, so that a failed write surfaces
+    here, as `cannot write <stdout>`, and not at interpreter exit."""
+    with _writing("<stdout>"):
+        sys.stdout.write(text)
+        sys.stdout.flush()
+
+
 def _sha256(path):
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -104,15 +113,8 @@ class RunManifest:
                 raise CliError(f"cannot read {path}: {exc.strerror}")
 
     def write(self, path):
-        record = {
-            "command": self.command,
-            "options": self.options,
-            "seed": self.seed,
-            "input_digests": self.input_digests,
-            "artifact_version": self.artifact_version,
-        }
-        _write_text(path, json.dumps(record, ensure_ascii=False, indent=2,
-                                     sort_keys=True) + "\n")
+        _write_text(path, json.dumps(asdict(self), ensure_ascii=False,
+                                     indent=2, sort_keys=True) + "\n")
 
 
 def resolve_options(args):
@@ -185,13 +187,14 @@ def _embedding_mode(name):
     return "pretrained" if name == "skipgram" else name
 
 
-def _check_output(path):
-    """Fail before any training if `path` cannot be created: its directory
-    must exist and the path must not be a directory."""
-    if os.path.isdir(path):
-        raise CliError(f"cannot write {path}: Is a directory")
-    if not path or not os.path.isdir(os.path.dirname(path) or "."):
-        raise CliError(f"cannot write {path}: No such file or directory")
+def _check_outputs(*paths):
+    """Fail before any training if one of `paths` cannot be created: its
+    directory must exist and the path must not be a directory."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise CliError(f"cannot write {path}: Is a directory")
+        if not path or not os.path.isdir(os.path.dirname(path) or "."):
+            raise CliError(f"cannot write {path}: No such file or directory")
 
 
 def _setup(args, opts, rows=()):
@@ -256,7 +259,7 @@ def _train_config(opts):
 
 
 def cmd_train(args):
-    _check_output(args.out)
+    _check_outputs(args.out, args.out + ".log", args.out + ".manifest.json")
     opts = resolve_options(args)
     setup = _setup(args, opts)
     tcfg = _train_config(opts)
@@ -273,8 +276,8 @@ def cmd_train(args):
     progress = None
     if not args.quiet:
         def progress(entry):
-            print(f"epoch {entry.epoch}: loss {entry.loss:.4f} "
-                  f"dev_f1 {entry.dev_f1:.2f} ({entry.seconds:.1f}s)")
+            _print(f"epoch {entry.epoch}: loss {entry.loss:.4f} "
+                   f"dev_f1 {entry.dev_f1:.2f} ({entry.seconds:.1f}s)\n")
 
     try:
         best, log = train.train(tagger, setup.train_sentences,
@@ -288,8 +291,8 @@ def cmd_train(args):
     _write_text(args.out + ".log", log.to_text())
     manifest.write(args.out + ".manifest.json")
     if not args.quiet:
-        print(f"best epoch {log.best_epoch}: dev F1 {log.best_dev_f1:.2f}")
-        print(f"model written to {args.out}")
+        _print(f"best epoch {log.best_epoch}: dev F1 {log.best_dev_f1:.2f}\n"
+               f"model written to {args.out}\n")
     return 0
 
 
@@ -340,21 +343,13 @@ def cmd_tag(args):
 
     train.tag_corpus(tagger, extractor, sentences, entity_types)
 
-    with _writing(args.output or "<stdout>"):
-        out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-        try:
-            for sent in sentences:
-                for tok in sent:
-                    cols = [tok.surface, tok.pos, tok.chunk]
-                    if has_gold:
-                        cols.append(tok.gold_label)
-                    cols.append(tok.predicted_label)
-                    out.write(" ".join(cols) + "\n")
-                out.write("\n")
-        finally:
-            if args.output:
-                out.close()
-    if args.output:
+    if not args.output:
+        text = io.StringIO()
+        corpus.write_conll(sentences, text, gold=has_gold)
+        _print(text.getvalue())
+    else:
+        with _writing(args.output):
+            corpus.write_conll(sentences, args.output, gold=has_gold)
         manifest = RunManifest("tag", {"model": args.model,
                                        "input": args.input,
                                        "output": args.output},
@@ -376,7 +371,7 @@ def cmd_eval(args):
         raise CliError(f"cannot read {args.gold}: {exc.strerror}")
     except ValueError as exc:
         raise CliError(f"{args.gold}: {exc}")
-    print(render(report), end="")
+    _print(render(report))
     return 0
 
 
@@ -384,13 +379,13 @@ def cmd_stats(args):
     entity_types = _parse_entity_types(
         args.entity_types or DEFAULTS["entity_types"])
     sentences = _read_corpus(args.file, entity_types, "IOB2")
-    print(corpus.render_stats(corpus.stats(sentences, entity_types)), end="")
+    _print(corpus.render_stats(corpus.stats(sentences, entity_types)))
     return 0
 
 
 def cmd_ablate(args):
     prefix = args.out or "ablation"
-    _check_output(prefix + ".txt")
+    _check_outputs(prefix + ".txt", prefix + ".tsv", prefix + ".manifest.json")
     if args.save_models is not None and os.path.exists(args.save_models) \
             and not os.path.isdir(args.save_models):
         raise CliError(f"cannot write {args.save_models}: Not a directory")
@@ -425,7 +420,7 @@ def cmd_ablate(args):
 
     text = train.render_ablation(results)
     if not args.quiet:
-        print(text, end="")
+        _print(text)
     _write_text(prefix + ".txt", text)
     _write_text(prefix + ".tsv", train.ablation_tsv(results))
     manifest.write(prefix + ".manifest.json")
@@ -439,15 +434,15 @@ def cmd_selfcheck(args):
                                          corrupt=args.corrupt_gradient)
     except ValueError as exc:
         raise CliError(str(exc))
-    print(f"gradient check: worst relative error {grad.worst_error:.3e} "
-          f"over {grad.seeds} seeds (tolerance {grad.tolerance:.0e}) -> "
-          f"{'PASS' if grad.passed else 'FAIL'}")
+    _print(f"gradient check: worst relative error {grad.worst_error:.3e} "
+           f"over {grad.seeds} seeds (tolerance {grad.tolerance:.0e}) -> "
+           f"{'PASS' if grad.passed else 'FAIL'}\n")
     diffs = selfcheck.check_scorer()
     scorer_ok = not diffs
-    print(f"scorer oracle: {len(diffs)} discrepancies over 1000 random "
-          f"corpora -> {'PASS' if scorer_ok else 'FAIL'}")
+    _print(f"scorer oracle: {len(diffs)} discrepancies over 1000 random "
+           f"corpora -> {'PASS' if scorer_ok else 'FAIL'}\n")
     for d in diffs[:10]:
-        print(f"  {d}")
+        _print(f"  {d}\n")
     if grad.passed and scorer_ok:
         return 0
     return 3

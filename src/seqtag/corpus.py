@@ -1,6 +1,6 @@
 """CoNLL-format corpus handling: reading/writing sentence files, IOB label
 validation and repair, IOB1/IOB2 scheme conversion, entity span extraction,
-corpus statistics, and train/dev splitting.
+and corpus statistics.
 
 The canonical label scheme inside the package is IOB2: every entity starts
 with B-. IOB1 files (B- only between adjacent same-type entities) can be
@@ -13,8 +13,6 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-
-import numpy as np
 
 DEFAULT_ENTITY_TYPES = ("PER", "LOC", "ORG", "MISC")
 DEFAULT_MAX_SENTENCE_LEN = 150
@@ -36,10 +34,6 @@ class InvalidLabel(CorpusError):
 
 class InvalidSequence(CorpusError):
     """A label has no valid predecessor: an I-X in IOB2, a B-X in IOB1."""
-
-
-class DevTooLarge(CorpusError):
-    pass
 
 
 @dataclass
@@ -294,18 +288,21 @@ def read_conll(source, columns=None, entity_types=DEFAULT_ENTITY_TYPES,
     return sentences
 
 
-def write_conll(sentences, sink, include_predictions=False):
+def write_conll(sentences, sink, gold=True):
     """Write sentences back out, single-space separated, blank line between
-    sentences. With include_predictions, appends the predicted label column."""
+    sentences: surface, POS, chunk, the gold label unless gold=False, and
+    the predicted label of every token that holds one."""
     if isinstance(sink, (str, os.PathLike)):
         with open(sink, "w", encoding="utf-8") as handle:
-            write_conll(sentences, handle, include_predictions)
+            write_conll(sentences, handle, gold)
         return
     for sent in sentences:
         for tok in sent:
-            fields = [tok.surface, tok.pos, tok.chunk, tok.gold_label]
-            if include_predictions:
-                fields.append(tok.predicted_label if tok.predicted_label else "O")
+            fields = [tok.surface, tok.pos, tok.chunk]
+            if gold:
+                fields.append(tok.gold_label)
+            if tok.predicted_label is not None:
+                fields.append(tok.predicted_label)
             sink.write(" ".join(fields) + "\n")
         sink.write("\n")
 
@@ -378,25 +375,3 @@ def render_stats(cs):
     lines.append(f"sentences={cs.sentence_count}")
     lines.append(f"tokens={cs.token_count}")
     return "\n".join(lines) + "\n"
-
-
-def split(sentences, dev_count=None, dev_fraction=None, seed=None):
-    """Hold out a dev set. Default: the last k sentences (reproducible with
-    no seed); pass a seed for a shuffled split."""
-    sentences = list(sentences)
-    n = len(sentences)
-    if dev_count is None:
-        if dev_fraction is None:
-            raise ValueError("give dev_count or dev_fraction")
-        dev_count = int(round(n * dev_fraction))
-    if dev_count >= n and not (dev_count == 0 and n == 0):
-        raise DevTooLarge(f"dev_count {dev_count} >= corpus size {n}")
-    if seed is None:
-        order = list(range(n))
-    else:
-        order = list(np.random.default_rng(seed).permutation(n))
-    if dev_count == 0:
-        return [sentences[i] for i in order], []
-    train_idx = order[:-dev_count]
-    dev_idx = order[-dev_count:]
-    return [sentences[i] for i in train_idx], [sentences[i] for i in dev_idx]

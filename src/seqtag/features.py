@@ -104,9 +104,6 @@ class EmbeddingTable:
         self.vectors[word] = vec
         return vec
 
-    def __contains__(self, word):
-        return word in self.vectors
-
     def __len__(self):
         return len(self.vectors)
 
@@ -217,9 +214,6 @@ class RegexRule:
     scope: str  # which token the pattern tests, relative to the current one
     pattern: str
 
-    def compiled(self):
-        return re.compile(self.pattern)
-
 
 @dataclass
 class RegexRuleSet:
@@ -232,7 +226,7 @@ class RegexRuleSet:
         for r in self.rules:
             if r.scope not in RULE_SCOPES:
                 raise ValueError(f"rule {r.name!r}: unknown scope {r.scope!r}")
-        self._compiled = [r.compiled() for r in self.rules]
+        self._regexes = [re.compile(r.pattern) for r in self.rules]
         # (K, the columns of the rules with scope prevK), self being K = 0
         scopes = [RULE_SCOPES.index(r.scope) for r in self.rules]
         self.scope_columns = [
@@ -247,13 +241,10 @@ class RegexRuleSet:
     def match_bits(self, surface):
         """ceil(width / 8) bytes, little-endian: bit j is set when rule j's
         pattern matches `surface` in full. Equal patterns share one object."""
-        bits = sum(1 << j for j, compiled in enumerate(self._compiled)
-                   if compiled.fullmatch(surface))
+        bits = sum(1 << j for j, regex in enumerate(self._regexes)
+                   if regex.fullmatch(surface))
         return self._packed.setdefault(
             bits, bits.to_bytes((self.width + 7) // 8, "little"))
-
-    def rule_names(self):
-        return [r.name for r in self.rules]
 
 
 def load_regex_rules(source):
@@ -293,10 +284,6 @@ class TagEncoder:
     @property
     def width(self):
         return len(self.index) + 1
-
-    @property
-    def unk_index(self):
-        return len(self.index)
 
     def tag_ids(self, tags, offset=0):
         """offset + the id of each tag, UNK for tags outside the tagset."""

@@ -33,7 +33,7 @@ import hashlib
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -330,17 +330,6 @@ class TaggerConfig:
     def layer_input_dim(self, layer):
         return self.input_dim if layer == 0 else self.layer_output_dim
 
-    def to_dict(self):
-        return {
-            "labels": list(self.labels),
-            "input_dim": self.input_dim,
-            "hidden": self.hidden,
-            "layers": self.layers,
-            "cell": self.cell,
-            "bidirectional": self.bidirectional,
-            "dropout": self.dropout,
-        }
-
     @classmethod
     def from_dict(cls, d):
         return cls(labels=list(d["labels"]), input_dim=int(d["input_dim"]),
@@ -566,7 +555,7 @@ def predict_indices(tagger, inputs):
 
 
 def _config_blob(tagger):
-    record = {"config": tagger.config.to_dict(), "extra": tagger.extra}
+    record = {"config": asdict(tagger.config), "extra": tagger.extra}
     return json.dumps(record, ensure_ascii=False, sort_keys=True).encode("utf-8")
 
 

@@ -11,11 +11,6 @@ class DimensionMismatch(ValueError):
     """Operands do not conform; message names both shapes."""
 
 
-def make_rng(seed):
-    """Deterministic generator for the given integer seed."""
-    return np.random.default_rng(seed)
-
-
 def derive_rng(seed, *keys):
     """Independent deterministic stream for (seed, keys).
 

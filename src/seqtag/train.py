@@ -7,7 +7,7 @@ retrains the tagger across feature/architecture variants.
 import copy
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -285,14 +285,8 @@ def ablate(setup, row_specs, train_config, save_dir=None):
     save_dir, each row's best model is retained as <slug>.sqtg."""
     rows = []
     for spec in row_specs:
-        overrides = {k: v for k, v in (
-            ("feature_set", spec.feature_set),
-            ("embedding_mode", spec.embedding_mode),
-            ("cell", spec.cell),
-            ("bidirectional", spec.bidirectional),
-            ("layers", spec.layers),
-            ("dropout", spec.dropout),
-        ) if v is not None}
+        overrides = {f.name: getattr(spec, f.name) for f in fields(RowSpec)
+                     if f.name != "name" and getattr(spec, f.name) is not None}
         row_setup = replace(setup, **overrides)
         try:
             tagger, extractor = build_tagger(row_setup, train_config.seed)

@@ -4,6 +4,7 @@ as the equations read; BPTT and finite differences as per-step and
 per-element loops; and feature assembly as per-token one-hot vectors.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,7 +145,7 @@ def finite_diff_grad_loop(f, params, epsilon=1e-5):
 def encode(encoder, tag):
     """One-hot vector of `tag` over a TagEncoder's tagset plus UNK."""
     v = np.zeros(encoder.width)
-    v[encoder.index.get(tag, encoder.unk_index)] = 1.0
+    v[encoder.index.get(tag, encoder.width - 1)] = 1.0
     return v
 
 
@@ -163,7 +164,7 @@ def regex_features(sentence, rules):
     surfaces = [t.surface for t in sentence]
     offsets = {"self": 0, "prev1": 1, "prev2": 2}
     for j, rule in enumerate(rules.rules):
-        compiled = rule.compiled()
+        compiled = re.compile(rule.pattern)
         k = offsets[rule.scope]
         for t in range(len(surfaces)):
             if t - k < 0:

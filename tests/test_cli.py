@@ -1,5 +1,7 @@
 import json
 import os
+import sys
+from contextlib import suppress
 
 import numpy as np
 import pytest
@@ -86,6 +88,10 @@ def test_cmd_tag_appends_predictions(tmp_path, toy_path, capsys):
     assert len(first) == 5  # surface pos chunk gold predicted
     orig = open(toy_path, encoding="utf-8").read().splitlines()
     assert first[:4] == orig[0].split()
+    # without --output the same lines go to stdout
+    capsys.readouterr()
+    assert cli.main(["tag", "--model", out, "--input", toy_path]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 def test_cmd_tag_empty_input(tmp_path, toy_path):
@@ -116,7 +122,10 @@ def test_cmd_tag_without_gold_column(tmp_path, toy_path):
     rc = cli.main(["tag", "--model", out, "--input", str(raw),
                    "--output", tagged])
     assert rc == 0
-    assert len(open(tagged).read().splitlines()[0].split()) == 4
+    lines = [l.split() for l in open(tagged, encoding="utf-8").read().splitlines()]
+    assert [l[:3] for l in lines] == [
+        l.split() for l in raw.read_text(encoding="utf-8").splitlines()]
+    assert [len(l) for l in lines] == [4, 4, 0]
 
 
 def test_cmd_tag_width_mismatch_names_both_widths(tmp_path, toy_path, capsys):
@@ -270,6 +279,8 @@ def _user_error_args(tmp_path, toy_path, case):
     config.write_text(json.dumps(CONFIG_CASES.get(case, {})), encoding="utf-8")
     tagged = str(tmp_path / "tagged.conll")
     tag_model = str(tmp_path / "tag.sqtg")  # with a feature pipeline record
+    if case in PREMADE_DIRECTORIES:
+        (tmp_path / PREMADE_DIRECTORIES[case]).mkdir()
     toy = corpus.read_conll(toy_path)
     setup = ExperimentSetup(train_sentences=toy, dev_sentences=toy,
                             embedding_dim=4, hidden=2, layers=1)
@@ -344,12 +355,21 @@ def _user_error_args(tmp_path, toy_path, case):
             ablate + ["--preset", "table5", "--out", str(tmp_path / "none" / "abl")],
         "ablate-save-models-is-a-file":
             ablate + ["--preset", "table5", "--save-models", str(bad_json)],
+        "log-is-a-directory": train,
+        "ablate-tsv-is-a-directory": ablate + ["--preset", "table5"],
+        # run with sys.stdout open on /dev/full
+        "stats-stdout-full": ["stats", toy_path],
+        "eval-stdout-full": ["eval", "--gold", toy_path],
+        "selfcheck-stdout-full": ["selfcheck", "--seeds", "1"],
         "lr-nan": train + ["--lr", "nan"],
         "lr-inf": train + ["--lr", "inf"],
         "clip-nan": train + ["--clip", "nan"],
         "clip-inf": train + ["--clip", "inf"],
     }[case]
 
+
+PREMADE_DIRECTORIES = {"log-is-a-directory": "m.sqtg.log",
+                       "ablate-tsv-is-a-directory": "abl.tsv"}
 
 CONFIG_CASES = {
     "config-str-for-int": {"layers": "2"},
@@ -398,6 +418,11 @@ USER_ERROR_MESSAGES = {
     "ablate-out-in-missing-directory":
         "cannot write {tmp}/none/abl.txt: No such file or directory",
     "ablate-save-models-is-a-file": "cannot write {tmp}/bad.json: Not a directory",
+    "log-is-a-directory": "cannot write {tmp}/m.sqtg.log: Is a directory",
+    "ablate-tsv-is-a-directory": "cannot write {tmp}/abl.tsv: Is a directory",
+    "stats-stdout-full": "cannot write <stdout>: No space left on device",
+    "eval-stdout-full": "cannot write <stdout>: No space left on device",
+    "selfcheck-stdout-full": "cannot write <stdout>: No space left on device",
     "lr-nan": "learning_rate must be finite and > 0, got nan",
     "lr-inf": "learning_rate must be finite and > 0, got inf",
     "clip-nan": "clip_norm must be finite and > 0, got nan",
@@ -440,23 +465,38 @@ USAGE_ERRORS = ["missing-required-flag", "hidden-not-int", "unknown-flag",
                                   "out-is-a-directory", "out-empty",
                                   "ablate-out-in-missing-directory",
                                   "ablate-save-models-is-a-file",
+                                  "log-is-a-directory",
+                                  "ablate-tsv-is-a-directory",
+                                  pytest.param("stats-stdout-full",
+                                               marks=NEEDS_DEV_FULL),
+                                  pytest.param("eval-stdout-full",
+                                               marks=NEEDS_DEV_FULL),
+                                  pytest.param("selfcheck-stdout-full",
+                                               marks=NEEDS_DEV_FULL),
                                   "lr-nan", "lr-inf", "clip-nan", "clip-inf"]
                          + USAGE_ERRORS)
 def test_user_errors_exit_1_with_message(tmp_path, toy_path, capsys,
                                          monkeypatch, case):
     argv = _user_error_args(tmp_path, toy_path, case)
+    listing = sorted(p.name for p in tmp_path.iterdir())
 
     def no_training(*args, **kwargs):
         raise AssertionError("a user error must be caught before training")
 
     monkeypatch.setattr(train_module, "train", no_training)
-    rc = cli.main(argv)
+    if case.endswith("-stdout-full"):
+        monkeypatch.setattr(sys, "stdout", open("/dev/full", "w"))
+    try:
+        rc = cli.main(argv)
+    finally:
+        if case.endswith("-stdout-full"):
+            with suppress(OSError):  # close retries the failed write
+                sys.stdout.close()
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
-    assert not list(tmp_path.glob("m.sqtg*")) + list(tmp_path.glob("abl.*"))
-    assert not list(tmp_path.glob("tagged.conll*"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == listing
     if case in USER_ERROR_MESSAGES:
         assert USER_ERROR_MESSAGES[case].format(tmp=tmp_path) in err
     if case in USAGE_ERRORS:

@@ -5,10 +5,10 @@ import re
 import pytest
 
 from seqtag import corpus
-from seqtag.corpus import (ColumnMap, DevTooLarge, EntitySpan, InvalidLabel,
+from seqtag.corpus import (ColumnMap, EntitySpan, InvalidLabel,
                            InvalidSequence, MalformedLine, Sentence, Token,
                            convert_scheme, extract_spans, label_alphabet,
-                           read_conll, repair_iob, spans_to_labels, split,
+                           read_conll, repair_iob, spans_to_labels,
                            split_long, stats, validate_iob2, write_conll)
 
 SAMPLE = "Hà_Nội N B-NP B-LOC\nđẹp A B-AP O\n\n"
@@ -243,33 +243,6 @@ def test_render_stats_contains_table_and_kv_lines():
     assert "tokens=2" in text
 
 
-def test_split_last_k_default():
-    sents = [Sentence([Token(f"w{i}", gold_label="O")]) for i in range(10)]
-    tr, dev = split(sents, dev_count=2)
-    assert len(tr) == 8 and len(dev) == 2
-    assert dev == sents[-2:]
-    assert all(s not in dev for s in tr)
-
-
-def test_split_zero_dev():
-    sents = [_sentence(["O"]) for _ in range(3)]
-    tr, dev = split(sents, dev_count=0)
-    assert len(tr) == 3 and dev == []
-
-
-def test_split_seeded_deterministic():
-    sents = [_sentence(["O"]) for _ in range(10)]
-    tr1, dev1 = split(sents, dev_count=3, seed=5)
-    tr2, dev2 = split(sents, dev_count=3, seed=5)
-    assert [id(s) for s in dev1] == [id(s) for s in dev2]
-    assert len(set(id(s) for s in tr1) & set(id(s) for s in dev1)) == 0
-
-
-def test_split_dev_too_large():
-    with pytest.raises(DevTooLarge):
-        split([_sentence(["O"])], dev_count=1)
-
-
 def test_split_long_cuts_after_last_outside_token():
     labels = ["O", "B-PER", "I-PER", "O", "B-LOC", "I-LOC"]
     out = split_long([_sentence(labels)], max_len=5)
@@ -310,12 +283,17 @@ def test_write_read_roundtrip():
     assert [s.gold_labels() for s in again] == [s.gold_labels() for s in sents]
 
 
-def test_write_conll_with_predictions():
-    sents = read_conll(io.StringIO("a N B-NP B-PER\n\n"))
-    sents[0][0].predicted_label = "B-LOC"
+@pytest.mark.parametrize("gold, expected", [
+    (True, "a N B-NP B-PER B-LOC\nb V B-VP O O\n\n"),
+    (False, "a N B-NP B-LOC\nb V B-VP O\n\n")], ids=["gold", "no-gold"])
+def test_write_conll_gold_column_on_and_off(gold, expected):
+    # the predicted column follows the tokens: written when they hold one
+    sents = read_conll(io.StringIO("a N B-NP B-PER\nb V B-VP O\n\n"))
+    for tok, label in zip(sents[0], ["B-LOC", "O"]):
+        tok.predicted_label = label
     buf = io.StringIO()
-    write_conll(sents, buf, include_predictions=True)
-    assert buf.getvalue() == "a N B-NP B-PER B-LOC\n\n"
+    write_conll(sents, buf, gold=gold)
+    assert buf.getvalue() == expected
 
 
 def test_label_alphabet_default_has_nine_labels():

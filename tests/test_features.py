@@ -123,7 +123,7 @@ def test_case_feature_rejects_empty():
 def test_load_regex_rules_format():
     text = "# comment\nORG\tprev1\tcông_ty\nNUM\tself\t[0-9]+\n"
     rules = load_regex_rules(io.StringIO(text))
-    assert rules.rule_names() == ["ORG", "NUM"]
+    assert [r.name for r in rules.rules] == ["ORG", "NUM"]
     assert rules.width == 2
 
 
@@ -178,9 +178,10 @@ def test_default_rule_file_loads_and_fires():
     assert rules.width >= 4
     sent = _sentence(["công_ty", "Vinamilk"])
     out = regex_features(sent, rules)
-    idx = rules.rule_names().index("ORG_KW_PREV1")
+    names = [r.name for r in rules.rules]
+    idx = names.index("ORG_KW_PREV1")
     assert out[1, idx] == 1.0
-    cap = rules.rule_names().index("CAP_TOKEN")
+    cap = names.index("CAP_TOKEN")
     assert out[1, cap] == 1.0
     assert out[0, cap] == 0.0
 
@@ -189,12 +190,12 @@ def test_encode_tagset_width_and_unk():
     enc = TagEncoder(["N", "V", "A"])
     assert enc.width == 4
     assert encode(enc, "N")[0] == 1.0
-    assert encode(enc, "X")[enc.unk_index] == 1.0
+    assert encode(enc, "X")[enc.width - 1] == 1.0
 
 
 def test_tag_ids_offset_and_unk():
     enc = TagEncoder(["N", "V", "A"])
-    assert enc.tag_ids(["N", "X", "A"], offset=3) == [3, 3 + enc.unk_index, 5]
+    assert enc.tag_ids(["N", "X", "A"], offset=3) == [3, 3 + enc.width - 1, 5]
 
 
 def test_encode_tagset_first_seen_determinism():

@@ -8,8 +8,7 @@ import pytest
 from seqtag import numerics
 from seqtag.model import _softmax_rows
 from seqtag.numerics import (DimensionMismatch, finite_diff_grad,
-                             gradient_relative_error, make_rng,
-                             uniform_vector)
+                             gradient_relative_error, uniform_vector)
 from oracle import hadamard, matvec, sigmoid
 
 
@@ -34,7 +33,7 @@ def test_sigmoid_reference_values():
 
 
 def test_sigmoid_complement_identity():
-    x = make_rng(0).uniform(-50, 50, size=200)
+    x = np.random.default_rng(0).uniform(-50, 50, size=200)
     assert np.max(np.abs(sigmoid(x) + sigmoid(-x) - 1.0)) < 1e-12
 
 
@@ -50,7 +49,7 @@ def test_softmax_uniform_under_equal_logits():
 
 
 def test_softmax_shift_invariance():
-    x = make_rng(2).uniform(-3, 3, size=7)
+    x = np.random.default_rng(2).uniform(-3, 3, size=7)
     assert np.max(np.abs(softmax(x + 123.456) - softmax(x))) < 1e-12
 
 
@@ -62,7 +61,7 @@ def test_softmax_no_overflow_on_large_logits():
 
 
 def test_softmax_sums_to_one_for_magnitude_1e3_inputs():
-    rng = make_rng(3)
+    rng = np.random.default_rng(3)
     for _ in range(20):
         x = rng.uniform(-1e3, 1e3, size=9)
         assert abs(softmax(x).sum() - 1.0) < 1e-12
@@ -89,7 +88,7 @@ def test_dimension_mismatch_names_both_shapes():
 
 
 def test_linear_ops_distributivity_spot_checks():
-    rng = make_rng(4)
+    rng = np.random.default_rng(4)
     for _ in range(10):
         m = rng.normal(size=(5, 4))
         u, v = rng.normal(size=4), rng.normal(size=4)
@@ -101,18 +100,18 @@ def test_linear_ops_distributivity_spot_checks():
 
 
 def test_uniform_vector_bounds_and_determinism():
-    v = uniform_vector(make_rng(5), 3, 1.0)
+    v = uniform_vector(np.random.default_rng(5), 3, 1.0)
     assert v.shape == (3,)
     assert np.all(np.abs(v) <= 1.0)
-    assert np.array_equal(uniform_vector(make_rng(5), 3, 1.0), v)
-    assert not np.array_equal(uniform_vector(make_rng(6), 3, 1.0), v)
+    assert np.array_equal(uniform_vector(np.random.default_rng(5), 3, 1.0), v)
+    assert not np.array_equal(uniform_vector(np.random.default_rng(6), 3, 1.0), v)
 
 
 def test_uniform_vector_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        uniform_vector(make_rng(0), 0, 1.0)
+        uniform_vector(np.random.default_rng(0), 0, 1.0)
     with pytest.raises(ValueError):
-        uniform_vector(make_rng(0), 3, 0.0)
+        uniform_vector(np.random.default_rng(0), 3, 0.0)
 
 
 def test_finite_diff_on_square():

@@ -10,7 +10,8 @@ Round r runs every workload once on each side with
 `perfbench/run.py --seed r --trace 0` at run.py's own run length, the side
 that goes first alternating from round to round, so that a drift in the
 host's speed falls on both sides alike. Unpaired runs on a host whose speed
-drifts mislead. The tier-1 suite is then timed once on each side.
+drifts mislead. The tier-1 suite is then timed once on each side, and the
+lines of the Python files under src/ and tests/ are counted on each side.
 
 The output JSON holds every run's metrics, the per-side medians and
 quartiles (`statistics.quantiles(n=4)`, as in perfbench/baseline.json) and,
@@ -89,6 +90,14 @@ def time_tier1(tree):
             "returncode": proc.returncode, "summary": lines[-1] if lines else ""}
 
 
+def line_counts(tree):
+    """Lines (as `wc -l` counts them) of the Python files under src/ and
+    tests/ of `tree`."""
+    return {part: sum(path.read_bytes().count(b"\n")
+                      for path in (tree / part).rglob("*.py"))
+            for part in ("src", "tests")}
+
+
 def summarize(runs):
     """Per-side medians and quartiles and, per metric, the rounds the head
     was lower in and the gap between the medians against the base's
@@ -158,6 +167,11 @@ def main(argv=None):
         print("tier-1: " + ", ".join(
             f"{side} {t['seconds']} s ({t['summary']})"
             for side, t in record["tier1"].items()), flush=True)
+        record["lines"] = {side: line_counts(trees[side])
+                           for side in ("base", "head")}
+        print("lines: " + ", ".join(
+            f"{side} src {n['src']} tests {n['tests']}"
+            for side, n in record["lines"].items()), flush=True)
 
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
