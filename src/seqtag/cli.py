@@ -67,24 +67,27 @@ def toy_corpus_file():
 
 
 @contextmanager
-def _writing(path):
-    """An OSError from opening, writing or closing `path` inside the block
-    becomes a CliError naming it: exit 1, no traceback."""
+def _io_errors(verb, path, errors=()):
+    """Inside the block, an OSError becomes the CliError `cannot <verb>
+    <path>: <strerror>`, and an exception of a type in `errors` the
+    CliError `<path>: <message>`: exit 1, no traceback."""
     try:
         yield
     except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc.strerror}")
+        raise CliError(f"cannot {verb} {path}: {exc.strerror}")
+    except errors as exc:
+        raise CliError(f"{path}: {exc}")
 
 
 def _write_text(path, text):
-    with _writing(path), open(path, "w", encoding="utf-8") as handle:
+    with _io_errors("write", path), open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
 
 
 def _print(text):
     """Write `text` to stdout and flush it, so that a failed write surfaces
     here, as `cannot write <stdout>`, and not at interpreter exit."""
-    with _writing("<stdout>"):
+    with _io_errors("write", "<stdout>"):
         sys.stdout.write(text)
         sys.stdout.flush()
 
@@ -107,10 +110,8 @@ class RunManifest:
 
     def add_input(self, path):
         if path:
-            try:
+            with _io_errors("read", path):
                 self.input_digests[path] = _sha256(path)
-            except OSError as exc:
-                raise CliError(f"cannot read {path}: {exc.strerror}")
 
     def write(self, path):
         _write_text(path, json.dumps(asdict(self), ensure_ascii=False,
@@ -119,35 +120,42 @@ class RunManifest:
 
 def resolve_options(args):
     """Materialize every option: command line beats the --config file beats
-    DEFAULTS. argparse defaults are None so an unset flag is detectable. A
-    config value must have the type of its default (an int is a valid
-    float, a bool is not an int)."""
+    DEFAULTS. argparse defaults are None so an unset flag is detectable.
+    Every key of a config file must be an option, and its value must have
+    the type of the option's default."""
     from_file = {}
     if getattr(args, "config", None):
         from_file = _read_json(args.config, "config file")
-        if not isinstance(from_file, dict):
-            raise CliError(f"{args.config}: config file must hold a JSON object")
-        for name in from_file:
-            if name not in DEFAULTS:
-                raise CliError(f"{args.config}: unknown config key {name!r}")
+        _check_record(from_file, {k: type(v) for k, v in DEFAULTS.items()},
+                      args.config, "config key")
     resolved = {}
-    for name in DEFAULTS:
+    for name, default in DEFAULTS.items():
         value = getattr(args, name, None)
-        if value is None and name in from_file:
-            value = from_file[name]
-            expected = type(DEFAULTS[name])
-            if not _has_type(value, expected):
-                raise CliError(f"{args.config}: config key {name!r} must be "
-                               f"{expected.__name__}, got {value!r}")
-        if value is None:
-            value = DEFAULTS[name]
-        resolved[name] = value
+        resolved[name] = from_file.get(name, default) if value is None else value
     if resolved["seed"] < 0:
         raise CliError(f"--seed must be >= 0, got {resolved['seed']}")
     return resolved
 
 
+def _check_record(record, types, where, noun):
+    """Exit 1, naming `where`, unless `record` is a JSON object whose every
+    key is in `types` with a value of that key's type, as _has_type decides
+    (a list must hold strings)."""
+    if not isinstance(record, dict):
+        raise CliError(f"{where}: must be a JSON object, got {record!r}")
+    for key, value in record.items():
+        expected = types.get(key)
+        if expected is None:
+            raise CliError(f"{where}: unknown {noun} {key!r}")
+        if not _has_type(value, expected) or (
+                expected is list and not all(isinstance(v, str) for v in value)):
+            what = "a list of str" if expected is list else expected.__name__
+            raise CliError(f"{where}: {noun} {key!r} must be {what}, "
+                           f"got {value!r}")
+
+
 def _has_type(value, expected):
+    """An int is a valid float; a bool is neither an int nor a float."""
     if isinstance(value, bool) != (expected is bool):
         return False
     return isinstance(value, (int, float) if expected is float else expected)
@@ -155,10 +163,9 @@ def _has_type(value, expected):
 
 def _read_json(path, what):
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with _io_errors("read", f"{what} {path}"), \
+                open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except OSError as exc:
-        raise CliError(f"cannot read {what} {path}: {exc.strerror}")
     except ValueError as exc:
         raise CliError(f"{path}: invalid JSON: {exc}")
 
@@ -172,13 +179,9 @@ def _parse_entity_types(text):
 
 
 def _read_corpus(path, entity_types, scheme, strict=True):
-    try:
+    with _io_errors("read", path, (corpus.CorpusError, UnicodeDecodeError)):
         return corpus.read_conll(path, entity_types=entity_types,
                                  strict=strict, scheme=scheme)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror}")
-    except (corpus.CorpusError, UnicodeDecodeError) as exc:
-        raise CliError(f"{path}: {exc}")
 
 
 def _embedding_mode(name):
@@ -208,10 +211,8 @@ def _setup(args, opts, rows=()):
 
     try:
         feature_set = _parse_feature_list(opts["features"]).enabled
-        train_sents = corpus.split_long(read(args.train), opts["max_len"],
-                                        entity_types)
-        dev_sents = corpus.split_long(read(args.dev), opts["max_len"],
-                                      entity_types)
+        train_sents = corpus.split_long(read(args.train), opts["max_len"])
+        dev_sents = corpus.split_long(read(args.dev), opts["max_len"])
     except ValueError as exc:
         raise CliError(str(exc))
     for path, sents in ((args.train, train_sents), (args.dev, dev_sents)):
@@ -222,13 +223,8 @@ def _setup(args, opts, rows=()):
     if any(features.REGEX in (fs or ())
            for fs in [feature_set] + [r.feature_set for r in rows]):
         path = args.regex_file or default_regex_file()
-        try:
+        with _io_errors("read", path, ValueError):
             rules = features.load_regex_rules(path)
-        except OSError as exc:
-            raise CliError(f"cannot read regex rule file {path}: "
-                           f"{exc.strerror}")
-        except ValueError as exc:
-            raise CliError(f"{path}: {exc}")
     return train.ExperimentSetup(
         train_sentences=train_sents, dev_sentences=dev_sents,
         score_sentences=score_sents, entity_types=entity_types,
@@ -286,7 +282,7 @@ def cmd_train(args):
     except train.NonFiniteLoss as exc:
         raise CliError(str(exc), exit_code=2)
 
-    with _writing(args.out):
+    with _io_errors("write", args.out):
         model.save(best, args.out)
     _write_text(args.out + ".log", log.to_text())
     manifest.write(args.out + ".manifest.json")
@@ -298,9 +294,8 @@ def cmd_train(args):
 
 def _load_model(path):
     try:
-        return model.load(path)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror}")
+        with _io_errors("read", path):
+            return model.load(path)
     except model.ModelFormatError as exc:
         raise CliError(f"{path}: {type(exc).__name__}: {exc}")
 
@@ -320,10 +315,9 @@ def _read_tag_input(path):
 def cmd_tag(args):
     tagger = _load_model(args.model)
     try:
-        extractor = features.FeatureExtractor.from_dict(tagger.extra,
-                                                        args.embeddings)
-    except OSError as exc:
-        raise CliError(f"cannot read {args.embeddings}: {exc.strerror}")
+        with _io_errors("read", args.embeddings):
+            extractor = features.FeatureExtractor.from_dict(tagger.extra,
+                                                            args.embeddings)
     except features.EmbeddingError as exc:
         raise CliError(f"{args.embeddings or args.model}: {exc}")
     except (KeyError, TypeError, ValueError) as exc:
@@ -333,27 +327,23 @@ def cmd_tag(args):
         raise CliError(
             f"feature width {extractor.input_dim} does not match model "
             f"input width {tagger.config.input_dim}")
-    entity_types = tuple(tagger.extra.get("entity_types") or ())
-    try:
+    with _io_errors("read", args.input,
+                    (corpus.CorpusError, UnicodeDecodeError)):
         sentences, has_gold = _read_tag_input(args.input)
-    except OSError as exc:
-        raise CliError(f"cannot read {args.input}: {exc.strerror}")
-    except (corpus.CorpusError, UnicodeDecodeError) as exc:
-        raise CliError(f"{args.input}: {exc}")
 
-    train.tag_corpus(tagger, extractor, sentences, entity_types)
+    train.tag_corpus(tagger, extractor, sentences)
 
     if not args.output:
         text = io.StringIO()
         corpus.write_conll(sentences, text, gold=has_gold)
         _print(text.getvalue())
     else:
-        with _writing(args.output):
+        with _io_errors("write", args.output):
             corpus.write_conll(sentences, args.output, gold=has_gold)
         manifest = RunManifest("tag", {"model": args.model,
                                        "input": args.input,
                                        "output": args.output},
-                               tagger.extra.get("embedding", {}).get("seed", 0))
+                               extractor.table.seed)
         manifest.add_input(args.model)
         manifest.add_input(args.input)
         manifest.write(args.output + ".manifest.json")
@@ -364,13 +354,9 @@ def cmd_eval(args):
     types = None
     if args.types:
         types = {t.strip() for t in args.types.split(",") if t.strip()}
-    try:
-        with open(args.gold, "r", encoding="utf-8") as handle:
-            report = score_conll_lines(handle, types=types)
-    except OSError as exc:
-        raise CliError(f"cannot read {args.gold}: {exc.strerror}")
-    except ValueError as exc:
-        raise CliError(f"{args.gold}: {exc}")
+    with _io_errors("read", args.gold, ValueError), \
+            open(args.gold, "r", encoding="utf-8") as handle:
+        report = score_conll_lines(handle, types=types)
     _print(render(report))
     return 0
 
@@ -381,6 +367,31 @@ def cmd_stats(args):
     sentences = _read_corpus(args.file, entity_types, "IOB2")
     _print(corpus.render_stats(corpus.stats(sentences, entity_types)))
     return 0
+
+
+# the keys of a row spec and the type of each value
+ROW_KEYS = {"name": str, "features": list, "embedding_mode": str, "cell": str,
+            "bidirectional": bool, "layers": int, "dropout": float}
+
+
+def _read_rows(path):
+    """The RowSpecs of a row-spec file: a JSON list of objects, each checked
+    before any training as a --config file is, and each with a name."""
+    specs = _read_json(path, "row-spec file")
+    if not isinstance(specs, list):
+        raise CliError(f"{path}: row-spec file must hold a JSON list")
+    rows = []
+    for n, spec in enumerate(specs, 1):
+        _check_record(spec, ROW_KEYS, f"{path}: row {n}", "key")
+        if "name" not in spec:
+            raise CliError(f"{path}: row {n}: missing key 'name'")
+        rows.append(train.RowSpec(
+            name=spec["name"],
+            feature_set=tuple(spec["features"]) if "features" in spec else None,
+            embedding_mode=_embedding_mode(spec.get("embedding_mode")),
+            cell=spec.get("cell"), bidirectional=spec.get("bidirectional"),
+            layers=spec.get("layers"), dropout=spec.get("dropout")))
+    return rows
 
 
 def cmd_ablate(args):
@@ -396,18 +407,7 @@ def cmd_ablate(args):
                            f"{sorted(train.ABLATION_PRESETS)}")
         rows = train.ABLATION_PRESETS[args.preset]
     elif args.rows:
-        specs = _read_json(args.rows, "row-spec file")
-        try:
-            rows = [train.RowSpec(
-                name=s["name"],
-                feature_set=tuple(s["features"]) if "features" in s else None,
-                embedding_mode=_embedding_mode(s.get("embedding_mode")),
-                cell=s.get("cell"), bidirectional=s.get("bidirectional"),
-                layers=s.get("layers"), dropout=s.get("dropout"))
-                for s in specs]
-        except (KeyError, TypeError) as exc:
-            raise CliError(f"{args.rows}: bad row spec "
-                           f"({type(exc).__name__}: {exc})")
+        rows = _read_rows(args.rows)
     else:
         raise CliError("give --preset or --rows")
 

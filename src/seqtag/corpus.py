@@ -307,13 +307,10 @@ def write_conll(sentences, sink, gold=True):
         sink.write("\n")
 
 
-def split_long(sentences, max_len=DEFAULT_MAX_SENTENCE_LEN,
-               entity_types=DEFAULT_ENTITY_TYPES):
+def split_long(sentences, max_len=DEFAULT_MAX_SENTENCE_LEN):
     """Split sentences longer than max_len, cutting after the last O-labeled
     token inside the window, or failing that at the last entity boundary,
     never inside an entity. Bounds the BPTT sequence length."""
-    if max_len is None:
-        return list(sentences)
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     out = []

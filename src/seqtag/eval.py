@@ -73,21 +73,20 @@ def score(sentences, types=None, entity_types=None):
     O on both the gold and predicted side before counting.
     """
     report = ScoreReport()
-    accepted = entity_types  # None = accept any well-formed type
     for sent in sentences:
         gold_labels = sent.gold_labels()
         pred_labels = sent.predicted_labels()
         if any(p is None for p in pred_labels):
             raise MissingPredictions(
                 "a token has no predicted label; tag the corpus first")
-        pred_labels = repair_iob(pred_labels, accepted)
+        pred_labels = repair_iob(pred_labels, entity_types)
         if types is not None:
             gold_labels = _relabel_outside(gold_labels, types)
             pred_labels = _relabel_outside(pred_labels, types)
         report.token_count += len(gold_labels)
         report.token_correct += sum(g == p for g, p in zip(gold_labels, pred_labels))
-        gold_spans = set(extract_spans(gold_labels, accepted))
-        pred_spans = set(extract_spans(pred_labels, accepted))
+        gold_spans = set(extract_spans(gold_labels, entity_types))
+        pred_spans = set(extract_spans(pred_labels, entity_types))
         for span in gold_spans:
             entry = report.per_type.setdefault(span.entity_type, TypeScore())
             entry.gold += 1

@@ -4,6 +4,10 @@ softmax classifier, and hand-derived analytic gradients for all of it
 (backpropagation through time, batch size 1, no padding). Inference also
 runs time-major batches of equal-length sentences through the same runner.
 
+A layer is a {direction: CellParams} dict. One runner (_run_layer) and its
+BPTT (_backprop_layer) do all of its direction handling: reversal,
+re-alignment, concatenation and the sum of the input gradients.
+
 The LSTM cell stores its four gates stacked row-wise in the order
 (i, f, o, c): W (4H x H) acts on the previous hidden state, U (4H x D) on
 the current input, b is a 4H bias. With a = W h_prev + U x + b split into
@@ -256,23 +260,33 @@ def _backprop_cell(params, cache, dstates, dparams, input_grads=True):
     return da @ params.U if input_grads else None
 
 
-def _run_direction(params, inputs, direction, bptt=False):
-    """One recurrent pass: "fwd" processes positions first to last, "bwd"
-    last to first; both start from a zero state. Returns (states aligned to
-    input positions, cache for _backprop_direction or None)."""
-    if direction == "bwd":
-        states, cache = _run_cell(params, inputs[::-1], bptt)
-        return states[::-1], cache
-    return _run_cell(params, inputs, bptt)
+def _run_layer(cells, inputs, bptt=False):
+    """Run each cell of a layer's {direction: CellParams} `cells` over
+    `inputs` from a zero state, "bwd" from the last position to the first.
+    Returns (their states aligned to input positions and concatenated in
+    dict order, {direction: cache, None without bptt})."""
+    outputs, caches = [], {}
+    for d, params in cells.items():
+        step = -1 if d == "bwd" else 1
+        states, caches[d] = _run_cell(params, inputs[::step], bptt)
+        outputs.append(states[::step])
+    return np.concatenate(outputs, axis=-1), caches
 
 
-def _backprop_direction(params, cache, dstates, dparams, direction,
-                        input_grads=True):
-    """Backward pass of _run_direction; gradients aligned to positions."""
-    if direction == "bwd":
-        dx = _backprop_cell(params, cache, dstates[::-1], dparams, input_grads)
-        return None if dx is None else dx[::-1]
-    return _backprop_cell(params, cache, dstates, dparams, input_grads)
+def _backprop_layer(cells, caches, dout, dcells, input_grads=True):
+    """BPTT through _run_layer from `dout`, the gradient at its output:
+    writes each direction's gradients into that CellParams of `dcells`, and
+    returns the directions' input gradients summed in dict order (None
+    without input_grads)."""
+    dinputs = None
+    for k, (d, params) in enumerate(cells.items()):
+        step = -1 if d == "bwd" else 1
+        H = params.hidden
+        dx = _backprop_cell(params, caches[d], dout[:, k * H:(k + 1) * H][::step],
+                            dcells[d], input_grads)
+        if input_grads:
+            dinputs = dx[::step] if dinputs is None else dinputs + dx[::step]
+    return dinputs
 
 
 def run_layer(params, inputs, direction="fwd"):
@@ -283,16 +297,15 @@ def run_layer(params, inputs, direction="fwd"):
     """
     if direction not in ("fwd", "bwd"):
         raise ValueError(f"direction must be 'fwd' or 'bwd', got {direction!r}")
-    return _run_direction(params, np.asarray(inputs, dtype=np.float64),
-                          direction)[0]
+    return _run_layer({direction: params},
+                      np.asarray(inputs, dtype=np.float64))[0]
 
 
 def run_bilayer(fwd_params, bwd_params, inputs):
-    """Concatenation of the forward and backward passes per position; output
-    width is exactly 2H."""
-    fwd = run_layer(fwd_params, inputs, "fwd")
-    bwd = run_layer(bwd_params, inputs, "bwd")
-    return np.concatenate([fwd, bwd], axis=-1)
+    """Concatenation of the forward and backward passes per position, as
+    forward() runs a bidirectional layer; output width is exactly 2H."""
+    return _run_layer({"fwd": fwd_params, "bwd": bwd_params},
+                      np.asarray(inputs, dtype=np.float64))[0]
 
 
 @dataclass
@@ -327,9 +340,6 @@ class TaggerConfig:
     def layer_output_dim(self):
         return self.hidden * (2 if self.bidirectional else 1)
 
-    def layer_input_dim(self, layer):
-        return self.input_dim if layer == 0 else self.layer_output_dim
-
     @classmethod
     def from_dict(cls, d):
         return cls(labels=list(d["labels"]), input_dim=int(d["input_dim"]),
@@ -358,9 +368,13 @@ class Tagger:
         self.config = config
         self.extra = extra or {}
         n_labels, width = len(config.labels), config.layer_output_dim
-        sizes = [CellParams.size(config.hidden, config.layer_input_dim(l),
-                                 config.cell) for l in range(config.layers)]
-        n = len(config.directions) * sum(sizes) + n_labels * (width + 1)
+        # (input width, size) of a cell of the first layer, which reads the
+        # features, and of any later one: counted without a walk over the
+        # layers, an absurd layer count fails at the allocation
+        first, later = ((dim, CellParams.size(config.hidden, dim, config.cell))
+                        for dim in (config.input_dim, width))
+        n = (len(config.directions) * (first[1] + (config.layers - 1) * later[1])
+             + n_labels * (width + 1))
         if theta is None:
             theta = np.zeros(n)
         elif (theta.ndim not in (1, 2) or theta.shape[-1] != n
@@ -371,11 +385,12 @@ class Tagger:
         self.theta = theta
         offset = 0
         self.layers = []
-        for l, size in enumerate(sizes):
+        for l in range(config.layers):
+            dim, size = later if l else first
             self.layers.append({})
             for d in config.directions:
                 self.layers[l][d] = CellParams(
-                    config.hidden, config.layer_input_dim(l), config.cell,
+                    config.hidden, dim, config.cell,
                     theta[..., offset:offset + size])
                 offset += size
         self.proj_w = theta[..., offset:-n_labels].reshape(
@@ -392,24 +407,22 @@ class Tagger:
         for updates, clipping, and serialization."""
         out = []
         for l, layer in enumerate(self.layers):
-            for d in self.config.directions:
-                for name, arr in layer[d].items():
+            for d, cell in layer.items():
+                for name, arr in cell.items():
                     out.append((f"layer{l}.{d}.{name}", arr))
         out.append(("proj.W", self.proj_w))
         out.append(("proj.b", self.proj_b))
         return out
 
 
-def init_params(config, rng, extra=None, forget_bias=1.0):
+def init_params(config, rng, extra=None):
     """Fresh tagger: every matrix uniform in +-sqrt(3/fan_in), biases zero
     except the LSTM forget-gate bias (1.0, so early training does not wash
     memory out)."""
     tagger = Tagger(config, extra=extra)
-    for l, layer in enumerate(tagger.layers):
+    for layer in tagger.layers:
         for cell in layer.values():
-            fresh = CellParams.init(rng, config.hidden,
-                                    config.layer_input_dim(l), config.cell,
-                                    forget_bias)
+            fresh = CellParams.init(rng, cell.hidden, cell.input_dim, cell.kind)
             cell.W[...], cell.U[...], cell.b[...] = fresh.W, fresh.U, fresh.b
     fan_in = config.layer_output_dim
     tagger.proj_w[...] = uniform_matrix(rng, len(config.labels), fan_in,
@@ -447,20 +460,14 @@ def forward(tagger, inputs, rng=None, bptt=False):
 
     layer_caches = []
     current = inputs
-    for l, layer in enumerate(tagger.layers):
-        outputs = []
-        dir_caches = {}
-        for d in config.directions:
-            states, dir_caches[d] = _run_direction(layer[d], current, d, bptt)
-            outputs.append(states)
-        out = np.concatenate(outputs, axis=-1) if len(outputs) > 1 else outputs[0]
+    for layer in tagger.layers:
+        out, dir_caches = _run_layer(layer, current, bptt)
         mask = None
         if use_dropout:
             shape = (len(out), out.shape[-1]) if rows else out.shape
             mask = (rng.random(shape) < keep) / keep
             out = out * (mask[:, None] if rows else mask)
-        layer_caches.append({"input": current, "dirs": dir_caches,
-                             "mask": mask, "output": out})
+        layer_caches.append({"dirs": dir_caches, "mask": mask, "output": out})
         current = out
 
     if rows:
@@ -520,19 +527,13 @@ def loss_and_gradients(tagger, inputs, gold_indices, rng=None, grad=None):
     np.sum(dlogits, axis=0, out=dtagger.proj_b)
     dcurrent = dlogits @ tagger.proj_w
 
-    hidden = config.hidden
     for l in range(config.layers - 1, -1, -1):
         layer_cache = cache["layers"][l]
         if layer_cache["mask"] is not None:
             dcurrent = dcurrent * layer_cache["mask"]
         # the first layer's inputs are features: no gradient needed
-        dinputs = [_backprop_direction(
-            tagger.layers[l][d], layer_cache["dirs"][d],
-            dcurrent[:, k * hidden:(k + 1) * hidden], dtagger.layers[l][d], d,
-            input_grads=l > 0)
-            for k, d in enumerate(config.directions)]
-        if l:
-            dcurrent = dinputs[0] if len(dinputs) == 1 else dinputs[0] + dinputs[1]
+        dcurrent = _backprop_layer(tagger.layers[l], layer_cache["dirs"],
+                                   dcurrent, dtagger.layers[l], input_grads=l > 0)
     return loss, grad
 
 
@@ -618,10 +619,9 @@ def load(source):
     try:
         record = json.loads(data[12:12 + blob_len].decode("utf-8"))
         config = TaggerConfig.from_dict(record["config"])
-        extra = record.get("extra") or {}
+        tagger = Tagger(config, extra=record.get("extra") or {})
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise BadConfigRecord(f"unreadable config record ({exc!r})") from None
-    tagger = Tagger(config, extra=extra)
 
     expected = 12 + blob_len + tagger.theta.nbytes + 8
     if len(data) < expected:

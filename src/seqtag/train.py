@@ -101,10 +101,12 @@ def clip_gradients(grads, max_norm):
     return grads
 
 
-def tag_corpus(tagger, extractor, sentences, entity_types=None):
+def tag_corpus(tagger, extractor, sentences):
     """Predict labels for every sentence (argmax per token, then IOB repair)
     and store them on the tokens. Sentences of equal length run together,
-    unpadded, as time-major batches of at most BATCH_TOKENS tokens."""
+    unpadded, as time-major batches of at most BATCH_TOKENS tokens. The
+    labels come from the tagger's own alphabet, so the repair accepts any
+    entity type."""
     by_length = {}
     for sent in sentences:
         if len(sent):
@@ -119,15 +121,15 @@ def tag_corpus(tagger, extractor, sentences, entity_types=None):
                 extractor.assemble(sent, out=batch[:, b])
             for sent, indices in zip(chunk, model.predict_indices(tagger, batch)):
                 predicted = corpus.repair_iob([labels[i] for i in indices],
-                                              entity_types)
+                                              entity_types=None)
                 for tok, label in zip(sent, predicted):
                     tok.predicted_label = label
     return sentences
 
 
-def evaluate_tagger(tagger, extractor, sentences, types=None, entity_types=None):
-    tag_corpus(tagger, extractor, sentences, entity_types)
-    return score(sentences, types=types, entity_types=entity_types)
+def evaluate_tagger(tagger, extractor, sentences):
+    tag_corpus(tagger, extractor, sentences)
+    return score(sentences)
 
 
 def train(tagger, train_sentences, dev_sentences, extractor, config,
@@ -294,8 +296,7 @@ def ablate(setup, row_specs, train_config, save_dir=None):
                             row_setup.dev_sentences, extractor, train_config)
             report = evaluate_tagger(
                 best, extractor,
-                row_setup.score_sentences or row_setup.dev_sentences,
-                entity_types=row_setup.entity_types)
+                row_setup.score_sentences or row_setup.dev_sentences)
             if save_dir is not None:
                 os.makedirs(save_dir, exist_ok=True)
                 model.save(best, os.path.join(save_dir,

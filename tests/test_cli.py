@@ -128,6 +128,33 @@ def test_cmd_tag_without_gold_column(tmp_path, toy_path):
     assert [len(l) for l in lines] == [4, 4, 0]
 
 
+@pytest.mark.parametrize("entity_types", ["missing", "PER", ["LOC"]],
+                         ids=["missing", "string", "subset"])
+def test_cmd_tag_takes_entity_types_from_the_label_alphabet(tmp_path, toy_path,
+                                                            entity_types):
+    # the model record's entity_types is a copy of what the label alphabet
+    # holds; tagging must not depend on it
+    toy = corpus.read_conll(toy_path)
+    setup = ExperimentSetup(train_sentences=toy, dev_sentences=toy,
+                            embedding_dim=4, hidden=2, layers=1)
+    tagger = build_tagger(setup, 0)[0]  # untrained: predicts every type
+    outputs = []
+    for name in ("full", "edited"):
+        if name == "edited":
+            if entity_types == "missing":
+                del tagger.extra["entity_types"]
+            else:
+                tagger.extra["entity_types"] = entity_types
+        model.save(tagger, str(tmp_path / f"{name}.sqtg"))
+        tagged = tmp_path / f"{name}.conll"
+        assert cli.main(["tag", "--model", str(tmp_path / f"{name}.sqtg"),
+                         "--input", toy_path, "--output", str(tagged)]) == 0
+        outputs.append(tagged.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert {line.split()[-1][2:] for line in outputs[0].decode().splitlines()
+            if line} >= {"PER", "ORG"}
+
+
 def test_cmd_tag_width_mismatch_names_both_widths(tmp_path, toy_path, capsys):
     rc, out = _train(tmp_path, toy_path)
     tagger = model.load(out)
@@ -263,6 +290,10 @@ def _user_error_args(tmp_path, toy_path, case):
     bad_json.write_text("{not json", encoding="utf-8")
     nameless = tmp_path / "rows.json"
     nameless.write_text(json.dumps([{"features": ["word"]}]), encoding="utf-8")
+    bad_rows = tmp_path / "badrows.json"
+    bad_rows.write_text(json.dumps([{"name": "base"},
+                                    {"name": "r", **ROW_CASES.get(case, {})}]),
+                        encoding="utf-8")
     bare_model = str(tmp_path / "bare.sqtg")  # no feature pipeline record
     model.save(model.init_params(model.TaggerConfig(labels=["O"], input_dim=2),
                                  np.random.default_rng(0)), bare_model)
@@ -287,11 +318,17 @@ def _user_error_args(tmp_path, toy_path, case):
     model.save(build_tagger(setup, 0)[0], tag_model)
     return {
         "hidden-zero": train + ["--hidden", "0"],
+        # counted, not walked: no list of 10**30 layer sizes is built
+        "layers-huge": train + ["--layers", str(10 ** 30)],
         "negative-lr": train + ["--lr", "-1"],
         "missing-config": train + ["--config", str(tmp_path / "none.json")],
         "invalid-config": train + ["--config", str(bad_json)],
         "missing-rows": ablate + ["--rows", str(tmp_path / "none.json")],
         "row-without-name": ablate + ["--rows", str(nameless)],
+        "row-unknown-key": ablate + ["--rows", str(bad_rows)],
+        "row-str-for-bool": ablate + ["--rows", str(bad_rows)],
+        "row-str-for-int": ablate + ["--rows", str(bad_rows)],
+        "row-bool-for-float": ablate + ["--rows", str(bad_rows)],
         "model-without-pipeline": ["tag", "--model", bare_model,
                                    "--input", toy_path],
         "embedding-dim-zero": train + ["--embedding-dim", "0"],
@@ -381,7 +418,21 @@ CONFIG_CASES = {
     "unknown-config-key": {"hidden": 4, "hiden": 4},
 }
 
+ROW_CASES = {
+    "row-unknown-key": {"dropuot": 0.0},
+    "row-str-for-bool": {"bidirectional": "no"},
+    "row-str-for-int": {"layers": "2"},
+    "row-bool-for-float": {"dropout": True},
+}
+
 USER_ERROR_MESSAGES = {
+    "row-without-name": "rows.json: row 1: missing key 'name'",
+    "row-unknown-key": "badrows.json: row 2: unknown key 'dropuot'",
+    "row-str-for-bool":
+        "badrows.json: row 2: key 'bidirectional' must be bool, got 'no'",
+    "row-str-for-int": "badrows.json: row 2: key 'layers' must be int, got '2'",
+    "row-bool-for-float":
+        "badrows.json: row 2: key 'dropout' must be float, got True",
     "config-str-for-int": "config key 'layers' must be int, got '2'",
     "config-bool-for-int": "config key 'layers' must be int, got True",
     "config-str-for-float": "config key 'dropout' must be float, got '0.5'",
@@ -438,9 +489,11 @@ USAGE_ERRORS = ["missing-required-flag", "hidden-not-int", "unknown-flag",
                 "eval-with-quiet", "stats-with-quiet", "selfcheck-with-quiet"]
 
 
-@pytest.mark.parametrize("case", ["hidden-zero", "negative-lr",
+@pytest.mark.parametrize("case", ["hidden-zero", "layers-huge", "negative-lr",
                                   "missing-config", "invalid-config",
                                   "missing-rows", "row-without-name",
+                                  "row-unknown-key", "row-str-for-bool",
+                                  "row-str-for-int", "row-bool-for-float",
                                   "model-without-pipeline",
                                   "embedding-dim-zero",
                                   "embedding-dim-negative",

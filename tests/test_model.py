@@ -1,6 +1,8 @@
 import copy
 import io
+import json
 import pickle
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -130,6 +132,21 @@ def test_run_bilayer_width_and_decomposition():
     expected = np.concatenate([run_layer(fwd, x, "fwd"),
                                run_layer(bwd, x, "bwd")], axis=1)
     assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("cell", ["lstm", "rnn"])
+def test_forward_first_layer_is_run_bilayer(cell):
+    # C5 checks run_bilayer; this ties it to the pass forward() runs
+    for k in range(10):
+        rng = derive_rng(310, k)
+        cfg = _config(hidden=int(rng.integers(1, 6)), layers=2, cell=cell,
+                      bidirectional=True)
+        tagger = init_params(cfg, rng)
+        x = rng.uniform(-2, 2, size=(int(rng.integers(1, 9)), 4))
+        _, cache = forward(tagger, x)
+        layer = tagger.layers[0]
+        assert np.array_equal(cache["layers"][0]["output"],
+                              run_bilayer(layer["fwd"], layer["bwd"], x))
 
 
 def test_run_bilayer_palindrome_symmetry():
@@ -589,6 +606,20 @@ def test_load_every_bit_flip_raises_named_error():
         flipped[bit // 8] ^= 1 << (bit % 8)
         with pytest.raises(named):
             load(io.BytesIO(bytes(flipped)))
+
+
+@pytest.mark.parametrize("field", ["hidden", "input_dim", "layers"])
+def test_load_absurd_size_in_record_is_bad_config_record(field):
+    # a record whose tagger cannot be allocated is refused as a record, not
+    # with the allocation's own error (nor, for layers, a walk over 10**30)
+    tagger = init_params(_config(), derive_rng(26, 1))
+    record = {"config": {**asdict(tagger.config), field: 10 ** 30},
+              "extra": {}}
+    blob = json.dumps(record).encode("utf-8")
+    data = (model.MAGIC + model.FORMAT_VERSION.to_bytes(4, "little")
+            + len(blob).to_bytes(4, "little") + blob + bytes(8))
+    with pytest.raises(model.BadConfigRecord):
+        load(io.BytesIO(data))
 
 
 def test_container_stores_lstm_gates_in_v1_order():

@@ -10,8 +10,12 @@ Round r runs every workload once on each side with
 `perfbench/run.py --seed r --trace 0` at run.py's own run length, the side
 that goes first alternating from round to round, so that a drift in the
 host's speed falls on both sides alike. Unpaired runs on a host whose speed
-drifts mislead. The tier-1 suite is then timed once on each side, and the
-lines of the Python files under src/ and tests/ are counted on each side.
+drifts mislead. Each run also yields its workload's headline figure
+(`train_tok_per_s`, `tag_tok_per_s`), read from the run's result file under
+.perfbench/. After the rounds, every workload runs once more on each side
+with `--seed 0 --trace 1`, for its per-layer self times and counts. The
+tier-1 suite is then timed once on each side, and the lines of the Python
+files under src/ and tests/ are counted on each side.
 
 The output JSON holds every run's metrics, the per-side medians and
 quartiles (`statistics.quantiles(n=4)`, as in perfbench/baseline.json) and,
@@ -33,6 +37,8 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("train-paper", "tag-bulk", "selfcheck-grad")
+# the headline figures run.py adds to a --trace 0 result file
+HEADLINES = ("train_tok_per_s", "tag_tok_per_s")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 
@@ -66,18 +72,23 @@ def copy_worktree(into):
             shutil.copy2(source, into / name)
 
 
-def run_workload(tree, workload, seed):
+def run_workload(tree, workload, seed, trace=0):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--trace", "0"],
+         "--seed", str(seed), "--trace", str(trace)],
         cwd=tree, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
         return {"returncode": proc.returncode, "correct": False}
     result = json.loads(lines[-1])
-    return {"correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"],
-            "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
+    run = {"correct": result["correct"], "attempted": result["attempted"],
+           "failed": result["failed"],
+           "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
+    report = tree / ".perfbench" / f"{workload}-seed{seed}-trace{trace}.json"
+    with open(report, encoding="utf-8") as handle:
+        run["headline"] = {k: v for k, v in json.load(handle).items()
+                           if k in HEADLINES}
+    return run
 
 
 def time_tier1(tree):
@@ -161,6 +172,15 @@ def main(argv=None):
                                       run.get("metrics", {}).items()),
                           flush=True)
             record["workloads"][name] = {"runs": runs, **summarize(runs)}
+
+        for name in WORKLOADS:
+            record["workloads"][name]["trace"] = {
+                side: run_workload(trees[side], name, 0, trace=1)
+                for side in ("base", "head")}
+            print(f"{name} traced: " + ", ".join(
+                f"{side} correct {t['correct']}"
+                for side, t in record["workloads"][name]["trace"].items()),
+                flush=True)
 
         record["tier1"] = {side: time_tier1(trees[side])
                            for side in ("base", "head")}
