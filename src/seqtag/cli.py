@@ -24,7 +24,7 @@ DEFAULTS = {
     "embedding_mode": "random",
     "embedding_dim": 300,
     "features": "word",
-    "entity_types": "LOC,MISC,ORG,PER",
+    "entity_types": ",".join(sorted(corpus.DEFAULT_ENTITY_TYPES)),
     "scheme": "IOB2",
     "max_len": corpus.DEFAULT_MAX_SENTENCE_LEN,
     "hidden": 100,
@@ -108,8 +108,9 @@ class RunManifest:
     input_digests: dict = field(default_factory=dict)
     artifact_version: str = __version__
 
-    def add_input(self, path):
-        if path:
+    def add_inputs(self, *paths):
+        """Hash each named input into `input_digests`."""
+        for path in filter(None, paths):
             with _io_errors("read", path):
                 self.input_digests[path] = _sha256(path)
 
@@ -178,10 +179,9 @@ def _parse_entity_types(text):
     return tuple(sorted(p.strip() for p in text.split(",") if p.strip()))
 
 
-def _read_corpus(path, entity_types, scheme, strict=True):
+def _read_corpus(path, entity_types, scheme):
     with _io_errors("read", path, (corpus.CorpusError, UnicodeDecodeError)):
-        return corpus.read_conll(path, entity_types=entity_types,
-                                 strict=strict, scheme=scheme)
+        return corpus.read_conll(path, entity_types=entity_types, scheme=scheme)
 
 
 def _embedding_mode(name):
@@ -190,20 +190,26 @@ def _embedding_mode(name):
     return "pretrained" if name == "skipgram" else name
 
 
-def _check_outputs(*paths):
-    """Fail before any training if one of `paths` cannot be created: its
-    directory must exist and the path must not be a directory."""
-    for path in paths:
+def _check_paths(outputs, inputs):
+    """Fail before anything is read if an output cannot be created (it is a
+    directory, or its directory is missing) or an input exists as neither a
+    regular file nor a directory: a device or a FIFO may never end."""
+    for path in outputs:
         if os.path.isdir(path):
             raise CliError(f"cannot write {path}: Is a directory")
         if not path or not os.path.isdir(os.path.dirname(path) or "."):
             raise CliError(f"cannot write {path}: No such file or directory")
+    for path in filter(None, inputs):
+        if os.path.exists(path) and not (os.path.isfile(path)
+                                         or os.path.isdir(path)):
+            raise CliError(f"cannot read {path}: not a regular file")
 
 
 def _setup(args, opts, rows=()):
-    """The ExperimentSetup that `train` and `ablate` share: read the
-    corpora, split long sentences, and load the regex rules when the base
-    features or any row enable the regex feature."""
+    """The ExperimentSetup and TrainConfig that `train` and `ablate` share:
+    read the corpora, split long sentences, load the regex rules when the
+    base features or any row enable the regex feature, and check the base
+    architecture and the training options before any training."""
     entity_types = _parse_entity_types(opts["entity_types"])
 
     def read(path):
@@ -225,7 +231,7 @@ def _setup(args, opts, rows=()):
         path = args.regex_file or default_regex_file()
         with _io_errors("read", path, ValueError):
             rules = features.load_regex_rules(path)
-    return train.ExperimentSetup(
+    setup = train.ExperimentSetup(
         train_sentences=train_sents, dev_sentences=dev_sents,
         score_sentences=score_sents, entity_types=entity_types,
         feature_set=feature_set,
@@ -234,33 +240,25 @@ def _setup(args, opts, rows=()):
         embeddings_path=args.embeddings, regex_rules=rules,
         hidden=opts["hidden"], layers=opts["layers"], cell=opts["cell"],
         bidirectional=opts["bidi"], dropout=opts["dropout"])
-
-
-def _manifest(command, opts, *inputs):
-    """Hash every named input up front, so an unreadable one fails the
-    command before any artifact is written."""
-    manifest = RunManifest(command, opts, opts["seed"])
-    for path in inputs:
-        manifest.add_input(path)
-    return manifest
-
-
-def _train_config(opts):
     try:
-        return train.TrainConfig(learning_rate=opts["lr"], clip_norm=opts["clip"],
-                                 max_epochs=opts["max_epochs"],
-                                 patience=opts["patience"], seed=opts["seed"])
+        setup.tagger_config(input_dim=1)
+        return setup, train.TrainConfig(
+            learning_rate=opts["lr"], clip_norm=opts["clip"],
+            max_epochs=opts["max_epochs"], patience=opts["patience"],
+            seed=opts["seed"])
     except ValueError as exc:
         raise CliError(str(exc))
 
 
 def cmd_train(args):
-    _check_outputs(args.out, args.out + ".log", args.out + ".manifest.json")
+    inputs = (args.train, args.dev, args.embeddings, args.regex_file,
+              args.config)
+    _check_paths((args.out, args.out + ".log", args.out + ".manifest.json"),
+                 inputs)
     opts = resolve_options(args)
-    setup = _setup(args, opts)
-    tcfg = _train_config(opts)
-    manifest = _manifest("train", opts, args.train, args.dev, args.embeddings,
-                         args.regex_file, args.config)
+    setup, tcfg = _setup(args, opts)
+    manifest = RunManifest("train", opts, opts["seed"])
+    manifest.add_inputs(*inputs)  # an unreadable input fails before training
     try:
         tagger, extractor = train.build_tagger(setup, opts["seed"])
     except (features.DimMismatch, features.UnparseableValue,
@@ -313,6 +311,7 @@ def _read_tag_input(path):
 
 
 def cmd_tag(args):
+    _check_paths((), (args.model, args.input, args.embeddings))
     tagger = _load_model(args.model)
     try:
         with _io_errors("read", args.embeddings):
@@ -344,28 +343,26 @@ def cmd_tag(args):
                                        "input": args.input,
                                        "output": args.output},
                                extractor.table.seed)
-        manifest.add_input(args.model)
-        manifest.add_input(args.input)
+        manifest.add_inputs(args.model, args.input)
         manifest.write(args.output + ".manifest.json")
     return 0
 
 
 def cmd_eval(args):
-    types = None
-    if args.types:
-        types = {t.strip() for t in args.types.split(",") if t.strip()}
-    with _io_errors("read", args.gold, ValueError), \
-            open(args.gold, "r", encoding="utf-8") as handle:
-        report = score_conll_lines(handle, types=types)
+    _check_paths((), (args.gold,))
+    types = _parse_entity_types(args.types) if args.types else None
+    with _io_errors("read", args.gold, ValueError):
+        report = score_conll_lines(args.gold, types=types)
     _print(render(report))
     return 0
 
 
 def cmd_stats(args):
+    _check_paths((), (args.file,))
     entity_types = _parse_entity_types(
         args.entity_types or DEFAULTS["entity_types"])
     sentences = _read_corpus(args.file, entity_types, "IOB2")
-    _print(corpus.render_stats(corpus.stats(sentences, entity_types)))
+    _print(corpus.render_stats(corpus.stats(sentences)))
     return 0
 
 
@@ -396,7 +393,10 @@ def _read_rows(path):
 
 def cmd_ablate(args):
     prefix = args.out or "ablation"
-    _check_outputs(prefix + ".txt", prefix + ".tsv", prefix + ".manifest.json")
+    inputs = (args.train, args.dev, args.test, args.embeddings,
+              args.regex_file, args.rows, args.config)
+    _check_paths((prefix + ".txt", prefix + ".tsv", prefix + ".manifest.json"),
+                 inputs)
     if args.save_models is not None and os.path.exists(args.save_models) \
             and not os.path.isdir(args.save_models):
         raise CliError(f"cannot write {args.save_models}: Not a directory")
@@ -411,11 +411,9 @@ def cmd_ablate(args):
     else:
         raise CliError("give --preset or --rows")
 
-    setup = _setup(args, opts, rows)
-    tcfg = _train_config(opts)
-    manifest = _manifest("ablate", opts, args.train, args.dev, args.test,
-                         args.embeddings, args.regex_file, args.rows,
-                         args.config)
+    setup, tcfg = _setup(args, opts, rows)
+    manifest = RunManifest("ablate", opts, opts["seed"])
+    manifest.add_inputs(*inputs)  # an unreadable input fails before training
     results = train.ablate(setup, rows, tcfg, save_dir=args.save_models)
 
     text = train.render_ablation(results)

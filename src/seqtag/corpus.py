@@ -116,17 +116,17 @@ def parse_label(label, entity_types=DEFAULT_ENTITY_TYPES):
     return prefix, etype
 
 
-def _walk(labels, entity_types, scheme=None):
+def _walk(labels, scheme=None):
     """Yield (label, prefix, type, continues) for each label, where
     `continues` says whether the previous label has the same entity type:
     the one rule for when an entity label extends an entity, in IOB1 and
-    IOB2 alike (Tjong Kim Sang & Veenstra, 1999). Raises InvalidLabel as
-    parse_label does, and InvalidSequence at the label `scheme` requires to
+    IOB2 alike (Tjong Kim Sang & Veenstra, 1999). Raises InvalidLabel off
+    the IOB grammar, and InvalidSequence at the label `scheme` requires to
     continue an entity: an I-X in IOB2, a B-X in IOB1 (None checks none)."""
     must_continue = {"IOB2": "I", "IOB1": "B"}.get(scheme)
     prev, prev_type = "O", None
     for i, label in enumerate(labels):
-        prefix, etype = parse_label(label, entity_types)
+        prefix, etype = parse_label(label, None)
         continues = etype is not None and etype == prev_type
         if prefix == must_continue and not continues:
             raise InvalidSequence(f"position {i}: {label!r} " + (
@@ -149,22 +149,23 @@ def _mark_starts(walk, scheme):
 
 
 def validate_iob2(labels, entity_types=DEFAULT_ENTITY_TYPES):
-    """Raise InvalidSequence unless `labels` is a syntactically valid IOB2
-    sequence (every I-X preceded by B-X or I-X of the same type)."""
-    for _ in _walk(labels, entity_types, "IOB2"):
-        pass
+    """Raise InvalidLabel as parse_label does, and InvalidSequence unless
+    `labels` is valid IOB2 (every I-X preceded by B-X or I-X of its type)."""
+    for label, _, _, _ in _walk(labels, "IOB2"):
+        if entity_types is not None:  # the walk parsed it without a set
+            parse_label(label, entity_types)
 
 
-def repair_iob(labels, entity_types=DEFAULT_ENTITY_TYPES):
-    """Turn any sequence over the label alphabet into valid IOB2.
+def repair_iob(labels):
+    """Turn any sequence of O/B-X/I-X labels into valid IOB2.
 
     The only repair rule: an I-X with no valid predecessor becomes B-X.
     Idempotent; valid input comes back unchanged.
     """
-    return _mark_starts(_walk(labels, entity_types), "IOB2")
+    return _mark_starts(_walk(labels), "IOB2")
 
 
-def extract_spans(labels, entity_types=DEFAULT_ENTITY_TYPES):
+def extract_spans(labels):
     """Maximal B-X (I-X)* runs of a valid IOB2 sequence, as EntitySpans.
 
     Strict: raises InvalidSequence on an I-X without a valid predecessor,
@@ -172,8 +173,7 @@ def extract_spans(labels, entity_types=DEFAULT_ENTITY_TYPES):
     """
     spans = []
     opened = None  # (type, start) of the entity being read
-    for i, (_, prefix, etype, _) in enumerate(
-            _walk(labels, entity_types, "IOB2")):
+    for i, (_, prefix, etype, _) in enumerate(_walk(labels, "IOB2")):
         if prefix != "I":  # validated: every I-X continues the open entity
             if opened:
                 spans.append(EntitySpan(*opened, i - 1))
@@ -197,14 +197,14 @@ def spans_to_labels(spans, length):
     return labels
 
 
-def convert_scheme(labels, from_scheme, to_scheme, entity_types=DEFAULT_ENTITY_TYPES):
+def convert_scheme(labels, from_scheme, to_scheme):
     """Convert between IOB1 and IOB2, preserving the span set exactly. The
     input is validated in `from_scheme`; IOB1 to IOB2 is then repair_iob's
     rule, and IOB2 to IOB1 keeps B-X only where it continues an entity."""
     schemes = {"IOB1", "IOB2"}
     if from_scheme not in schemes or to_scheme not in schemes:
         raise ValueError(f"unknown scheme in {from_scheme!r} -> {to_scheme!r}")
-    return _mark_starts(_walk(labels, entity_types, from_scheme), to_scheme)
+    return _mark_starts(_walk(labels, from_scheme), to_scheme)
 
 
 def split_columns(line):
@@ -224,9 +224,10 @@ def read_conll(source, columns=None, entity_types=DEFAULT_ENTITY_TYPES,
     """Parse a CoNLL stream (iterable of lines or a file path) into sentences.
 
     Lines are split by split_columns; blank lines end sentences;
-    -DOCSTART- lines are skipped. With strict=False, label sequence
-    violations are repaired via repair_iob instead of raising.
-    scheme="IOB1" converts gold labels to IOB2 on ingest.
+    -DOCSTART- lines are skipped. A gold label of a type outside
+    `entity_types` (None: any) fails, naming its line. With strict=False,
+    label sequence violations are repaired via repair_iob instead of
+    raising. scheme="IOB1" converts gold labels to IOB2 on ingest.
     """
     if columns is None:
         columns = ColumnMap()
@@ -250,11 +251,11 @@ def read_conll(source, columns=None, entity_types=DEFAULT_ENTITY_TYPES,
                 raise InvalidLabel(f"line {lineno}: {exc}") from None
         try:
             if scheme == "IOB1":
-                labels = convert_scheme(labels, "IOB1", "IOB2", entity_types)
+                labels = convert_scheme(labels, "IOB1", "IOB2")
             elif strict:
-                validate_iob2(labels, entity_types)
+                validate_iob2(labels, None)
             else:
-                labels = repair_iob(labels, entity_types)
+                labels = repair_iob(labels)
         except InvalidSequence as exc:
             raise InvalidSequence(f"near line {label_lines[0]}: {exc}") from None
         for tok, label in zip(tokens, labels):
@@ -347,12 +348,12 @@ class CorpusStats:
         return sum(self.entity_counts.values())
 
 
-def stats(sentences, entity_types=DEFAULT_ENTITY_TYPES):
+def stats(sentences):
     counts = Counter()
     tokens = 0
     for sent in sentences:
         tokens += len(sent)
-        for span in extract_spans(sent.gold_labels(), entity_types):
+        for span in extract_spans(sent.gold_labels()):
             counts[span.entity_type] += 1
     return CorpusStats(len(list(sentences)), tokens, counts)
 

@@ -64,7 +64,7 @@ def _relabel_outside(labels, keep_types):
     return out
 
 
-def score(sentences, types=None, entity_types=None):
+def score(sentences, types=None):
     """Score predicted against gold labels over a corpus.
 
     Predictions are repaired to valid IOB2 before span extraction (the
@@ -79,14 +79,14 @@ def score(sentences, types=None, entity_types=None):
         if any(p is None for p in pred_labels):
             raise MissingPredictions(
                 "a token has no predicted label; tag the corpus first")
-        pred_labels = repair_iob(pred_labels, entity_types)
+        pred_labels = repair_iob(pred_labels)
         if types is not None:
             gold_labels = _relabel_outside(gold_labels, types)
             pred_labels = _relabel_outside(pred_labels, types)
         report.token_count += len(gold_labels)
         report.token_correct += sum(g == p for g, p in zip(gold_labels, pred_labels))
-        gold_spans = set(extract_spans(gold_labels, entity_types))
-        pred_spans = set(extract_spans(pred_labels, entity_types))
+        gold_spans = set(extract_spans(gold_labels))
+        pred_spans = set(extract_spans(pred_labels))
         for span in gold_spans:
             entry = report.per_type.setdefault(span.entity_type, TypeScore())
             entry.gold += 1
@@ -122,12 +122,12 @@ def render(report):
     return "\n".join(lines) + "\n"
 
 
-def score_conll_lines(lines, types=None):
-    """Alternative entry point following the conlleval input convention:
-    the gold label second-to-last column and the predicted label last;
-    blank lines separate sentences. Gold labels of any entity type are
-    repaired to IOB2, as score() repairs the predictions."""
-    sentences = read_conll(lines, ColumnMap(pos=None, chunk=None, label=-2,
-                                            predicted=-1),
+def score_conll_lines(source, types=None):
+    """Alternative entry point following the conlleval input convention: the
+    gold label second-to-last column and the predicted label last; blank
+    lines separate sentences. `source` is lines or a file path. Gold labels
+    of any entity type are repaired to IOB2, as score() repairs them."""
+    sentences = read_conll(source, ColumnMap(pos=None, chunk=None, label=-2,
+                                             predicted=-1),
                            entity_types=None, strict=False)
     return score(sentences, types=types)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .corpus import Sentence, Token, repair_iob
+from .corpus import DEFAULT_ENTITY_TYPES, Sentence, Token, repair_iob
 from .eval import score
 from .numerics import derive_rng, finite_diff_grad, gradient_relative_error
 
@@ -115,7 +115,7 @@ def oracle_score(pairs):
     return per_type, overall
 
 
-def random_label_pairs(n_pairs, seed, entity_types=("PER", "LOC", "ORG", "MISC"),
+def random_label_pairs(n_pairs, seed, entity_types=DEFAULT_ENTITY_TYPES,
                        max_len=12):
     """Random valid IOB2 (gold, predicted) sequence pairs: uniform draws over
     the label alphabet, then repaired."""
@@ -134,7 +134,7 @@ def random_label_pairs(n_pairs, seed, entity_types=("PER", "LOC", "ORG", "MISC")
     return pairs
 
 
-def check_scorer(n_pairs=1000, seed=7, entity_types=("PER", "LOC", "ORG", "MISC"),
+def check_scorer(n_pairs=1000, seed=7, entity_types=DEFAULT_ENTITY_TYPES,
                  max_len=12):
     """Score random pairs through the production scorer and the brute-force
     oracle; returns the list of discrepancies (empty means equivalent)."""
@@ -144,7 +144,7 @@ def check_scorer(n_pairs=1000, seed=7, entity_types=("PER", "LOC", "ORG", "MISC"
         tokens = [Token(surface=f"w{k}", gold_label=g, predicted_label=p)
                   for k, (g, p) in enumerate(zip(gold, pred))]
         sentences.append(Sentence(tokens))
-    report = score(sentences, entity_types=entity_types)
+    report = score(sentences)
     oracle_types, oracle_overall = oracle_score(pairs)
 
     diffs = []

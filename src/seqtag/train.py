@@ -104,9 +104,7 @@ def clip_gradients(grads, max_norm):
 def tag_corpus(tagger, extractor, sentences):
     """Predict labels for every sentence (argmax per token, then IOB repair)
     and store them on the tokens. Sentences of equal length run together,
-    unpadded, as time-major batches of at most BATCH_TOKENS tokens. The
-    labels come from the tagger's own alphabet, so the repair accepts any
-    entity type."""
+    unpadded, as time-major batches of at most BATCH_TOKENS tokens."""
     by_length = {}
     for sent in sentences:
         if len(sent):
@@ -120,8 +118,7 @@ def tag_corpus(tagger, extractor, sentences):
             for b, sent in enumerate(chunk):
                 extractor.assemble(sent, out=batch[:, b])
             for sent, indices in zip(chunk, model.predict_indices(tagger, batch)):
-                predicted = corpus.repair_iob([labels[i] for i in indices],
-                                              entity_types=None)
+                predicted = corpus.repair_iob([labels[i] for i in indices])
                 for tok, label in zip(sent, predicted):
                     tok.predicted_label = label
     return sentences
@@ -235,6 +232,13 @@ class ExperimentSetup:
     bidirectional: bool = True
     dropout: float = 0.5
 
+    def tagger_config(self, input_dim):
+        """The TaggerConfig of this setup over inputs of width `input_dim`."""
+        return model.TaggerConfig(
+            labels=corpus.label_alphabet(self.entity_types), input_dim=input_dim,
+            hidden=self.hidden, layers=self.layers, cell=self.cell,
+            bidirectional=self.bidirectional, dropout=self.dropout)
+
 
 @dataclass
 class RowSpec:
@@ -268,13 +272,9 @@ def build_tagger(setup, seed):
     extractor = features.build_extractor(
         setup.train_sentences, features.FeatureConfig(tuple(setup.feature_set)),
         table, setup.regex_rules)
-    tconfig = model.TaggerConfig(
-        labels=corpus.label_alphabet(setup.entity_types),
-        input_dim=extractor.input_dim, hidden=setup.hidden,
-        layers=setup.layers, cell=setup.cell,
-        bidirectional=setup.bidirectional, dropout=setup.dropout)
     extra = {"entity_types": list(setup.entity_types), **extractor.to_dict()}
-    return model.init_params(tconfig, derive_rng(seed, 0), extra=extra), extractor
+    return model.init_params(setup.tagger_config(extractor.input_dim),
+                             derive_rng(seed, 0), extra=extra), extractor
 
 
 def _row_slug(name):

@@ -254,6 +254,7 @@ def test_cmd_ablate_rows_file_and_failure(tmp_path, toy_path):
     rows.write_text(json.dumps([
         {"name": "ok", "features": ["word"]},
         {"name": "broken", "embedding_mode": "skipgram"},
+        {"name": "no-layers", "layers": 0},  # a row's own invalid value
     ]), encoding="utf-8")
     prefix = str(tmp_path / "abl")
     rc = cli.main(["ablate", "--train", toy_path, "--dev", toy_path,
@@ -263,6 +264,8 @@ def test_cmd_ablate_rows_file_and_failure(tmp_path, toy_path):
     tsv = open(prefix + ".tsv").read()
     assert "ok\t" in tsv
     assert "failed" in tsv
+    assert "no-layers\t\t\t\tfailed: ValueError: layers must be >= 1, got 0" \
+        in tsv
 
 
 def test_cmd_ablate_save_models(tmp_path, toy_path):
@@ -294,6 +297,8 @@ def _user_error_args(tmp_path, toy_path, case):
     bad_rows.write_text(json.dumps([{"name": "base"},
                                     {"name": "r", **ROW_CASES.get(case, {})}]),
                         encoding="utf-8")
+    empty = tmp_path / "empty.conll"
+    empty.write_text("", encoding="utf-8")
     bare_model = str(tmp_path / "bare.sqtg")  # no feature pipeline record
     model.save(model.init_params(model.TaggerConfig(labels=["O"], input_dim=2),
                                  np.random.default_rng(0)), bare_model)
@@ -383,7 +388,17 @@ def _user_error_args(tmp_path, toy_path, case):
         "stats-with-quiet": ["stats", toy_path, "--quiet"],
         "selfcheck-with-quiet": ["selfcheck", "--seeds", "1", "--quiet"],
         # refused before any training
-        "empty-train-corpus": train + ["--train", os.devnull],
+        "empty-train-corpus": train + ["--train", str(empty)],
+        # the base architecture, checked before any row trains
+        "ablate-layers-0": ablate + ["--preset", "table4", "--layers", "0"],
+        "ablate-hidden-0": ablate + ["--preset", "table4", "--hidden", "0"],
+        # an input that is not a regular file is refused before any read
+        "train-regex-file-full": train + regex + ["/dev/full"],
+        "ablate-rows-null": ablate + ["--rows", os.devnull],
+        "tag-model-null": ["tag", "--model", os.devnull, "--input", toy_path,
+                           "--output", tagged],
+        "eval-gold-full": ["eval", "--gold", "/dev/full"],
+        "stats-file-null": ["stats", os.devnull],
         "out-in-missing-directory":
             train + ["--out", str(tmp_path / "none" / "m.sqtg")],
         "out-is-a-directory": train + ["--out", str(tmp_path)],
@@ -461,7 +476,14 @@ USER_ERROR_MESSAGES = {
     "eval-with-quiet": "unrecognized arguments: --quiet",
     "stats-with-quiet": "unrecognized arguments: --quiet",
     "selfcheck-with-quiet": "unrecognized arguments: --quiet",
-    "empty-train-corpus": f"{os.devnull}: no sentences",
+    "empty-train-corpus": "{tmp}/empty.conll: no sentences",
+    "ablate-layers-0": "layers must be >= 1, got 0",
+    "ablate-hidden-0": "hidden must be >= 1, got 0",
+    "train-regex-file-full": "cannot read /dev/full: not a regular file",
+    "ablate-rows-null": f"cannot read {os.devnull}: not a regular file",
+    "tag-model-null": f"cannot read {os.devnull}: not a regular file",
+    "eval-gold-full": "cannot read /dev/full: not a regular file",
+    "stats-file-null": f"cannot read {os.devnull}: not a regular file",
     "out-in-missing-directory":
         "cannot write {tmp}/none/m.sqtg: No such file or directory",
     "out-is-a-directory": "cannot write {tmp}: Is a directory",
@@ -514,6 +536,13 @@ USAGE_ERRORS = ["missing-required-flag", "hidden-not-int", "unknown-flag",
                                   "seed-negative",
                                   "seed-negative-in-config",
                                   "unknown-config-key", "empty-train-corpus",
+                                  "ablate-layers-0", "ablate-hidden-0",
+                                  pytest.param("train-regex-file-full",
+                                               marks=NEEDS_DEV_FULL),
+                                  "ablate-rows-null", "tag-model-null",
+                                  pytest.param("eval-gold-full",
+                                               marks=NEEDS_DEV_FULL),
+                                  "stats-file-null",
                                   "out-in-missing-directory",
                                   "out-is-a-directory", "out-empty",
                                   "ablate-out-in-missing-directory",

@@ -153,3 +153,9 @@ def test_oracle_score_counts():
 
 def test_scorer_agrees_with_oracle_on_random_pairs():
     assert check_scorer(n_pairs=200, seed=3) == []
+
+
+def test_scorer_agrees_with_oracle_over_a_non_default_type_set():
+    # DATE is outside the default set; neither the pairs' repair nor the
+    # scorer checks a type set
+    assert check_scorer(n_pairs=200, entity_types=("DATE", "PER")) == []

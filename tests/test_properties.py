@@ -2,6 +2,7 @@
 against their contracts on generated input."""
 
 import io
+import string
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,38 +12,63 @@ from seqtag.corpus import (DEFAULT_ENTITY_TYPES, Sentence, Token, read_conll,
 from seqtag.eval import score
 from seqtag.selfcheck import oracle_score
 
-ALPHABET = ["O"] + [f"{p}-{t}" for t in DEFAULT_ENTITY_TYPES for p in "BI"]
-labels = st.lists(st.sampled_from(ALPHABET), max_size=12)
+
+def label_lists(entity_types, **sizes):
+    """Lists of labels drawn uniformly from the IOB2 alphabet of
+    `entity_types`."""
+    alphabet = ["O"] + [f"{p}-{t}" for t in entity_types for p in "BI"]
+    return st.lists(st.sampled_from(alphabet), **sizes)
+
+
+labels = label_lists(DEFAULT_ENTITY_TYPES, max_size=12)
 valid_labels = labels.map(repair_iob)
+# the label walks and the scorer take no type set: any name the IOB grammar
+# allows is drawn, beside the default set
+type_sets = st.one_of(
+    st.just(DEFAULT_ENTITY_TYPES),
+    st.lists(st.text(string.ascii_letters + string.digits + "_", min_size=1,
+                     max_size=6), min_size=1, max_size=4, unique=True))
 
 # examples are tiny; a per-example deadline would only measure host load
 relaxed = settings(deadline=None)
 
 
+@st.composite
+def typed_labels(draw):
+    entity_types = draw(type_sets)
+    return entity_types, draw(label_lists(entity_types, max_size=12))
+
+
 @relaxed
-@given(labels)
-def test_repair_iob_output_is_valid_and_a_fixed_point(raw):
+@given(typed_labels())
+def test_repair_iob_output_is_valid_and_a_fixed_point(drawn):
+    entity_types, raw = drawn
     repaired = repair_iob(raw)
-    validate_iob2(repaired)
+    validate_iob2(repaired, entity_types)
     assert repair_iob(repaired) == repaired
 
 
 @st.composite
 def gold_pred_pairs(draw):
-    gold = draw(valid_labels)
-    pred = draw(st.lists(st.sampled_from(ALPHABET), min_size=len(gold),
-                         max_size=len(gold)))
-    return gold, pred
+    """Up to six (gold, raw prediction) pairs over one drawn type set."""
+    entity_types = draw(type_sets)
+    pairs = []
+    for _ in range(draw(st.integers(0, 6))):
+        gold = repair_iob(draw(label_lists(entity_types, max_size=12)))
+        pred = draw(label_lists(entity_types, min_size=len(gold),
+                                max_size=len(gold)))
+        pairs.append((gold, pred))
+    return pairs
 
 
 @relaxed
-@given(st.lists(gold_pred_pairs(), max_size=6))
+@given(gold_pred_pairs())
 def test_score_equals_oracle(pairs):
     # score repairs the raw predictions itself; the oracle takes them repaired
     sentences = [Sentence([Token(f"w{k}", gold_label=g, predicted_label=p)
                            for k, (g, p) in enumerate(zip(gold, pred))])
                  for gold, pred in pairs]
-    report = score(sentences, entity_types=DEFAULT_ENTITY_TYPES)
+    report = score(sentences)
     per_type, overall = oracle_score([(gold, repair_iob(pred))
                                       for gold, pred in pairs])
     counts = ("gold", "predicted", "correct")

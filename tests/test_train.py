@@ -34,13 +34,13 @@ def _mini_corpus():
     ]
 
 
-def _tag_alone(tagger, extractor, sentences, entity_types=None):
+def _tag_alone(tagger, extractor, sentences):
     """Labels from tagging each sentence on its own."""
     out = []
     for sent in sentences:
         indices = model.predict_indices(tagger, extractor.assemble(sent))
         out.append(corpus.repair_iob(
-            [tagger.config.labels[i] for i in indices], entity_types))
+            [tagger.config.labels[i] for i in indices]))
     return out
 
 
