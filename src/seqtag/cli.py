@@ -19,24 +19,31 @@ from importlib import resources
 from . import __version__, corpus, features, model, selfcheck, train
 from .eval import render, score_conll_lines
 
-DEFAULTS = {
-    "seed": 42,
-    "embedding_mode": "random",
-    "embedding_dim": 300,
-    "features": "word",
-    "entity_types": ",".join(sorted(corpus.DEFAULT_ENTITY_TYPES)),
-    "scheme": "IOB2",
-    "max_len": corpus.DEFAULT_MAX_SENTENCE_LEN,
-    "hidden": 100,
-    "layers": 2,
-    "cell": "lstm",
-    "bidi": True,
-    "dropout": 0.5,
-    "lr": 0.3,
-    "clip": 5.0,
-    "patience": 5,
-    "max_epochs": 100,
+# Every option of `train` and `ablate`: name -> (default, allowed values or
+# None, help). Each is a flag, --<name> with dashes (a bool: --<name> and
+# --no-<name>), of its default's type, and a --config key taking its values.
+OPTIONS = {
+    "seed": (train.TrainConfig.seed, None, None),
+    "embedding_mode": (train.ExperimentSetup.embedding_mode,
+                       ("skipgram", "random", "onehot"), None),
+    "embedding_dim": (train.ExperimentSetup.embedding_dim, None, None),
+    "features": (",".join(train.ExperimentSetup.feature_set), None,
+                 "comma list from word,pos,chunk,case,regex"),
+    "entity_types": (",".join(sorted(train.ExperimentSetup.entity_types)),
+                     None, None),
+    "scheme": ("IOB2", corpus.SCHEMES, "label scheme of the input files"),
+    "max_len": (corpus.DEFAULT_MAX_SENTENCE_LEN, None, None),
+    "hidden": (model.TaggerConfig.hidden, None, None),
+    "layers": (model.TaggerConfig.layers, None, None),
+    "cell": (model.TaggerConfig.cell, tuple(model.GATE_COUNT), None),
+    "bidi": (model.TaggerConfig.bidirectional, None, None),
+    "dropout": (model.TaggerConfig.dropout, None, None),
+    "lr": (train.TrainConfig.learning_rate, None, None),
+    "clip": (train.TrainConfig.clip_norm, None, None),
+    "patience": (train.TrainConfig.patience, None, None),
+    "max_epochs": (train.TrainConfig.max_epochs, None, None),
 }
+DEFAULTS = {name: default for name, (default, _, _) in OPTIONS.items()}
 
 
 class CliError(Exception):
@@ -123,12 +130,17 @@ def resolve_options(args):
     """Materialize every option: command line beats the --config file beats
     DEFAULTS. argparse defaults are None so an unset flag is detectable.
     Every key of a config file must be an option, and its value must have
-    the type of the option's default."""
+    the type of the option's default and be one of its allowed values."""
     from_file = {}
     if getattr(args, "config", None):
         from_file = _read_json(args.config, "config file")
         _check_record(from_file, {k: type(v) for k, v in DEFAULTS.items()},
                       args.config, "config key")
+        for key, value in from_file.items():
+            allowed = OPTIONS[key][1]
+            if allowed is not None and value not in allowed:
+                raise CliError(f"{args.config}: config key {key!r} must be "
+                               f"one of {', '.join(allowed)}, got {value!r}")
     resolved = {}
     for name, default in DEFAULTS.items():
         value = getattr(args, name, None)
@@ -311,7 +323,8 @@ def _read_tag_input(path):
 
 
 def cmd_tag(args):
-    _check_paths((), (args.model, args.input, args.embeddings))
+    outputs = (args.output, args.output + ".manifest.json") if args.output else ()
+    _check_paths(outputs, (args.model, args.input, args.embeddings))
     tagger = _load_model(args.model)
     try:
         with _io_errors("read", args.embeddings):
@@ -426,9 +439,8 @@ def cmd_ablate(args):
 
 
 def cmd_selfcheck(args):
-    seeds = range(args.seeds if args.seeds is not None else 20)
     try:
-        grad = selfcheck.check_gradients(seeds=seeds,
+        grad = selfcheck.check_gradients(seeds=range(args.seeds),
                                          corrupt=args.corrupt_gradient)
     except ValueError as exc:
         raise CliError(str(exc))
@@ -437,8 +449,9 @@ def cmd_selfcheck(args):
            f"{'PASS' if grad.passed else 'FAIL'}\n")
     diffs = selfcheck.check_scorer()
     scorer_ok = not diffs
-    _print(f"scorer oracle: {len(diffs)} discrepancies over 1000 random "
-           f"corpora -> {'PASS' if scorer_ok else 'FAIL'}\n")
+    _print(f"scorer oracle: {len(diffs)} discrepancies over "
+           f"{selfcheck.SCORER_PAIRS} random corpora -> "
+           f"{'PASS' if scorer_ok else 'FAIL'}\n")
     for d in diffs[:10]:
         _print(f"  {d}\n")
     if grad.passed and scorer_ok:
@@ -456,37 +469,21 @@ def build_parser():
 
     def train_flags(p):
         p.add_argument("--quiet", action="store_true")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--config", default=None,
                        help="JSON file of option defaults")
         p.add_argument("--train", required=True, help="training CoNLL file")
         p.add_argument("--dev", required=True, help="validation CoNLL file")
         p.add_argument("--embeddings", default=None,
                        help="word2vec text export (skipgram mode)")
-        p.add_argument("--embedding-mode", dest="embedding_mode",
-                       choices=["skipgram", "random", "onehot"], default=None)
-        p.add_argument("--embedding-dim", dest="embedding_dim", type=int,
-                       default=None)
-        p.add_argument("--features", default=None,
-                       help="comma list from word,pos,chunk,case,regex")
         p.add_argument("--regex-file", dest="regex_file", default=None)
-        p.add_argument("--entity-types", dest="entity_types", default=None)
-        p.add_argument("--scheme", choices=["IOB1", "IOB2"], default=None,
-                       help="label scheme of the input files")
-        p.add_argument("--max-len", dest="max_len", type=int, default=None)
-        p.add_argument("--hidden", type=int, default=None)
-        p.add_argument("--layers", type=int, default=None)
-        p.add_argument("--cell", choices=["lstm", "rnn"], default=None)
-        bidi = p.add_mutually_exclusive_group()
-        bidi.add_argument("--bidi", dest="bidi", action="store_true",
-                          default=None)
-        bidi.add_argument("--no-bidi", dest="bidi", action="store_false")
-        p.add_argument("--dropout", type=float, default=None)
-        p.add_argument("--lr", type=float, default=None)
-        p.add_argument("--clip", type=float, default=None)
-        p.add_argument("--patience", type=int, default=None)
-        p.add_argument("--max-epochs", dest="max_epochs", type=int,
-                       default=None)
+        for name, (default, allowed, text) in OPTIONS.items():
+            flag = "--" + name.replace("_", "-")
+            if not isinstance(default, bool):
+                p.add_argument(flag, type=type(default), choices=allowed, help=text)
+                continue
+            pair = p.add_mutually_exclusive_group()
+            pair.add_argument(flag, action="store_true", default=None, help=text)
+            pair.add_argument("--no-" + flag[2:], dest=name, action="store_false")
 
     p = sub.add_parser("train", help="train a tagger")
     train_flags(p)
@@ -526,7 +523,7 @@ def build_parser():
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("selfcheck", help="run the gradient and scorer checks")
-    p.add_argument("--seeds", type=int, default=None)
+    p.add_argument("--seeds", type=int, default=selfcheck.GRADIENT_SEEDS)
     p.add_argument("--corrupt-gradient", dest="corrupt_gradient",
                    action="store_true",
                    help="negative control: corrupt one gradient entry")

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 DEFAULT_ENTITY_TYPES = ("PER", "LOC", "ORG", "MISC")
 DEFAULT_MAX_SENTENCE_LEN = 150
+SCHEMES = ("IOB1", "IOB2")
 
 _LABEL_RE = re.compile(r"^(O|[BI]-[A-Za-z0-9_]+)$")
 
@@ -201,8 +202,7 @@ def convert_scheme(labels, from_scheme, to_scheme):
     """Convert between IOB1 and IOB2, preserving the span set exactly. The
     input is validated in `from_scheme`; IOB1 to IOB2 is then repair_iob's
     rule, and IOB2 to IOB1 keeps B-X only where it continues an entity."""
-    schemes = {"IOB1", "IOB2"}
-    if from_scheme not in schemes or to_scheme not in schemes:
+    if from_scheme not in SCHEMES or to_scheme not in SCHEMES:
         raise ValueError(f"unknown scheme in {from_scheme!r} -> {to_scheme!r}")
     return _mark_starts(_walk(labels, from_scheme), to_scheme)
 
@@ -227,8 +227,12 @@ def read_conll(source, columns=None, entity_types=DEFAULT_ENTITY_TYPES,
     -DOCSTART- lines are skipped. A gold label of a type outside
     `entity_types` (None: any) fails, naming its line. With strict=False,
     label sequence violations are repaired via repair_iob instead of
-    raising. scheme="IOB1" converts gold labels to IOB2 on ingest.
+    raising. scheme="IOB1" converts gold labels to IOB2 on ingest; a scheme
+    outside SCHEMES is a ValueError.
     """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of "
+                         f"{', '.join(SCHEMES)}")
     if columns is None:
         columns = ColumnMap()
     if isinstance(source, (str, os.PathLike)):

@@ -325,8 +325,9 @@ class TaggerConfig:
             raise ValueError(f"hidden must be >= 1, got {self.hidden}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.cell not in ("lstm", "rnn"):
-            raise ValueError(f"cell must be 'lstm' or 'rnn', got {self.cell!r}")
+        if self.cell not in GATE_COUNT:
+            raise ValueError(f"cell must be one of {', '.join(GATE_COUNT)}, "
+                             f"got {self.cell!r}")
         if not self.labels:
             raise ValueError("label alphabet is empty")
         if self.input_dim < 1:

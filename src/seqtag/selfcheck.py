@@ -12,6 +12,11 @@ from .corpus import DEFAULT_ENTITY_TYPES, Sentence, Token, repair_iob
 from .eval import score
 from .numerics import derive_rng, finite_diff_grad, gradient_relative_error
 
+# the default size of each check: seeds of the gradient check, and random
+# (gold, predicted) sequence pairs of the scorer check
+GRADIENT_SEEDS = 20
+SCORER_PAIRS = 1000
+
 
 @dataclass
 class GradientCheckResult:
@@ -24,9 +29,10 @@ class GradientCheckResult:
         return self.worst_error < self.tolerance
 
 
-def check_gradients(seeds=range(20), hidden=8, input_dim=10, seq_len=5,
-                    n_labels=4, layers=2, bidirectional=True, cell="lstm",
-                    dropout=0.0, epsilon=1e-5, tolerance=1e-4, corrupt=False):
+def check_gradients(seeds=range(GRADIENT_SEEDS), hidden=8, input_dim=10,
+                    seq_len=5, n_labels=4, layers=2, bidirectional=True,
+                    cell="lstm", dropout=0.0, epsilon=1e-5, tolerance=1e-4,
+                    corrupt=False):
     """Compare backpropagation gradients against central finite differences
     on small random models; returns the worst relative error over all seeds
     and parameters.
@@ -134,8 +140,8 @@ def random_label_pairs(n_pairs, seed, entity_types=DEFAULT_ENTITY_TYPES,
     return pairs
 
 
-def check_scorer(n_pairs=1000, seed=7, entity_types=DEFAULT_ENTITY_TYPES,
-                 max_len=12):
+def check_scorer(n_pairs=SCORER_PAIRS, seed=7,
+                 entity_types=DEFAULT_ENTITY_TYPES, max_len=12):
     """Score random pairs through the production scorer and the brute-force
     oracle; returns the list of discrepancies (empty means equivalent)."""
     pairs = random_label_pairs(n_pairs, seed, entity_types, max_len)

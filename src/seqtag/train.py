@@ -226,11 +226,11 @@ class ExperimentSetup:
     embedding_seed: int = 0
     embeddings_path: str | None = None
     regex_rules: features.RegexRuleSet | None = None
-    hidden: int = 100
-    layers: int = 2
-    cell: str = "lstm"
-    bidirectional: bool = True
-    dropout: float = 0.5
+    hidden: int = model.TaggerConfig.hidden
+    layers: int = model.TaggerConfig.layers
+    cell: str = model.TaggerConfig.cell
+    bidirectional: bool = model.TaggerConfig.bidirectional
+    dropout: float = model.TaggerConfig.dropout
 
     def tagger_config(self, input_dim):
         """The TaggerConfig of this setup over inputs of width `input_dim`."""

@@ -365,11 +365,19 @@ def _user_error_args(tmp_path, toy_path, case):
                              "--input", str(binary), "--output", tagged],
         "tag-output-full": ["tag", "--model", tag_model, "--input", toy_path,
                             "--output", "/dev/full"],
+        "tag-manifest-directory": ["tag", "--model", tag_model,
+                                   "--input", toy_path, "--output", tagged],
+        "tag-output-missing-directory":
+            ["tag", "--model", tag_model, "--input", toy_path,
+             "--output", str(tmp_path / "none" / "tagged.conll")],
         "iob1-sequence-error":
             train + ["--scheme", "IOB1", "--train", str(iob1)],
         "seed-negative": train + ["--seed", "-1"],
         "seed-negative-in-config": train + ["--config", str(config)],
         "unknown-config-key": train + ["--config", str(config)],
+        "config-scheme-lowercase": train + ["--config", str(config)],
+        "config-cell-unknown": train + ["--config", str(config)],
+        "config-embedding-mode-internal": train + ["--config", str(config)],
         # usage errors from argparse
         "missing-required-flag": ["train", "--train", toy_path],
         "hidden-not-int": train + ["--hidden", "abc"],
@@ -421,7 +429,15 @@ def _user_error_args(tmp_path, toy_path, case):
 
 
 PREMADE_DIRECTORIES = {"log-is-a-directory": "m.sqtg.log",
-                       "ablate-tsv-is-a-directory": "abl.tsv"}
+                       "ablate-tsv-is-a-directory": "abl.tsv",
+                       "tag-manifest-directory": "tagged.conll.manifest.json"}
+
+# cases that must fail before a given step, whose function is replaced
+NOT_REACHED = {"config-scheme-lowercase": (corpus, "read_conll"),
+               "config-cell-unknown": (corpus, "read_conll"),
+               "config-embedding-mode-internal": (corpus, "read_conll"),
+               "tag-manifest-directory": (model, "load"),
+               "tag-output-missing-directory": (model, "load")}
 
 CONFIG_CASES = {
     "config-str-for-int": {"layers": "2"},
@@ -431,6 +447,9 @@ CONFIG_CASES = {
     "config-null": {"layers": None},
     "seed-negative-in-config": {"seed": -1},
     "unknown-config-key": {"hidden": 4, "hiden": 4},
+    "config-scheme-lowercase": {"scheme": "iob1"},
+    "config-cell-unknown": {"cell": "gru"},
+    "config-embedding-mode-internal": {"embedding_mode": "pretrained"},
 }
 
 ROW_CASES = {
@@ -458,12 +477,23 @@ USER_ERROR_MESSAGES = {
     "tag-model-directory": "cannot read {tmp}: Is a directory",
     "tag-output-directory": "cannot write {tmp}: Is a directory",
     "tag-output-full": "cannot write /dev/full: No space left on device",
+    "tag-manifest-directory":
+        "cannot write {tmp}/tagged.conll.manifest.json: Is a directory",
+    "tag-output-missing-directory":
+        "cannot write {tmp}/none/tagged.conll: No such file or directory",
     "iob1-sequence-error":
         "iob1.conll: near line 3: position 1: 'B-PER' is not preceded by an "
         "entity of the same type (IOB1)",
     "seed-negative": "--seed must be >= 0, got -1",
     "seed-negative-in-config": "--seed must be >= 0, got -1",
     "unknown-config-key": "config.json: unknown config key 'hiden'",
+    "config-scheme-lowercase":
+        "config.json: config key 'scheme' must be one of IOB1, IOB2, got 'iob1'",
+    "config-cell-unknown":
+        "config.json: config key 'cell' must be one of lstm, rnn, got 'gru'",
+    "config-embedding-mode-internal":
+        "config.json: config key 'embedding_mode' must be one of skipgram, "
+        "random, onehot, got 'pretrained'",
     "missing-required-flag": "the following arguments are required: --dev",
     "hidden-not-int": "argument --hidden: invalid int value: 'abc'",
     "unknown-flag": "unrecognized arguments: --bogus",
@@ -532,10 +562,15 @@ USAGE_ERRORS = ["missing-required-flag", "hidden-not-int", "unknown-flag",
                                   "tag-output-directory", "tag-binary-input",
                                   pytest.param("tag-output-full",
                                                marks=NEEDS_DEV_FULL),
+                                  "tag-manifest-directory",
+                                  "tag-output-missing-directory",
                                   "iob1-sequence-error",
                                   "seed-negative",
                                   "seed-negative-in-config",
                                   "unknown-config-key", "empty-train-corpus",
+                                  "config-scheme-lowercase",
+                                  "config-cell-unknown",
+                                  "config-embedding-mode-internal",
                                   "ablate-layers-0", "ablate-hidden-0",
                                   pytest.param("train-regex-file-full",
                                                marks=NEEDS_DEV_FULL),
@@ -565,7 +600,12 @@ def test_user_errors_exit_1_with_message(tmp_path, toy_path, capsys,
     def no_training(*args, **kwargs):
         raise AssertionError("a user error must be caught before training")
 
+    def not_reached(*args, **kwargs):
+        raise AssertionError(f"{case} must fail before this step")
+
     monkeypatch.setattr(train_module, "train", no_training)
+    if case in NOT_REACHED:
+        monkeypatch.setattr(*NOT_REACHED[case], not_reached)
     if case.endswith("-stdout-full"):
         monkeypatch.setattr(sys, "stdout", open("/dev/full", "w"))
     try:
@@ -579,6 +619,8 @@ def test_user_errors_exit_1_with_message(tmp_path, toy_path, capsys,
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == listing
+    if case == "tag-manifest-directory":
+        assert not (tmp_path / "tagged.conll").exists()
     if case in USER_ERROR_MESSAGES:
         assert USER_ERROR_MESSAGES[case].format(tmp=tmp_path) in err
     if case in USAGE_ERRORS:
@@ -603,6 +645,29 @@ def test_help_and_version_exit_0(argv, capsys):
         cli.main(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out
+
+
+# every option flag of train and ablate, with its choices and help text
+OPTION_HELP = ["--seed SEED", "--embedding-mode {skipgram,random,onehot}",
+               "--embedding-dim EMBEDDING_DIM",
+               "--features FEATURES comma list from word,pos,chunk,case,regex",
+               "--entity-types ENTITY_TYPES",
+               "--scheme {IOB1,IOB2} label scheme of the input files",
+               "--max-len MAX_LEN", "--hidden HIDDEN", "--layers LAYERS",
+               "--cell {lstm,rnn}", "[--bidi | --no-bidi]",
+               "--dropout DROPOUT", "--lr LR", "--clip CLIP",
+               "--patience PATIENCE", "--max-epochs MAX_EPOCHS"]
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_help_lists_every_option_flag(command, capsys):
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for entry in OPTION_HELP:
+        assert entry in text, entry
+    with pytest.raises(cli.CliError, match="not allowed with argument"):
+        cli.build_parser().parse_args([command, "--bidi", "--no-bidi"])
 
 
 def test_config_int_is_a_valid_float(tmp_path, toy_path):

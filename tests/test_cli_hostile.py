@@ -1,5 +1,6 @@
 """Generative check of the CLI contract: every command, with hostile flag
-values, exits 0, 1, 2 or 3 without a traceback; exit 1 carries an
+values (for train and ablate, also a --config file holding one), exits 0,
+1, 2 or 3 without a traceback; exit 1 carries an
 `error: ` message, and exit 2 (a non-finite training loss) happens only
 with a finite, valid learning rate.
 
@@ -10,6 +11,7 @@ it, until every command stages its writes.
 
 import functools
 import io
+import json
 import math
 import os
 import shutil
@@ -30,6 +32,11 @@ HOSTILE = ["0", "-1", "nan", "inf", "", HUGE, "dir", "null", "full",
            "binary.bin", "truncated.sqtg"]
 # a huge count of epochs or seeds is a valid request for a very long run
 COUNTS = {"--max-epochs", "--seeds"}
+# train and ablate may also read a drawn --config file of one option, whose
+# value is from the pool, as a JSON string or number (NaN and Infinity
+# included); TINY's --max-epochs 1 overrides a huge max_epochs there
+CONFIG = "drawn.json"
+CONFIG_VALUES = HOSTILE + [0, -1, math.nan, math.inf, 10 ** 30]
 
 TINY = ["--hidden", "2", "--embedding-dim", "2", "--max-epochs", "1",
         "--quiet"]
@@ -66,14 +73,21 @@ def invocations(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
     argv, flags = COMMANDS[command]
     argv = list(argv)
-    for flag in draw(st.lists(st.sampled_from(flags), min_size=1, max_size=2,
-                              unique=True)):
+    config = None
+    if command in ("train", "ablate") and draw(st.booleans()):
+        config = {draw(st.sampled_from(sorted(cli.DEFAULTS))):
+                  draw(st.sampled_from(CONFIG_VALUES))}
+        argv += ["--config", CONFIG]
+    # one or two hostile values in all, a drawn config's among them
+    fewest, most = (0, 1) if config else (1, 2)
+    for flag in draw(st.lists(st.sampled_from(flags), min_size=fewest,
+                              max_size=most, unique=True)):
         value = draw(st.sampled_from(_values(flag)))
         if flag == "FILE":
             argv[1] = value
         else:
             argv += [flag, value]  # the last occurrence of a flag wins
-    return argv
+    return argv, config
 
 
 @functools.cache
@@ -99,10 +113,20 @@ def _populate(directory):
             handle.write(content)
 
 
-def _valid_lr(argv):
-    values = [argv[k + 1] for k, arg in enumerate(argv[:-1]) if arg == "--lr"]
+def _valid_lr(argv, config):
+    """Whether the learning rate the run resolves is finite and > 0: the
+    last --lr value, else that of the drawn config file if it is the one
+    read, else the default."""
+    def last(flag):
+        values = [argv[k + 1] for k, arg in enumerate(argv[:-1]) if arg == flag]
+        return values[-1] if values else None
+
+    lr = last("--lr")
+    if lr is None:
+        from_file = config if last("--config") == CONFIG else {}
+        lr = from_file.get("lr", cli.DEFAULTS["lr"])
     try:
-        lr = float(values[-1]) if values else cli.DEFAULTS["lr"]
+        lr = float(lr)
     except ValueError:
         return False
     return math.isfinite(lr) and lr > 0
@@ -110,11 +134,15 @@ def _valid_lr(argv):
 
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(invocations())
-def test_hostile_flags_keep_the_exit_code_contract(argv):
+def test_hostile_flags_keep_the_exit_code_contract(invocation):
+    argv, config = invocation
     cwd = os.getcwd()
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as directory:
         _populate(directory)
+        if config is not None:
+            with open(os.path.join(directory, CONFIG), "w") as handle:
+                json.dump(config, handle)
         os.chdir(directory)
         try:
             with redirect_stdout(out), redirect_stderr(err):
@@ -122,9 +150,9 @@ def test_hostile_flags_keep_the_exit_code_contract(argv):
         finally:
             os.chdir(cwd)
     err = err.getvalue()
-    assert rc in (0, 1, 2, 3), (argv, rc)
-    assert "Traceback" not in err, argv
+    assert rc in (0, 1, 2, 3), (argv, config, rc)
+    assert "Traceback" not in err, (argv, config)
     if rc == 1:
-        assert err.startswith("error: "), (argv, err)
+        assert err.startswith("error: "), (argv, config, err)
     if rc == 2:
-        assert _valid_lr(argv), argv
+        assert _valid_lr(argv, config), (argv, config)

@@ -78,6 +78,13 @@ def test_read_conll_iob1_ingest():
     assert sents[0].gold_labels() == ["B-PER", "I-PER", "B-PER"]
 
 
+def test_read_conll_rejects_an_unknown_scheme():
+    # a lowercase name is not IOB1; it must not read as IOB2 either
+    for scheme in ("iob1", "IOB3", None):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            read_conll(io.StringIO("a N B-NP O\n\n"), scheme=scheme)
+
+
 def test_extract_spans_examples():
     assert extract_spans(["B-PER", "I-PER", "O", "B-LOC"]) == [
         EntitySpan("PER", 0, 1), EntitySpan("LOC", 3, 3)]
