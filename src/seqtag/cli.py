@@ -136,11 +136,6 @@ def resolve_options(args):
         from_file = _read_json(args.config, "config file")
         _check_record(from_file, {k: type(v) for k, v in DEFAULTS.items()},
                       args.config, "config key")
-        for key, value in from_file.items():
-            allowed = OPTIONS[key][1]
-            if allowed is not None and value not in allowed:
-                raise CliError(f"{args.config}: config key {key!r} must be "
-                               f"one of {', '.join(allowed)}, got {value!r}")
     resolved = {}
     for name, default in DEFAULTS.items():
         value = getattr(args, name, None)
@@ -153,7 +148,8 @@ def resolve_options(args):
 def _check_record(record, types, where, noun):
     """Exit 1, naming `where`, unless `record` is a JSON object whose every
     key is in `types` with a value of that key's type, as _has_type decides
-    (a list must hold strings)."""
+    (a list must hold strings), and, for a key named in OPTIONS, one of that
+    option's allowed values."""
     if not isinstance(record, dict):
         raise CliError(f"{where}: must be a JSON object, got {record!r}")
     for key, value in record.items():
@@ -165,6 +161,10 @@ def _check_record(record, types, where, noun):
             what = "a list of str" if expected is list else expected.__name__
             raise CliError(f"{where}: {noun} {key!r} must be {what}, "
                            f"got {value!r}")
+        allowed = OPTIONS[key][1] if key in OPTIONS else None
+        if allowed is not None and value not in allowed:
+            raise CliError(f"{where}: {noun} {key!r} must be one of "
+                           f"{', '.join(allowed)}, got {value!r}")
 
 
 def _has_type(value, expected):
@@ -386,7 +386,8 @@ ROW_KEYS = {"name": str, "features": list, "embedding_mode": str, "cell": str,
 
 def _read_rows(path):
     """The RowSpecs of a row-spec file: a JSON list of objects, each checked
-    before any training as a --config file is, and each with a name."""
+    before any training as a --config file is (`embedding_mode` and `cell`
+    take their flags' values), and each with a name."""
     specs = _read_json(path, "row-spec file")
     if not isinstance(specs, list):
         raise CliError(f"{path}: row-spec file must hold a JSON list")

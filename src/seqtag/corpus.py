@@ -9,6 +9,7 @@ each one walk over the labels (_walk), under one rule: an entity label
 continues an entity only when the previous label has the same entity type.
 """
 
+import functools
 import os
 import re
 from collections import Counter
@@ -105,15 +106,25 @@ def label_alphabet(entity_types=DEFAULT_ENTITY_TYPES):
 def parse_label(label, entity_types=DEFAULT_ENTITY_TYPES):
     """Split a label into (prefix, type); raises InvalidLabel on bad syntax
     or an unknown entity type. entity_types=None accepts any type token."""
+    prefix, etype = _split_label(label)
+    if etype is not None and entity_types is not None \
+            and etype not in entity_types:
+        raise InvalidLabel(
+            f"label {label!r} uses unknown entity type {etype!r} "
+            f"(configured: {sorted(entity_types)})")
+    return prefix, etype
+
+
+@functools.lru_cache(maxsize=1024)
+def _split_label(label):
+    """parse_label's syntax split, memoized: a corpus uses few distinct
+    labels, and the bound keeps a hostile label set from growing the cache.
+    A label off the grammar raises each time, and is never cached."""
     if label == "O":
         return "O", None
     if not _LABEL_RE.match(label):
         raise InvalidLabel(f"label {label!r} does not match the IOB grammar")
     prefix, etype = label.split("-", 1)
-    if entity_types is not None and etype not in entity_types:
-        raise InvalidLabel(
-            f"label {label!r} uses unknown entity type {etype!r} "
-            f"(configured: {sorted(entity_types)})")
     return prefix, etype
 
 
@@ -127,7 +138,7 @@ def _walk(labels, scheme=None):
     must_continue = {"IOB2": "I", "IOB1": "B"}.get(scheme)
     prev, prev_type = "O", None
     for i, label in enumerate(labels):
-        prefix, etype = parse_label(label, None)
+        prefix, etype = _split_label(label)
         continues = etype is not None and etype == prev_type
         if prefix == must_continue and not continues:
             raise InvalidSequence(f"position {i}: {label!r} " + (

@@ -25,14 +25,17 @@ the dh/dc recurrence, and dW, dU and db are single matmuls (or a sum) over
 all steps after it. A Tagger's parameters are views, in param_items()
 order, into one flat vector `theta`, and a gradient is a vector of the same
 layout, whose blocks a Tagger built on it names: an SGD update and a
-checkpoint copy each act on one vector. A Tagger built on a block of K such
-vectors runs all K through the same forward pass at once, which is how the
-finite-difference oracle evaluates its perturbed copies of `theta`.
+checkpoint copy each act on one vector. A row tagger holds K variants of one
+stretch of `theta` (a run of whole cells, or the projection) and runs all K
+through the same forward pass at once: the cells before the stretch run
+once, and the rest K rows wide. That is how the finite-difference oracle
+evaluates its perturbed copies of `theta`.
 
 Model files use a small versioned binary container (magic "SQTG"); see
 save()/load().
 """
 
+import copy
 import hashlib
 import json
 import os
@@ -101,6 +104,14 @@ class CellParams:
         self.W = flat[..., :rows * hidden].reshape(lead + (rows, hidden))
         self.U = flat[..., rows * hidden:-rows].reshape(lead + (rows, input_dim))
         self.b = flat[..., -rows:]
+
+    def broadcast(self, K):
+        """These one-row parameters as K identical rows (read-only views), as
+        a cell run K rows wide over inputs that differ by row takes them."""
+        rows = copy.copy(self)
+        rows.W, rows.U, rows.b = (np.broadcast_to(a, (K,) + a.shape)
+                                  for a in (self.W, self.U, self.b))
+        return rows
 
     @staticmethod
     def size(hidden, input_dim, kind="lstm"):
@@ -264,12 +275,18 @@ def _run_layer(cells, inputs, bptt=False):
     """Run each cell of a layer's {direction: CellParams} `cells` over
     `inputs` from a zero state, "bwd" from the last position to the first.
     Returns (their states aligned to input positions and concatenated in
-    dict order, {direction: cache, None without bptt})."""
+    dict order, {direction: cache, None without bptt}). Beside a cell of K
+    parameter rows over one sentence, a one-row cell's T x H states are
+    repeated for every row."""
     outputs, caches = [], {}
     for d, params in cells.items():
         step = -1 if d == "bwd" else 1
         states, caches[d] = _run_cell(params, inputs[::step], bptt)
         outputs.append(states[::step])
+    if outputs[0].ndim != outputs[-1].ndim:
+        wide = max(outputs, key=np.ndim).shape
+        outputs = [o if o.ndim == len(wide) else np.broadcast_to(o[:, None], wide)
+                   for o in outputs]
     return np.concatenate(outputs, axis=-1), caches
 
 
@@ -356,16 +373,20 @@ class Tagger:
     file; the CLI stores the feature pipeline description there so a saved
     model can be applied to new text.
 
-    A tagger built on a (K, n) `theta` is a row tagger: every parameter
-    array gains a leading K axis, and forward() and sentence_loss() evaluate
-    K parameter vectors on one sentence at once (the finite-difference
-    oracle's batch). Training takes a one-row tagger only.
+    A tagger built with `rows=(offset, block)` is a row tagger: `block` is a
+    (K, m) array of K variants of the stretch theta[offset:offset + m],
+    which must be a run of whole entries of `stretches`. The parameter
+    arrays inside the stretch are views into `block` with a leading K axis,
+    all others views into `theta`, and forward() and sentence_loss()
+    evaluate the K parameter vectors on one sentence at once (the
+    finite-difference oracle's batch). Training and saving take a tagger
+    without rows only.
     """
 
-    def __init__(self, config, extra=None, theta=None):
-        """Every parameter array is a view into `self.theta`: the given
-        C-contiguous float64 vector, or (K, n) block of K vectors, of the
-        tagger's parameter count n; all zeros when none is given."""
+    def __init__(self, config, extra=None, theta=None, rows=None):
+        """Every parameter array is a view into `self.theta`, the given
+        C-contiguous float64 vector of the tagger's parameter count n (all
+        zeros when none is given), or into the block of `rows`."""
         self.config = config
         self.extra = extra or {}
         n_labels, width = len(config.labels), config.layer_output_dim
@@ -378,30 +399,54 @@ class Tagger:
              + n_labels * (width + 1))
         if theta is None:
             theta = np.zeros(n)
-        elif (theta.ndim not in (1, 2) or theta.shape[-1] != n
-              or theta.dtype != np.float64 or not theta.flags.c_contiguous):
+        elif not _is_layout(theta, 1) or len(theta) != n:
             raise ValueError(f"theta must be a C-contiguous float64 array of "
-                             f"shape ({n},) or (K, {n}), got {theta.dtype} "
-                             f"{theta.shape}")
-        self.theta = theta
+                             f"shape ({n},), got {theta.dtype} {theta.shape}")
+        self.theta, self.rows = theta, rows
+        start = stop = 0
+        if rows is not None:
+            start, block = rows
+            if not _is_layout(block, 2) or not len(block) \
+                    or not 0 <= start < start + block.shape[1] <= n:
+                raise ValueError(
+                    f"a row block must be a C-contiguous float64 array of K "
+                    f"rows of m elements, 0 <= offset < offset + m <= {n}, "
+                    f"got {block.dtype} {block.shape} at offset {start}")
+            stop = start + block.shape[1]
+        # (start, stop) of each cell's parameters, in param_items() order,
+        # then of the projection's
+        self.stretches = []
+
+        def view(offset, size):
+            """Parameters offset .. offset + size: K rows of the block inside
+            the stretch, one row of theta outside it."""
+            self.stretches.append((offset, offset + size))
+            if offset + size <= start or stop <= offset:
+                return theta[offset:offset + size]
+            if not start <= offset < offset + size <= stop:
+                raise ValueError(f"a row block must cover whole cells or the "
+                                 f"projection; {start} .. {stop} cuts "
+                                 f"{offset} .. {offset + size}")
+            return block[:, offset - start:offset - start + size]
+
         offset = 0
         self.layers = []
         for l in range(config.layers):
             dim, size = later if l else first
             self.layers.append({})
             for d in config.directions:
-                self.layers[l][d] = CellParams(
-                    config.hidden, dim, config.cell,
-                    theta[..., offset:offset + size])
+                self.layers[l][d] = CellParams(config.hidden, dim, config.cell,
+                                               view(offset, size))
                 offset += size
-        self.proj_w = theta[..., offset:-n_labels].reshape(
-            theta.shape[:-1] + (n_labels, width))
-        self.proj_b = theta[..., -n_labels:]
+        proj = view(offset, n - offset)
+        self.proj_w = proj[..., :-n_labels].reshape(
+            proj.shape[:-1] + (n_labels, width))
+        self.proj_b = proj[..., -n_labels:]
 
     def __reduce__(self):
-        # copy and pickle rebuild the views on the copied theta; numpy would
-        # otherwise copy each view on its own
-        return Tagger, (self.config, self.extra, self.theta)
+        # copy and pickle rebuild the views on the copied theta (and row
+        # block); numpy would otherwise copy each view on its own
+        return Tagger, (self.config, self.extra, self.theta, self.rows)
 
     def param_items(self):
         """All parameters as (name, array) pairs in the canonical order used
@@ -414,6 +459,12 @@ class Tagger:
         out.append(("proj.W", self.proj_w))
         out.append(("proj.b", self.proj_b))
         return out
+
+
+def _is_layout(array, ndim):
+    """Whether a tagger can take views of `array` in its layout."""
+    return (array.ndim == ndim and array.dtype == np.float64
+            and array.flags.c_contiguous)
 
 
 def init_params(config, rng, extra=None):
@@ -431,28 +482,34 @@ def init_params(config, rng, extra=None):
     return tagger
 
 
-def forward(tagger, inputs, rng=None, bptt=False):
+def forward(tagger, inputs, rng=None, bptt=False, softmax=True):
     """Per-token label distributions for one sentence (T x D inputs) or for
     a time-major batch of equal-length sentences (T x B x D inputs).
 
     Train mode is selected by passing an rng: inter-layer inverted dropout
     masks are drawn from it (kept activations divided by the keep
     probability). Without an rng the pass is deterministic inference.
-    Returns (T x [B x] L probabilities, cache); the cache holds the
-    per-step cell states the backward pass needs only with bptt.
+    Returns (T x [B x] L probabilities, cache); the cache holds the logits,
+    and the per-step cell states the backward pass needs only with bptt.
+    With softmax=False the probabilities are not built (None is returned in
+    their place).
 
     A row tagger of K rows takes one sentence and returns T x K x L
-    probabilities. Its dropout masks are drawn at the one-row shape, as for
-    a one-row tagger, and shared by all rows.
+    probabilities. The cells before its stretch run once, as one-row cells;
+    the stretch runs K rows wide, and so does every later cell, with its
+    one-row parameters repeated K times (which keeps each row's bits those
+    of a one-row tagger, as a batch of K would not). Its dropout masks are
+    drawn at the one-row shape, as for a one-row tagger, and shared by all
+    rows.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    rows = tagger.theta.ndim == 2
-    if inputs.ndim not in ((2,) if rows else (2, 3)) \
+    K = tagger.rows and len(tagger.rows[1])
+    if inputs.ndim not in ((2,) if K else (2, 3)) \
             or inputs.shape[-1] != tagger.config.input_dim:
         raise DimensionMismatch(
             f"forward: inputs {inputs.shape} do not match model input dim "
             f"{tagger.config.input_dim}"
-            + (" (a row tagger takes one sentence)" if rows else ""))
+            + (" (a row tagger takes one sentence)" if K else ""))
     if inputs.size == 0:
         raise EmptySequence("cannot tag an empty sentence")
     config = tagger.config
@@ -461,24 +518,36 @@ def forward(tagger, inputs, rng=None, bptt=False):
 
     layer_caches = []
     current = inputs
+    per_row = False  # whether `current` holds one T x D slice per row
     for layer in tagger.layers:
+        if per_row:
+            layer = {d: p if p.W.ndim == 3 else p.broadcast(K)
+                     for d, p in layer.items()}
         out, dir_caches = _run_layer(layer, current, bptt)
+        per_row = bool(K) and out.ndim == 3
         mask = None
         if use_dropout:
-            shape = (len(out), out.shape[-1]) if rows else out.shape
+            shape = (len(out), out.shape[-1]) if K else out.shape
             mask = (rng.random(shape) < keep) / keep
-            out = out * (mask[:, None] if rows else mask)
+            out = out * (mask[:, None] if per_row else mask)
         layer_caches.append({"dirs": dir_caches, "mask": mask, "output": out})
         current = out
 
-    if rows:
-        logits = _row_matmul(current, tagger.proj_w)
+    if K:
+        # the projection's stretch over shared features, or the shared
+        # projection over per-row features: a product per row either way
+        proj_w = tagger.proj_w
+        if proj_w.ndim == 2:
+            proj_w = np.broadcast_to(proj_w, (K,) + proj_w.shape)
+        if not per_row:
+            current = np.broadcast_to(current[:, None], (len(current), K,
+                                                         current.shape[-1]))
+        logits = _row_matmul(current, proj_w)
     else:
         logits = current @ tagger.proj_w.T
     logits += tagger.proj_b
-    probs = _softmax_rows(logits)
-    cache = {"layers": layer_caches, "features": current, "logits": logits,
-             "probs": probs}
+    probs = _softmax_rows(logits) if softmax else None
+    cache = {"layers": layer_caches, "features": current, "logits": logits}
     return probs, cache
 
 
@@ -499,9 +568,9 @@ def loss_and_gradients(tagger, inputs, gold_indices, rng=None, grad=None):
     vector laid out like `theta` (Tagger(config, theta=grad) names its
     blocks). Every element is written exactly once, into `grad` when given,
     else into a fresh vector. Row taggers are refused."""
-    if tagger.theta.ndim != 1:
+    if tagger.rows is not None:
         raise ValueError("loss_and_gradients takes a one-row tagger, got "
-                         f"{len(tagger.theta)} parameter rows")
+                         f"{len(tagger.rows[1])} parameter rows")
     config = tagger.config
     n_labels = len(config.labels)
     gold_indices = list(gold_indices)
@@ -542,11 +611,13 @@ def sentence_loss(tagger, inputs, gold_indices, rng=None):
     """Mean per-token cross-entropy only (no gradients): a float, or an
     array of K losses for a row tagger of K rows. The function the
     finite-difference oracle evaluates."""
-    _, cache = forward(tagger, inputs, rng=rng)
+    _, cache = forward(tagger, inputs, rng=rng, softmax=False)
     logp = _log_softmax_rows(cache["logits"])
     gold = logp[np.arange(len(inputs)), ..., list(gold_indices)]  # T x [K]
-    loss = -np.mean(gold, axis=0)
-    return loss if tagger.theta.ndim == 2 else float(loss)
+    # each row's T terms summed as one contiguous run, in the order numpy
+    # sums a one-row tagger's (a mean down the T axis rounds otherwise)
+    loss = -np.mean(np.ascontiguousarray(gold.T), axis=-1)
+    return loss if tagger.rows is not None else float(loss)
 
 
 def predict_indices(tagger, inputs):
@@ -576,9 +647,9 @@ def save(tagger, sink):
     float64 in param_items() order, then a 64-bit checksum (leading 8 bytes
     of SHA-256) over everything before it. LSTM blocks are written in the
     per-gate order (i, f, c, o) of the v1 format. Row taggers are refused."""
-    if tagger.theta.ndim != 1:
+    if tagger.rows is not None:
         raise ValueError("save takes a one-row tagger, got "
-                         f"{len(tagger.theta)} parameter rows")
+                         f"{len(tagger.rows[1])} parameter rows")
     blob = _config_blob(tagger)
     out = bytearray()
     out += MAGIC

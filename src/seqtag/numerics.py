@@ -36,7 +36,7 @@ def uniform_matrix(rng, rows, cols, bound):
     return rng.uniform(-bound, bound, size=(rows, cols))
 
 
-FD_BLOCK = 32  # elements perturbed per evaluation of f
+FD_BLOCK = 64  # elements perturbed per evaluation of f
 
 
 def finite_diff_grad(f, params, epsilon=1e-5):
@@ -45,23 +45,25 @@ def finite_diff_grad(f, params, epsilon=1e-5):
     of them, f gets a (2k, n) block whose rows are copies of the flattened
     array, row j with element j of the group raised by epsilon and row k + j
     with it lowered, and returns the 2k values of the function at those rows
-    (sentence_loss of a Tagger built on the block, say). The block is
-    allocated once per call; `params` itself is never written."""
+    (sentence_loss of a row tagger built on the block, say). The block is
+    filled once per call, and after each group only the 2k entries it
+    perturbed are put back; `params` itself is never written."""
     if not params.flags.c_contiguous:  # f's rows would not match its layout
         raise ValueError("finite_diff_grad needs a C-contiguous array")
     flat = params.reshape(-1)
     n = flat.size
     grad = np.empty(n)
-    block = np.empty((2 * FD_BLOCK, n))
+    block = np.tile(flat, (2 * min(FD_BLOCK, n), 1))
     for start in range(0, n, FD_BLOCK):
         k = min(FD_BLOCK, n - start)
         rows = block[:2 * k]
-        rows[...] = flat
         j = np.arange(k)
-        rows[j, start + j] += epsilon
-        rows[k + j, start + j] -= epsilon
+        probed = flat[start:start + k]
+        rows[j, start + j] = probed + epsilon
+        rows[k + j, start + j] = probed - epsilon
         values = np.asarray(f(rows), dtype=np.float64)
         grad[start:start + k] = (values[:k] - values[k:]) / (2.0 * epsilon)
+        rows[j, start + j] = rows[k + j, start + j] = probed
     return grad.reshape(params.shape)
 
 

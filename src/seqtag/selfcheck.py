@@ -40,8 +40,10 @@ def check_gradients(seeds=range(GRADIENT_SEEDS), hidden=8, input_dim=10,
     With dropout > 0 the masks are frozen by re-deriving the same RNG for
     every loss evaluation, so the finite differences probe the identical
     stochastic function. Every element of the parameter vector `theta` is
-    probed: each evaluation builds a row tagger on a block of perturbed
-    copies of `theta` and runs it through the production sentence_loss.
+    probed, one stretch (a cell's parameters, or the projection's) at a
+    time: each evaluation builds a row tagger on a block of perturbed copies
+    of the stretch and runs it through the production sentence_loss, so the
+    cells before the stretch run once per block.
     `corrupt` deliberately perturbs one analytic gradient entry (negative
     control: the check must then fail).
     """
@@ -67,10 +69,15 @@ def check_gradients(seeds=range(GRADIENT_SEEDS), hidden=8, input_dim=10,
                                                rng=dropout_rng())
         if corrupt:
             analytic[0] += 1e-2
-        numeric = finite_diff_grad(
-            lambda block: model.sentence_loss(model.Tagger(config, theta=block),
-                                              inputs, gold, rng=dropout_rng()),
-            tagger.theta, epsilon=epsilon)
+        numeric = np.empty_like(analytic)
+        for start, stop in tagger.stretches:
+            def loss(block, start=start):
+                rows = model.Tagger(config, theta=tagger.theta,
+                                    rows=(start, block))
+                return model.sentence_loss(rows, inputs, gold, rng=dropout_rng())
+
+            numeric[start:stop] = finite_diff_grad(
+                loss, tagger.theta[start:stop], epsilon=epsilon)
         err = gradient_relative_error(analytic, numeric)
         worst = float(np.maximum(worst, err))  # unlike max(), keeps a NaN
     return GradientCheckResult(worst, tolerance, len(seeds))

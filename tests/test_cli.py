@@ -334,6 +334,10 @@ def _user_error_args(tmp_path, toy_path, case):
         "row-str-for-bool": ablate + ["--rows", str(bad_rows)],
         "row-str-for-int": ablate + ["--rows", str(bad_rows)],
         "row-bool-for-float": ablate + ["--rows", str(bad_rows)],
+        "row-embedding-mode-unknown": ablate + ["--rows", str(bad_rows)],
+        "row-embedding-mode-internal": ablate + ["--rows", str(bad_rows)],
+        "row-embedding-mode-capitalized": ablate + ["--rows", str(bad_rows)],
+        "row-cell-unknown": ablate + ["--rows", str(bad_rows)],
         "model-without-pipeline": ["tag", "--model", bare_model,
                                    "--input", toy_path],
         "embedding-dim-zero": train + ["--embedding-dim", "0"],
@@ -436,6 +440,10 @@ PREMADE_DIRECTORIES = {"log-is-a-directory": "m.sqtg.log",
 NOT_REACHED = {"config-scheme-lowercase": (corpus, "read_conll"),
                "config-cell-unknown": (corpus, "read_conll"),
                "config-embedding-mode-internal": (corpus, "read_conll"),
+               "row-embedding-mode-unknown": (corpus, "read_conll"),
+               "row-embedding-mode-internal": (corpus, "read_conll"),
+               "row-embedding-mode-capitalized": (corpus, "read_conll"),
+               "row-cell-unknown": (corpus, "read_conll"),
                "tag-manifest-directory": (model, "load"),
                "tag-output-missing-directory": (model, "load")}
 
@@ -457,6 +465,10 @@ ROW_CASES = {
     "row-str-for-bool": {"bidirectional": "no"},
     "row-str-for-int": {"layers": "2"},
     "row-bool-for-float": {"dropout": True},
+    "row-embedding-mode-unknown": {"embedding_mode": "bogus"},
+    "row-embedding-mode-internal": {"embedding_mode": "pretrained"},
+    "row-embedding-mode-capitalized": {"embedding_mode": "Random"},
+    "row-cell-unknown": {"cell": "gru"},
 }
 
 USER_ERROR_MESSAGES = {
@@ -467,6 +479,17 @@ USER_ERROR_MESSAGES = {
     "row-str-for-int": "badrows.json: row 2: key 'layers' must be int, got '2'",
     "row-bool-for-float":
         "badrows.json: row 2: key 'dropout' must be float, got True",
+    "row-embedding-mode-unknown":
+        "badrows.json: row 2: key 'embedding_mode' must be one of skipgram, "
+        "random, onehot, got 'bogus'",
+    "row-embedding-mode-internal":
+        "badrows.json: row 2: key 'embedding_mode' must be one of skipgram, "
+        "random, onehot, got 'pretrained'",
+    "row-embedding-mode-capitalized":
+        "badrows.json: row 2: key 'embedding_mode' must be one of skipgram, "
+        "random, onehot, got 'Random'",
+    "row-cell-unknown":
+        "badrows.json: row 2: key 'cell' must be one of lstm, rnn, got 'gru'",
     "config-str-for-int": "config key 'layers' must be int, got '2'",
     "config-bool-for-int": "config key 'layers' must be int, got True",
     "config-str-for-float": "config key 'dropout' must be float, got '0.5'",
@@ -546,6 +569,10 @@ USAGE_ERRORS = ["missing-required-flag", "hidden-not-int", "unknown-flag",
                                   "missing-rows", "row-without-name",
                                   "row-unknown-key", "row-str-for-bool",
                                   "row-str-for-int", "row-bool-for-float",
+                                  "row-embedding-mode-unknown",
+                                  "row-embedding-mode-internal",
+                                  "row-embedding-mode-capitalized",
+                                  "row-cell-unknown",
                                   "model-without-pipeline",
                                   "embedding-dim-zero",
                                   "embedding-dim-negative",

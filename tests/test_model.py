@@ -383,85 +383,162 @@ def test_corrupted_gradient_fails_check():
     assert not res.passed
 
 
-def _row_block(cfg, seed, rows):
-    """`rows` distinct parameter vectors for cfg around a fresh init."""
+def _stretch_rows(cfg, seed, rows):
+    """A fresh init's theta, and `rows` distinct variants of each of its
+    stretches and of the whole vector, as (offset, block) pairs."""
     theta = init_params(cfg, derive_rng(seed, 0)).theta
-    return theta + derive_rng(seed, 1).normal(0.0, 0.1, size=(rows, theta.size))
+    noise = derive_rng(seed, 1).normal(0.0, 0.1, size=(rows, theta.size))
+    stretches = Tagger(cfg, theta=theta).stretches + [(0, theta.size)]
+    return theta, [(start, theta[start:stop] + noise[:, start:stop])
+                   for start, stop in stretches]
+
+
+def _one_row(theta, start, row):
+    """A copy of theta with the stretch at `start` replaced by `row`."""
+    one = theta.copy()
+    one[start:start + len(row)] = row
+    return one
+
+
+def test_stretches_are_each_cell_then_the_projection():
+    tagger = Tagger(_config(layers=2, hidden=2, bidirectional=True))
+    items = tagger.param_items()
+    offsets = np.cumsum([0] + [arr.size for _, arr in items])
+    # W, U and b of each of the four cells, then the projection's W and b
+    firsts, ends = [0, 3, 6, 9, 12], [3, 6, 9, 12, 14]
+    assert tagger.stretches == [(offsets[a], offsets[b])
+                                for a, b in zip(firsts, ends)]
+    assert [items[a][0] for a in firsts] == [
+        "layer0.fwd.W", "layer0.bwd.W", "layer1.fwd.W", "layer1.bwd.W",
+        "proj.W"]
 
 
 @pytest.mark.parametrize("cell", ["lstm", "rnn"])
 def test_row_tagger_arrays_are_views_of_each_row(cell):
     cfg = _config(layers=2, cell=cell, bidirectional=True)
-    block = _row_block(cfg, 20, 3)
-    rows = Tagger(cfg, theta=block)
-    assert rows.theta is block
-    for k in range(3):
-        one = Tagger(cfg, theta=block[k].copy())
-        for (name, arr), (_, want) in zip(rows.param_items(), one.param_items()):
-            assert np.shares_memory(arr, block), name
-            assert np.array_equal(arr[k], want), name
+    theta, blocks = _stretch_rows(cfg, 20, 3)
+    for start, block in blocks:
+        rows = Tagger(cfg, theta=theta, rows=(start, block))
+        assert rows.theta is theta and rows.rows[1] is block
+        stop = start + block.shape[1]
+        for k in range(3):
+            one = Tagger(cfg, theta=_one_row(theta, start, block[k]))
+            offset = 0
+            for (name, arr), (_, want) in zip(rows.param_items(),
+                                              one.param_items()):
+                if start <= offset < stop:  # inside the stretch: K rows
+                    assert np.shares_memory(arr, block), name
+                    assert np.array_equal(arr[k], want), name
+                else:
+                    assert np.shares_memory(arr, theta), name
+                    assert np.array_equal(arr, want), name
+                offset += want.size
 
 
 def test_tagger_rejects_a_theta_of_the_wrong_layout():
     cfg = _config()
     n = Tagger(cfg).theta.size
+    # a (K, n) block of whole vectors is a row block at offset 0, not a theta
     for theta in (np.zeros(n + 1), np.zeros((2, 2, n)), np.zeros(n, np.float32),
-                  np.zeros((n, 2)).T):
+                  np.zeros((n, 2)).T, np.zeros((2, n)), np.zeros((n, 2)).T[0]):
         with pytest.raises(ValueError, match="theta"):
             Tagger(cfg, theta=theta)
 
 
+def test_row_block_covers_whole_stretches():
+    cfg = _config(layers=2, hidden=2, bidirectional=True)
+    tagger = Tagger(cfg)
+    n = tagger.theta.size
+    (a, b), (_, c) = tagger.stretches[:2]
+    for start, stop in ((a, c), (b, n), (0, n)):  # runs of whole stretches
+        Tagger(cfg, rows=(start, np.zeros((2, stop - start))))
+    for start, stop in ((a, b - 1), (a + 1, b), (b - 1, c), (n - 1, n)):
+        with pytest.raises(ValueError, match="whole cells"):
+            Tagger(cfg, rows=(start, np.zeros((2, stop - start))))
+    for start, block in ((0, np.zeros((0, n))), (0, np.zeros((2, 0))),
+                         (-1, np.zeros((2, 1))), (1, np.zeros((2, n))),
+                         (0, np.zeros(n)), (0, np.zeros((2, n), np.float32)),
+                         (0, np.zeros((n, 2)).T)):
+        with pytest.raises(ValueError, match="row block"):
+            Tagger(cfg, rows=(start, block))
+
+
 def test_row_forward_matches_one_row_forwards_with_dropout():
     cfg = _config(layers=2, bidirectional=True, dropout=0.5)
-    block = _row_block(cfg, 21, 5)
+    theta, blocks = _stretch_rows(cfg, 21, 5)
     x = derive_rng(21, 2).uniform(-1, 1, size=(6, 4))
-    gold = [0, 2, 1, 1, 0, 2]
-    probs, _ = forward(Tagger(cfg, theta=block), x, rng=derive_rng(21, 3))
-    losses = model.sentence_loss(Tagger(cfg, theta=block), x, gold,
-                                 rng=derive_rng(21, 3))
-    assert probs.shape == (6, 5, 3) and losses.shape == (5,)
-    for k in range(5):
-        one = Tagger(cfg, theta=block[k].copy())
-        want, _ = forward(one, x, rng=derive_rng(21, 3))
-        # the masks matter, and every row got the one-row draw
-        assert not np.allclose(want, forward(one, x)[0])
-        np.testing.assert_allclose(probs[:, k], want, rtol=0, atol=1e-12)
-        assert losses[k] == pytest.approx(
-            model.sentence_loss(one, x, gold, rng=derive_rng(21, 3)),
-            rel=0, abs=1e-12)
+    for start, block in blocks:
+        probs, _ = forward(Tagger(cfg, theta=theta, rows=(start, block)), x,
+                           rng=derive_rng(21, 3))
+        assert probs.shape == (6, 5, 3)
+        for k in range(5):
+            one = Tagger(cfg, theta=_one_row(theta, start, block[k]))
+            want, _ = forward(one, x, rng=derive_rng(21, 3))
+            # the masks matter, and every row got the one-row draw
+            assert not np.allclose(want, forward(one, x)[0])
+            assert np.array_equal(probs[:, k], want)
+
+
+@pytest.mark.parametrize("cell", ["lstm", "rnn"])
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_stretch_row_losses_equal_one_row_losses(cell, bidirectional):
+    # three layers put a stretch before, between and after others; from
+    # eight terms on, numpy's sum is no longer a plain left-to-right loop
+    cfg = _config(layers=3, cell=cell, bidirectional=bidirectional,
+                  dropout=0.5)
+    theta, blocks = _stretch_rows(cfg, 25, 4)
+    x = derive_rng(25, 2).uniform(-1, 1, size=(9, 4))
+    gold = [0, 2, 1, 1, 0, 2, 2, 1, 0]
+    assert len(blocks) == 3 * len(cfg.directions) + 2
+    for start, block in blocks:
+        losses = model.sentence_loss(
+            Tagger(cfg, theta=theta, rows=(start, block)), x, gold,
+            rng=derive_rng(25, 3))
+        assert losses.shape == (4,)
+        for k in range(4):
+            one = Tagger(cfg, theta=_one_row(theta, start, block[k]))
+            assert losses[k] == model.sentence_loss(one, x, gold,
+                                                    rng=derive_rng(25, 3))
 
 
 def test_row_tagger_takes_one_sentence_and_is_neither_trained_nor_saved():
     cfg = _config()
-    rows = Tagger(cfg, theta=_row_block(cfg, 22, 2))
-    with pytest.raises(DimensionMismatch, match="one sentence"):
-        forward(rows, np.zeros((3, 2, 4)))
-    with pytest.raises(ValueError, match="one-row tagger"):
-        loss_and_gradients(rows, np.zeros((3, 4)), [0, 1, 2])
-    buf = io.BytesIO()
-    with pytest.raises(ValueError, match="one-row tagger"):
-        save(rows, buf)
-    assert not buf.getvalue()
+    theta, blocks = _stretch_rows(cfg, 22, 2)
+    for start, block in blocks:
+        rows = Tagger(cfg, theta=theta, rows=(start, block))
+        with pytest.raises(DimensionMismatch, match="one sentence"):
+            forward(rows, np.zeros((3, 2, 4)))
+        with pytest.raises(ValueError, match="one-row tagger"):
+            loss_and_gradients(rows, np.zeros((3, 4)), [0, 1, 2])
+        buf = io.BytesIO()
+        with pytest.raises(ValueError, match="one-row tagger"):
+            save(rows, buf)
+        assert not buf.getvalue()
 
 
 @pytest.mark.parametrize("cell", ["lstm", "rnn"])
 @pytest.mark.parametrize("bidirectional", [False, True])
 def test_batched_finite_differences_match_the_loop(cell, bidirectional):
-    cfg = _config(layers=2, hidden=2, cell=cell, bidirectional=bidirectional,
+    cfg = _config(layers=2, hidden=6, cell=cell, bidirectional=bidirectional,
                   dropout=0.5)
     tagger = init_params(cfg, derive_rng(23, 0))
-    assert tagger.theta.size % numerics.FD_BLOCK  # the last block is partial
+    # some stretch takes more than one block, and its last block is partial
+    assert any(stop - start > numerics.FD_BLOCK
+               and (stop - start) % numerics.FD_BLOCK
+               for start, stop in tagger.stretches)
     x = derive_rng(23, 1).uniform(-1, 1, size=(4, 4))
     gold = [0, 2, 1, 1]
-    batched = numerics.finite_diff_grad(
-        lambda block: model.sentence_loss(Tagger(cfg, theta=block), x, gold,
-                                          rng=derive_rng(23, 2)),
-        tagger.theta)
+    batched = np.concatenate([numerics.finite_diff_grad(
+        lambda block, start=start: model.sentence_loss(
+            Tagger(cfg, theta=tagger.theta, rows=(start, block)), x, gold,
+            rng=derive_rng(23, 2)),
+        tagger.theta[start:stop]) for start, stop in tagger.stretches])
     loop = oracle.finite_diff_grad_loop(
         lambda _: model.sentence_loss(tagger, x, gold, rng=derive_rng(23, 2)),
         tagger.theta)
     assert np.abs(loop).max() > 1e-3
-    assert np.max(np.abs(batched - loop)) <= 1e-9
+    # each perturbed row's loss is the one-row loss to the bit
+    assert np.array_equal(batched, loop)
 
 
 def test_gradient_check_evaluates_the_production_loss_per_block(monkeypatch):
@@ -469,17 +546,21 @@ def test_gradient_check_evaluates_the_production_loss_per_block(monkeypatch):
     production = model.sentence_loss
 
     def counting(tagger, *args, **kwargs):
-        calls.append(tagger.theta.shape)
+        calls.append((tagger.rows[0], tagger.rows[1].shape))
         return production(tagger, *args, **kwargs)
 
     monkeypatch.setattr(model, "sentence_loss", counting)
     assert check_gradients(seeds=[0]).passed
-    n = Tagger(TaggerConfig(labels=["L0", "L1", "L2", "L3"], input_dim=10,
-                            hidden=8)).theta.size
-    blocks = -(-n // numerics.FD_BLOCK)
-    assert len(calls) == blocks
-    assert calls[:-1] == [(2 * numerics.FD_BLOCK, n)] * (blocks - 1)
-    assert calls[-1] == (2 * (n - (blocks - 1) * numerics.FD_BLOCK), n)
+    stretches = Tagger(TaggerConfig(labels=["L0", "L1", "L2", "L3"],
+                                    input_dim=10, hidden=8)).stretches
+    # per stretch: ceil(size / 64) blocks of up to 64 probed elements
+    assert len(calls) == 10 + 10 + 13 + 13 + 2 == 48
+    want = []
+    for start, stop in stretches:
+        for first in range(start, stop, numerics.FD_BLOCK):
+            k = min(numerics.FD_BLOCK, stop - first)
+            want.append((start, (2 * k, stop - start)))
+    assert calls == want
 
 
 @pytest.mark.parametrize("clone", [copy.deepcopy,

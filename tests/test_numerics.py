@@ -140,6 +140,30 @@ def test_finite_diff_through_views_restores_the_array():
     assert np.array_equal(theta, [1.0, 2.0, 3.0])
 
 
+def test_finite_diff_blocks_differ_from_the_array_only_on_their_diagonal():
+    # three groups, the last one partial: a perturbation left in place by
+    # one group would show in the next group's block
+    block_size = numerics.FD_BLOCK
+    theta = numerics.derive_rng(3, 0).normal(size=2 * block_size + 5)
+    epsilon = 1e-3
+    seen = []
+
+    def f(rows):
+        seen.append(rows.copy())
+        return rows.sum(axis=1)
+
+    finite_diff_grad(f, theta, epsilon=epsilon)
+    assert [len(rows) for rows in seen] == [2 * block_size] * 2 + [10]
+    for group, rows in enumerate(seen):
+        k = len(rows) // 2
+        j = np.arange(k)
+        probed = group * block_size + j
+        want = np.tile(theta, (2 * k, 1))
+        want[j, probed] = theta[probed] + epsilon
+        want[k + j, probed] = theta[probed] - epsilon
+        assert np.array_equal(rows, want), group
+
+
 def test_finite_diff_rejects_a_non_contiguous_array():
     with pytest.raises(ValueError, match="C-contiguous"):
         finite_diff_grad(lambda rows: rows.sum(axis=1), np.ones((3, 2)).T)
