@@ -451,8 +451,8 @@ def cmd_selfcheck(args):
     diffs = selfcheck.check_scorer()
     scorer_ok = not diffs
     _print(f"scorer oracle: {len(diffs)} discrepancies over "
-           f"{selfcheck.SCORER_PAIRS} random corpora -> "
-           f"{'PASS' if scorer_ok else 'FAIL'}\n")
+           f"{selfcheck.SCORER_PAIRS} random sentence pairs scored as one "
+           f"corpus -> {'PASS' if scorer_ok else 'FAIL'}\n")
     for d in diffs[:10]:
         _print(f"  {d}\n")
     if grad.passed and scorer_ok:

@@ -14,6 +14,7 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 DEFAULT_ENTITY_TYPES = ("PER", "LOC", "ORG", "MISC")
 DEFAULT_MAX_SENTENCE_LEN = 150
@@ -67,8 +68,7 @@ class Sentence:
         return [t.predicted_label for t in self.tokens]
 
 
-@dataclass(frozen=True)
-class EntitySpan:
+class EntitySpan(NamedTuple):
     entity_type: str
     start: int  # inclusive token index
     end: int    # inclusive token index

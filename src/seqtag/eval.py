@@ -7,6 +7,7 @@ report is rendered.
 """
 
 from dataclasses import dataclass, field
+from operator import eq
 
 from .corpus import ColumnMap, extract_spans, read_conll, repair_iob
 
@@ -76,7 +77,7 @@ def score(sentences, types=None):
     for sent in sentences:
         gold_labels = sent.gold_labels()
         pred_labels = sent.predicted_labels()
-        if any(p is None for p in pred_labels):
+        if None in pred_labels:
             raise MissingPredictions(
                 "a token has no predicted label; tag the corpus first")
         pred_labels = repair_iob(pred_labels)
@@ -84,7 +85,7 @@ def score(sentences, types=None):
             gold_labels = _relabel_outside(gold_labels, types)
             pred_labels = _relabel_outside(pred_labels, types)
         report.token_count += len(gold_labels)
-        report.token_correct += sum(g == p for g, p in zip(gold_labels, pred_labels))
+        report.token_correct += sum(map(eq, gold_labels, pred_labels))
         gold_spans = set(extract_spans(gold_labels))
         pred_spans = set(extract_spans(pred_labels))
         for span in gold_spans:

@@ -84,22 +84,25 @@ def check_gradients(seeds=range(GRADIENT_SEEDS), hidden=8, input_dim=10,
 
 
 def enumerate_spans(labels):
-    """Independent span oracle: test every (type, start, end) triple against
-    the definition of a maximal B-X (I-X)* run. Quadratic on purpose; shares
-    no code with the extraction path it cross-checks."""
+    """Independent span oracle: the (type, start, end) triples that meet the
+    definition of a maximal B-X (I-X)* run. From each B-X start, `end` runs
+    forward while the labels in (start, end] are all I-X, and the triple is
+    kept where the next label is not I-X. Extension stops at the first label
+    that is not I-X, since every longer triple holds it inside and fails the
+    definition, so the oracle is quadratic. Shares no code with the
+    extraction path it cross-checks."""
     spans = set()
     n = len(labels)
-    types = {lab.split("-", 1)[1] for lab in labels if lab != "O"}
-    for etype in types:
-        b, i = "B-" + etype, "I-" + etype
-        for start in range(n):
-            if labels[start] != b:
-                continue
-            for end in range(start, n):
-                inside = all(labels[k] == i for k in range(start + 1, end + 1))
-                closed = end + 1 == n or labels[end + 1] != i
-                if inside and closed:
-                    spans.add((etype, start, end))
+    for start, label in enumerate(labels):
+        if not label.startswith("B-"):
+            continue
+        etype = label[2:]
+        i = "I-" + etype
+        for end in range(start, n):
+            if end > start and labels[end] != i:
+                break
+            if end + 1 == n or labels[end + 1] != i:
+                spans.add((etype, start, end))
     return spans
 
 
@@ -149,8 +152,9 @@ def random_label_pairs(n_pairs, seed, entity_types=DEFAULT_ENTITY_TYPES,
 
 def check_scorer(n_pairs=SCORER_PAIRS, seed=7,
                  entity_types=DEFAULT_ENTITY_TYPES, max_len=12):
-    """Score random pairs through the production scorer and the brute-force
-    oracle; returns the list of discrepancies (empty means equivalent)."""
+    """Score random pairs, as one corpus, through the production scorer and
+    the brute-force oracle, and count their tokens and equal labels directly;
+    returns the list of discrepancies (empty means equivalent)."""
     pairs = random_label_pairs(n_pairs, seed, entity_types, max_len)
     sentences = []
     for gold, pred in pairs:
@@ -161,6 +165,13 @@ def check_scorer(n_pairs=SCORER_PAIRS, seed=7,
     oracle_types, oracle_overall = oracle_score(pairs)
 
     diffs = []
+    for field, want in (
+            ("token_count", sum(len(gold) for gold, _ in pairs)),
+            ("token_correct", sum(g == p for gold, pred in pairs
+                                  for g, p in zip(gold, pred)))):
+        got = getattr(report, field)
+        if got != want:
+            diffs.append(f"{field}: scorer {got} != oracle {want}")
     for field in ("gold", "predicted", "correct"):
         got = getattr(report.overall, field)
         want = oracle_overall[field]

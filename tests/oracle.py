@@ -1,7 +1,8 @@
 """Slow references for tests to compare seqtag against: the recurrent
 cells evaluated gate by gate with shape-checked dense operations, exactly
 as the equations read; BPTT and finite differences as per-step and
-per-element loops; and feature assembly as per-token one-hot vectors.
+per-element loops; feature assembly as per-token one-hot vectors; and
+entity spans as every (type, start, end) triple tested in full.
 """
 
 import re
@@ -190,3 +191,23 @@ def assemble_reference(extractor, sentence):
     if config.has(features.REGEX) and extractor.rules is not None:
         blocks.append(regex_features(sentence, extractor.rules))
     return np.concatenate(blocks, axis=1)
+
+
+def enumerate_spans_by_triple(labels):
+    """Every (type, start, end) triple tested against the whole definition
+    of a maximal B-X (I-X)* run: B-X at start, I-X at every position in
+    (start, end], and no I-X right after end. Cubic in the length."""
+    spans = set()
+    n = len(labels)
+    types = {lab.split("-", 1)[1] for lab in labels if lab != "O"}
+    for etype in types:
+        b, i = "B-" + etype, "I-" + etype
+        for start in range(n):
+            if labels[start] != b:
+                continue
+            for end in range(start, n):
+                inside = all(labels[k] == i for k in range(start + 1, end + 1))
+                closed = end + 1 == n or labels[end + 1] != i
+                if inside and closed:
+                    spans.add((etype, start, end))
+    return spans

@@ -91,6 +91,19 @@ def test_extract_spans_examples():
     assert extract_spans(["O", "O", "O"]) == []
 
 
+def test_entity_span_is_an_immutable_triple():
+    span = EntitySpan("PER", 0, 1)
+    assert (span.entity_type, span.start, span.end) == ("PER", 0, 1)
+    assert repr(span) == "EntitySpan(entity_type='PER', start=0, end=1)"
+    with pytest.raises(AttributeError):
+        span.start = 2
+    # equal to, and hashed as, the span oracle's (type, start, end) tuples
+    assert span == ("PER", 0, 1)
+    assert {("PER", 0, 1)} == {span}
+    labels = ["B-PER", "I-PER", "O", "B-LOC", "B-LOC", "I-LOC"]
+    assert spans_to_labels(extract_spans(labels), len(labels)) == labels
+
+
 def test_extract_spans_strict_errors():
     with pytest.raises(InvalidSequence):
         extract_spans(["O", "I-PER"])

@@ -1,9 +1,16 @@
+import hashlib
+import itertools
+import json
+
 import pytest
 
+import oracle
+from seqtag import selfcheck
 from seqtag.corpus import Sentence, Token
 from seqtag.eval import (MissingPredictions, f1, render, score,
                          score_conll_lines)
-from seqtag.selfcheck import check_scorer, enumerate_spans, oracle_score
+from seqtag.selfcheck import (check_scorer, enumerate_spans, oracle_score,
+                              random_label_pairs)
 
 
 def _sent(gold, pred):
@@ -142,6 +149,41 @@ def test_enumerate_spans_oracle_definition():
     assert enumerate_spans(["B-PER", "I-PER", "O", "B-LOC"]) == {
         ("PER", 0, 1), ("LOC", 3, 3)}
     assert enumerate_spans(["O", "O"]) == set()
+
+
+def test_enumerate_spans_matches_the_triple_by_triple_reference():
+    # every sequence up to length 6, valid IOB2 or not
+    alphabet = ["O", "B-PER", "I-PER", "B-LOC", "I-LOC"]
+    checked = 0
+    for length in range(7):
+        for combo in itertools.product(alphabet, repeat=length):
+            labels = list(combo)
+            assert enumerate_spans(labels) == \
+                oracle.enumerate_spans_by_triple(labels), labels
+            checked += 1
+    assert checked == 19531
+
+
+def test_scorer_check_pairs_are_pinned():
+    # the pairs C3 scores; a faster draw or repair must not change them
+    pairs = random_label_pairs(1000, 7)
+    digest = hashlib.sha256(json.dumps(pairs).encode()).hexdigest()
+    assert digest == \
+        "5e43ca55a37216ba4c725cadb9627fde8875f739ab5cb63f1ec9a495e1ce5d3d"
+
+
+def test_scorer_check_counts_tokens_directly(monkeypatch):
+    def miscounting_score(sentences):
+        report = score(sentences)
+        report.token_count += 1
+        report.token_correct -= 1
+        return report
+
+    monkeypatch.setattr(selfcheck, "score", miscounting_score)
+    diffs = check_scorer(n_pairs=20)
+    assert len(diffs) == 2
+    assert diffs[0].startswith("token_count: scorer ")
+    assert diffs[1].startswith("token_correct: scorer ")
 
 
 def test_oracle_score_counts():

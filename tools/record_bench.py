@@ -1,6 +1,6 @@
 """Record paired benchmark numbers for a change against its base revision.
 
-    python3 tools/record_bench.py --out BENCH_<n>.json [--base REV] [--rounds 3]
+    python3 tools/record_bench.py --out BENCH_<n>.json [--base REV] [--rounds 10]
 
 The base revision (default HEAD) is exported with `git archive` into a
 temporary directory, and the working tree's files (tracked and untracked,
@@ -146,7 +146,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--base", default="HEAD")
-    parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--rounds", type=int, default=10)
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
