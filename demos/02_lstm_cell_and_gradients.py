@@ -5,7 +5,7 @@ pathology that separates a vanilla RNN from an LSTM on long sequences.
 
 import numpy as np
 
-from seqtag.model import CellParams, run_bilayer, run_layer
+from seqtag.model import CellParams, run_layer
 from seqtag.numerics import derive_rng
 from seqtag.selfcheck import check_gradients, compare_recurrence_pathology
 
@@ -17,11 +17,12 @@ gate = 1.0 / (1.0 + np.exp(-1.0))
 c = gate * np.tanh(1.0)
 print(f"cell state c = {c:.5f}   (sigmoid(1) * tanh(1))")
 print(f"hidden   h = {gate * np.tanh(c):.5f}   (sigmoid(1) * tanh(c))")
-# and the layer runner over a one-token sequence agrees:
+# and the layer runner, given a one-cell layer {direction: cell}, agrees
+# over a one-token sequence:
 p = CellParams(1, 1)
 p.W[:] = 1.0
 p.U[:] = 1.0
-h = run_layer(p, np.array([[1.0]]))[0, 0]
+h = run_layer({"fwd": p}, np.array([[1.0]]))[0, 0]
 print(f"run_layer  h = {h:.5f}")
 assert abs(h - gate * np.tanh(c)) < 1e-12
 
@@ -30,10 +31,10 @@ rng = derive_rng(0, 1)
 fwd = CellParams.init(rng, 4, 3)
 bwd = CellParams.init(rng, 4, 3)
 x = rng.uniform(-1, 1, size=(6, 3))
-out = run_bilayer(fwd, bwd, x)
+out = run_layer({"fwd": fwd, "bwd": bwd}, x)
 print(f"\nbi-layer output shape: {out.shape}  (T x 2H)")
-assert np.array_equal(out[:, :4], run_layer(fwd, x, "fwd"))
-assert np.array_equal(out[:, 4:], run_layer(bwd, x, "bwd"))
+assert np.array_equal(out[:, :4], run_layer({"fwd": fwd}, x))
+assert np.array_equal(out[:, 4:], run_layer({"bwd": bwd}, x))
 print("decomposes exactly into the two independent passes")
 
 # --- the gradient check ---------------------------------------------------

@@ -46,10 +46,11 @@ setup = train.ExperimentSetup(
     train_sentences=train_set, dev_sentences=eval_set,
     entity_types=("LOC",), embedding_mode="random", embedding_dim=12,
     embedding_seed=21, hidden=12, layers=1, bidirectional=True, dropout=0.0)
+# a row is a name and the setup fields it overrides
 rows = [
-    train.RowSpec("Word", feature_set=("word",)),
-    train.RowSpec("Word+POS", feature_set=("word", "pos")),
-    train.RowSpec("Word+Chunk", feature_set=("word", "chunk")),
+    ("Word", {"feature_set": ("word",)}),
+    ("Word+POS", {"feature_set": ("word", "pos")}),
+    ("Word+Chunk", {"feature_set": ("word", "chunk")}),
 ]
 config = train.TrainConfig(seed=21, max_epochs=25, patience=25)
 

@@ -238,8 +238,8 @@ def _setup(args, opts, rows=()):
             raise CliError(f"{path}: no sentences")
     score_sents = read(args.test) if getattr(args, "test", None) else None
     rules = None
-    if any(features.REGEX in (fs or ())
-           for fs in [feature_set] + [r.feature_set for r in rows]):
+    if any(features.REGEX in fs for fs in [feature_set] + [
+            overrides.get("feature_set", ()) for _, overrides in rows]):
         path = args.regex_file or default_regex_file()
         with _io_errors("read", path, ValueError):
             rules = features.load_regex_rules(path)
@@ -385,9 +385,10 @@ ROW_KEYS = {"name": str, "features": list, "embedding_mode": str, "cell": str,
 
 
 def _read_rows(path):
-    """The RowSpecs of a row-spec file: a JSON list of objects, each checked
-    before any training as a --config file is (`embedding_mode` and `cell`
-    take their flags' values), and each with a name."""
+    """The rows of a row-spec file, as `(name, overrides)` pairs: a JSON
+    list of objects, each checked before any training as a --config file is
+    (`embedding_mode` and `cell` take their flags' values), and each with a
+    name."""
     specs = _read_json(path, "row-spec file")
     if not isinstance(specs, list):
         raise CliError(f"{path}: row-spec file must hold a JSON list")
@@ -396,12 +397,13 @@ def _read_rows(path):
         _check_record(spec, ROW_KEYS, f"{path}: row {n}", "key")
         if "name" not in spec:
             raise CliError(f"{path}: row {n}: missing key 'name'")
-        rows.append(train.RowSpec(
-            name=spec["name"],
-            feature_set=tuple(spec["features"]) if "features" in spec else None,
-            embedding_mode=_embedding_mode(spec.get("embedding_mode")),
-            cell=spec.get("cell"), bidirectional=spec.get("bidirectional"),
-            layers=spec.get("layers"), dropout=spec.get("dropout")))
+        overrides = {k: v for k, v in spec.items() if k != "name"}
+        if "features" in overrides:
+            overrides["feature_set"] = tuple(overrides.pop("features"))
+        if "embedding_mode" in overrides:
+            overrides["embedding_mode"] = _embedding_mode(
+                overrides["embedding_mode"])
+        rows.append((spec["name"], overrides))
     return rows
 
 

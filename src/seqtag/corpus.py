@@ -365,12 +365,13 @@ class CorpusStats:
 
 def stats(sentences):
     counts = Counter()
-    tokens = 0
+    sentence_count = tokens = 0
     for sent in sentences:
+        sentence_count += 1
         tokens += len(sent)
         for span in extract_spans(sent.gold_labels()):
             counts[span.entity_type] += 1
-    return CorpusStats(len(list(sentences)), tokens, counts)
+    return CorpusStats(sentence_count, tokens, counts)
 
 
 def render_stats(cs):

@@ -65,6 +65,14 @@ def _relabel_outside(labels, keep_types):
     return out
 
 
+def _type_score(report, entity_type):
+    """The TypeScore of `entity_type` in `report`, added on first sight."""
+    entry = report.per_type.get(entity_type)
+    if entry is None:
+        entry = report.per_type[entity_type] = TypeScore()
+    return entry
+
+
 def score(sentences, types=None):
     """Score predicted against gold labels over a corpus.
 
@@ -89,11 +97,11 @@ def score(sentences, types=None):
         gold_spans = set(extract_spans(gold_labels))
         pred_spans = set(extract_spans(pred_labels))
         for span in gold_spans:
-            entry = report.per_type.setdefault(span.entity_type, TypeScore())
+            entry = _type_score(report, span.entity_type)
             entry.gold += 1
             report.overall.gold += 1
         for span in pred_spans:
-            entry = report.per_type.setdefault(span.entity_type, TypeScore())
+            entry = _type_score(report, span.entity_type)
             entry.predicted += 1
             report.overall.predicted += 1
             if span in gold_spans:

@@ -78,11 +78,13 @@ class EmbeddingTable:
             self.seed = 0  # one-hot vectors draw nothing
         if self.dim < 1:
             raise EmbeddingError(f"embedding dim must be >= 1, got {self.dim}")
+        if self.seed < 0:
+            raise EmbeddingError(f"embedding seed must be >= 0, got {self.seed}")
         self._bound = oov_bound(self.dim)
 
     def _random_vector(self, word):
         rng = numerics.derive_rng(self.seed, _word_stream_key(word))
-        return numerics.uniform_vector(rng, self.dim, self._bound)
+        return rng.uniform(-self._bound, self._bound, self.dim)
 
     def onehot_index(self, word):
         """The one slot a one-hot mode word sets (the last one is UNK)."""
@@ -223,10 +225,14 @@ class RegexRuleSet:
         names = [r.name for r in self.rules]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate rule names in {names}")
+        self._regexes = []
         for r in self.rules:
             if r.scope not in RULE_SCOPES:
                 raise ValueError(f"rule {r.name!r}: unknown scope {r.scope!r}")
-        self._regexes = [re.compile(r.pattern) for r in self.rules]
+            try:
+                self._regexes.append(re.compile(r.pattern))
+            except re.error as exc:
+                raise ValueError(f"rule {r.name!r}: {exc}") from None
         # (K, the columns of the rules with scope prevK), self being K = 0
         scopes = [RULE_SCOPES.index(r.scope) for r in self.rules]
         self.scope_columns = [
@@ -325,6 +331,13 @@ class FeatureExtractor:
     _types: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
+    def __post_init__(self):
+        for feature, part, what in ((POS, self.pos_encoder, "tag list"),
+                                    (CHUNK, self.chunk_encoder, "tag list"),
+                                    (REGEX, self.rules, "rules")):
+            if self.config.has(feature) and part is None:
+                raise ValueError(f"the {feature} feature is on but has no {what}")
+
     @property
     def input_dim(self):
         width = self.table.dim
@@ -334,7 +347,7 @@ class FeatureExtractor:
             width += self.chunk_encoder.width
         if self.config.has(CASE):
             width += len(CASE_CATEGORIES)
-        if self.config.has(REGEX) and self.rules is not None:
+        if self.config.has(REGEX):
             width += self.rules.width
         return width
 
@@ -344,7 +357,7 @@ class FeatureExtractor:
                   else table.lookup(surface),
                   case_category(surface) if self.config.has(CASE) else 0,
                   self.rules.match_bits(surface)
-                  if self.config.has(REGEX) and self.rules is not None else b"")
+                  if self.config.has(REGEX) else b"")
         self._types[surface] = record
         return record
 
@@ -388,7 +401,7 @@ class FeatureExtractor:
             col += len(CASE_CATEGORIES)
         if hot:
             out[rows, hot] = 1.0
-        if config.has(REGEX) and self.rules is not None and self.rules.width:
+        if config.has(REGEX) and self.rules.width:
             width = self.rules.width
             matches = np.unpackbits(
                 np.frombuffer(b"".join(bits), np.uint8).reshape(T, -1),

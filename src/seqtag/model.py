@@ -44,7 +44,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .numerics import DimensionMismatch, uniform_matrix
+from .numerics import DimensionMismatch
 
 MAGIC = b"SQTG"
 FORMAT_VERSION = 1
@@ -123,8 +123,9 @@ class CellParams:
         forget gate's. LSTM weights are drawn in the container's gate order
         and then swapped, so a seed yields the parameters it always did."""
         p = cls(hidden, input_dim, kind)
-        p.W = uniform_matrix(rng, len(p.b), hidden, np.sqrt(3.0 / hidden))
-        p.U = uniform_matrix(rng, len(p.b), input_dim, np.sqrt(3.0 / input_dim))
+        bound_w, bound_u = np.sqrt(3.0 / hidden), np.sqrt(3.0 / input_dim)
+        p.W = rng.uniform(-bound_w, bound_w, (len(p.b), hidden))
+        p.U = rng.uniform(-bound_u, bound_u, (len(p.b), input_dim))
         if kind == "lstm":
             p.W, p.U = _swap_oc(p.W), _swap_oc(p.U)
             p.b[hidden:2 * hidden] = forget_bias
@@ -306,23 +307,15 @@ def _backprop_layer(cells, caches, dout, dcells, input_grads=True):
     return dinputs
 
 
-def run_layer(params, inputs, direction="fwd"):
-    """Hidden-state sequence of one recurrent pass over `inputs`.
-
-    "fwd" processes positions first to last, "bwd" last to first; both start
-    from a zero state, and "bwd" output is re-aligned to input positions.
-    """
-    if direction not in ("fwd", "bwd"):
-        raise ValueError(f"direction must be 'fwd' or 'bwd', got {direction!r}")
-    return _run_layer({direction: params},
-                      np.asarray(inputs, dtype=np.float64))[0]
-
-
-def run_bilayer(fwd_params, bwd_params, inputs):
-    """Concatenation of the forward and backward passes per position, as
-    forward() runs a bidirectional layer; output width is exactly 2H."""
-    return _run_layer({"fwd": fwd_params, "bwd": bwd_params},
-                      np.asarray(inputs, dtype=np.float64))[0]
+def run_layer(cells, inputs):
+    """Hidden-state sequence of one layer, a {direction: CellParams} dict
+    as a tagger holds, over `inputs`: "fwd" processes positions first to
+    last, "bwd" last to first; both start from a zero state, and the states
+    are aligned to input positions and concatenated in dict order."""
+    if not cells or not set(cells) <= {"fwd", "bwd"}:
+        raise ValueError(f"a layer's directions must be 'fwd' or 'bwd', "
+                         f"got {list(cells)}")
+    return _run_layer(cells, np.asarray(inputs, dtype=np.float64))[0]
 
 
 @dataclass
@@ -476,9 +469,8 @@ def init_params(config, rng, extra=None):
         for cell in layer.values():
             fresh = CellParams.init(rng, cell.hidden, cell.input_dim, cell.kind)
             cell.W[...], cell.U[...], cell.b[...] = fresh.W, fresh.U, fresh.b
-    fan_in = config.layer_output_dim
-    tagger.proj_w[...] = uniform_matrix(rng, len(config.labels), fan_in,
-                                        np.sqrt(3.0 / fan_in))
+    bound = np.sqrt(3.0 / config.layer_output_dim)
+    tagger.proj_w[...] = rng.uniform(-bound, bound, tagger.proj_w.shape)
     return tagger
 
 

@@ -21,21 +21,6 @@ def derive_rng(seed, *keys):
     return np.random.default_rng([int(seed)] + [int(k) for k in keys])
 
 
-def uniform_vector(rng, dim, bound):
-    """Vector of `dim` samples from uniform[-bound, +bound]."""
-    if dim < 1:
-        raise ValueError(f"uniform_vector: dim must be >= 1, got {dim}")
-    if bound <= 0:
-        raise ValueError(f"uniform_vector: bound must be > 0, got {bound}")
-    return rng.uniform(-bound, bound, size=dim)
-
-
-def uniform_matrix(rng, rows, cols, bound):
-    if rows < 1 or cols < 1:
-        raise ValueError(f"uniform_matrix: bad shape ({rows}, {cols})")
-    return rng.uniform(-bound, bound, size=(rows, cols))
-
-
 FD_BLOCK = 64  # elements perturbed per evaluation of f
 
 

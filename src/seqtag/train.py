@@ -7,7 +7,7 @@ retrains the tagger across feature/architecture variants.
 import copy
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -130,7 +130,7 @@ def evaluate_tagger(tagger, extractor, sentences):
 
 
 def train(tagger, train_sentences, dev_sentences, extractor, config,
-          eval_fn=None, progress=None):
+          progress=None):
     """Optimize `tagger` in place by updating its `theta`; returns `(best,
     log)`: the best checkpoint, a second Tagger with its own vector, and the
     TrainLog. ValueError names a parameter array that is no longer a view
@@ -142,8 +142,7 @@ def train(tagger, train_sentences, dev_sentences, extractor, config,
     clip its gradients to the global-norm budget, apply the SGD update,
     then measure dev phrase F1. Training stops when dev F1 has not improved
     for `patience` epochs (or at max_epochs) and the checkpoint with the
-    best dev F1 is returned. `eval_fn(tagger) -> float` overrides the dev
-    evaluation (used by tests and callers with custom selection metrics).
+    best dev F1 is returned.
     """
     theta = tagger.theta
     for name, arr in tagger.param_items():
@@ -153,14 +152,9 @@ def train(tagger, train_sentences, dev_sentences, extractor, config,
     train_sentences = list(train_sentences)
     if not train_sentences:
         raise EmptyCorpus("training set is empty")
-    if eval_fn is None:
-        dev_sentences = list(dev_sentences)
-        if not dev_sentences:
-            raise EmptyCorpus("dev set is empty; pass sentences or an eval_fn")
-
-        def eval_fn(t):
-            return evaluate_tagger(t, extractor, dev_sentences).overall.f1
-
+    dev_sentences = list(dev_sentences)
+    if not dev_sentences:
+        raise EmptyCorpus("dev set is empty")
     label_index = {label: i for i, label in enumerate(tagger.config.labels)}
     golds = [[label_index[t.gold_label] for t in sent] for sent in train_sentences]
     if not all(golds):
@@ -191,7 +185,7 @@ def train(tagger, train_sentences, dev_sentences, extractor, config,
             theta -= grad
             total_loss += loss
         epoch_loss = total_loss / len(golds)
-        dev_f1 = float(eval_fn(tagger))
+        dev_f1 = evaluate_tagger(tagger, extractor, dev_sentences).overall.f1
         entry = EpochRecord(epoch, epoch_loss, dev_f1,
                             time.perf_counter() - started)
         log.entries.append(entry)
@@ -241,18 +235,6 @@ class ExperimentSetup:
 
 
 @dataclass
-class RowSpec:
-    """One ablation row: a name plus the setup fields it overrides."""
-    name: str
-    feature_set: tuple | None = None
-    embedding_mode: str | None = None
-    cell: str | None = None
-    bidirectional: bool | None = None
-    layers: int | None = None
-    dropout: float | None = None
-
-
-@dataclass
 class AblationRow:
     name: str
     precision: float | None = None
@@ -282,13 +264,13 @@ def _row_slug(name):
 
 
 def ablate(setup, row_specs, train_config, save_dir=None):
-    """Train one model per row spec, same seed and TrainConfig throughout;
-    a failing row is recorded with its error and the run continues. With
-    save_dir, each row's best model is retained as <slug>.sqtg."""
+    """Train one model per row spec, a `(name, overrides)` pair whose
+    overrides are ExperimentSetup fields, with the same seed and
+    TrainConfig throughout; a failing row is recorded with its error and
+    the run continues. With save_dir, each row's best model is retained as
+    <slug>.sqtg."""
     rows = []
-    for spec in row_specs:
-        overrides = {f.name: getattr(spec, f.name) for f in fields(RowSpec)
-                     if f.name != "name" and getattr(spec, f.name) is not None}
+    for name, overrides in row_specs:
         row_setup = replace(setup, **overrides)
         try:
             tagger, extractor = build_tagger(row_setup, train_config.seed)
@@ -300,11 +282,11 @@ def ablate(setup, row_specs, train_config, save_dir=None):
             if save_dir is not None:
                 os.makedirs(save_dir, exist_ok=True)
                 model.save(best, os.path.join(save_dir,
-                                              _row_slug(spec.name) + ".sqtg"))
-            rows.append(AblationRow(spec.name, report.overall.precision,
+                                              _row_slug(name) + ".sqtg"))
+            rows.append(AblationRow(name, report.overall.precision,
                                     report.overall.recall, report.overall.f1))
         except Exception as exc:  # keep going; the row records its failure
-            rows.append(AblationRow(spec.name, error=f"{type(exc).__name__}: {exc}"))
+            rows.append(AblationRow(name, error=f"{type(exc).__name__}: {exc}"))
     return rows
 
 
@@ -313,30 +295,30 @@ W, P, C, K, R = (features.WORD, features.POS, features.CHUNK,
 
 ABLATION_PRESETS = {
     "table3": [
-        RowSpec("Skip-Gram", embedding_mode="pretrained"),
-        RowSpec("Random", embedding_mode="random"),
-        RowSpec("One-hot", embedding_mode="onehot"),
+        ("Skip-Gram", {"embedding_mode": "pretrained"}),
+        ("Random", {"embedding_mode": "random"}),
+        ("One-hot", {"embedding_mode": "onehot"}),
     ],
     "table4": [
-        RowSpec("Bi-LSTM", bidirectional=True),
-        RowSpec("LSTM", bidirectional=False),
+        ("Bi-LSTM", {"bidirectional": True}),
+        ("LSTM", {"bidirectional": False}),
     ],
     "table5": [
-        RowSpec("Two layers", layers=2),
-        RowSpec("One layer", layers=1),
+        ("Two layers", {"layers": 2}),
+        ("One layer", {"layers": 1}),
     ],
     "table6": [
-        RowSpec("Dropout = 0.5", dropout=0.5),
-        RowSpec("Dropout = 0.0", dropout=0.0),
+        ("Dropout = 0.5", {"dropout": 0.5}),
+        ("Dropout = 0.0", {"dropout": 0.0}),
     ],
     "table7": [
-        RowSpec("Word", feature_set=(W,)),
-        RowSpec("Word+POS", feature_set=(W, P)),
-        RowSpec("Word+Chunk", feature_set=(W, C)),
-        RowSpec("Word+Case", feature_set=(W, K)),
-        RowSpec("Word+Regex", feature_set=(W, R)),
-        RowSpec("Word+POS+Chunk+Case+Regex", feature_set=(W, P, C, K, R)),
-        RowSpec("Word+POS+Chunk+Regex", feature_set=(W, P, C, R)),
+        ("Word", {"feature_set": (W,)}),
+        ("Word+POS", {"feature_set": (W, P)}),
+        ("Word+Chunk", {"feature_set": (W, C)}),
+        ("Word+Case", {"feature_set": (W, K)}),
+        ("Word+Regex", {"feature_set": (W, R)}),
+        ("Word+POS+Chunk+Case+Regex", {"feature_set": (W, P, C, K, R)}),
+        ("Word+POS+Chunk+Regex", {"feature_set": (W, P, C, R)}),
     ],
 }
 

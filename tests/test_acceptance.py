@@ -10,7 +10,7 @@ import numpy as np
 from seqtag import cli, corpus, features, model, train
 from seqtag.corpus import (convert_scheme, extract_spans, validate_iob2)
 from seqtag.eval import f1
-from seqtag.model import CellParams, load, run_bilayer, run_layer, save
+from seqtag.model import CellParams, load, run_layer, save
 from seqtag.numerics import derive_rng
 from seqtag.selfcheck import (check_gradients, check_scorer,
                               compare_recurrence_pathology, enumerate_spans)
@@ -78,9 +78,9 @@ def test_c05_bilayer_decomposition_bit_identical():
         fwd = CellParams.init(rng, hidden, dim)
         bwd = CellParams.init(rng, hidden, dim)
         x = rng.uniform(-2, 2, size=(T, dim))
-        combined = run_bilayer(fwd, bwd, x)
-        parts = np.concatenate([run_layer(fwd, x, "fwd"),
-                                run_layer(bwd, x, "bwd")], axis=1)
+        combined = run_layer({"fwd": fwd, "bwd": bwd}, x)
+        parts = np.concatenate([run_layer({"fwd": fwd}, x),
+                                run_layer({"bwd": bwd}, x)], axis=1)
         if not np.array_equal(combined, parts):
             ok = False
             break
@@ -139,8 +139,8 @@ def test_c08_chunk_feature_directionality():
         entity_types=("LOC",), embedding_mode="random", embedding_dim=12,
         embedding_seed=11, hidden=12, layers=1, bidirectional=True,
         dropout=0.0)
-    rows = [train.RowSpec("Word", feature_set=("word",)),
-            train.RowSpec("Word+Chunk", feature_set=("word", "chunk"))]
+    rows = [("Word", {"feature_set": ("word",)}),
+            ("Word+Chunk", {"feature_set": ("word", "chunk")})]
     cfg = train.TrainConfig(seed=11, max_epochs=25, patience=25)
     results = train.ablate(setup, rows, cfg)
     word_f1 = results[0].f1

@@ -167,6 +167,25 @@ def test_cmd_tag_width_mismatch_names_both_widths(tmp_path, toy_path, capsys):
     assert "9" in err and "12" in err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda extra: extra.update(pos_tags=None),
+     "the pos feature is on but has no tag list"),
+    (lambda extra: extra.update(regex_rules=[["OPEN", "self", "("]]),
+     "rule 'OPEN': missing ), unterminated subpattern"),
+    (lambda extra: extra["embedding"].update(seed=-1),
+     "embedding seed must be >= 0, got -1"),
+], ids=["null-tag-list", "bad-rule-pattern", "negative-seed"])
+def test_cmd_tag_refuses_a_hostile_pipeline_record(tmp_path, toy_path, capsys,
+                                                   edit, message):
+    rc, out = _train(tmp_path, toy_path, "--features", "word,pos,regex")
+    tagger = model.load(out)
+    edit(tagger.extra)
+    model.save(tagger, out)  # with a valid checksum for the edited record
+    rc = cli.main(["tag", "--model", out, "--input", toy_path])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+
+
 def test_tag_then_eval_matches_train_dev_score(tmp_path, toy_path):
     rc, out = _train(tmp_path, toy_path)
     log = open(out + ".log").read()

@@ -242,11 +242,13 @@ def _sentence(labels):
 
 
 def test_stats_counts():
-    cs = stats([_sentence(["B-PER", "I-PER", "B-LOC"])])
+    sents = [_sentence(["B-PER", "I-PER", "B-LOC"]), _sentence(["O"])]
+    cs = stats(sents)
     assert cs.entity_counts == {"PER": 1, "LOC": 1}
     assert cs.total_entities == 2
-    assert cs.sentence_count == 1
-    assert cs.token_count == 3
+    assert cs.sentence_count == 2
+    assert cs.token_count == 4
+    assert stats(s for s in sents) == cs  # a one-shot iterable
 
 
 def test_stats_empty():

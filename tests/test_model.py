@@ -11,7 +11,7 @@ from seqtag import model, numerics
 from seqtag.model import (BadMagic, CellParams, ChecksumMismatch,
                           EmptySequence, Tagger, TaggerConfig, TruncatedFile,
                           UnsupportedVersion, forward, init_params, load,
-                          loss_and_gradients, run_bilayer, run_layer, save)
+                          loss_and_gradients, run_layer, save)
 from seqtag.numerics import DimensionMismatch, derive_rng
 from seqtag import selfcheck
 from seqtag.selfcheck import check_gradients
@@ -83,40 +83,47 @@ def test_rnn_step_zero_params_and_scalar():
 def test_run_layer_single_step_directions_agree():
     p = CellParams.init(derive_rng(2, 1), 3, 4)
     x = derive_rng(2, 2).uniform(-1, 1, size=(1, 4))
-    assert np.array_equal(run_layer(p, x, "fwd"), run_layer(p, x, "bwd"))
+    assert np.array_equal(run_layer({"fwd": p}, x), run_layer({"bwd": p}, x))
 
 
 def test_run_layer_bwd_is_reversed_fwd_of_reversed_input():
     p = CellParams.init(derive_rng(3, 1), 3, 4)
     x = derive_rng(3, 2).uniform(-1, 1, size=(6, 4))
-    bwd = run_layer(p, x, "bwd")
-    ref = run_layer(p, x[::-1], "fwd")[::-1]
+    bwd = run_layer({"bwd": p}, x)
+    ref = run_layer({"fwd": p}, x[::-1])[::-1]
     assert np.array_equal(bwd, ref)
 
 
 def test_run_layer_zero_params_zero_output():
     p = CellParams(3, 4)
     x = derive_rng(4, 1).uniform(-1, 1, size=(5, 4))
-    assert np.array_equal(run_layer(p, x, "fwd"), np.zeros((5, 3)))
+    assert np.array_equal(run_layer({"fwd": p}, x), np.zeros((5, 3)))
 
 
 def test_run_layer_empty_sequence():
     p = CellParams(3, 4)
     with pytest.raises(EmptySequence):
-        run_layer(p, np.zeros((0, 4)), "fwd")
+        run_layer({"fwd": p}, np.zeros((0, 4)))
+
+
+@pytest.mark.parametrize("directions", [(), ("up",), ("fwd", "left")])
+def test_run_layer_refuses_an_unknown_direction(directions):
+    p = CellParams(3, 4)
+    with pytest.raises(ValueError, match="'fwd' or 'bwd'"):
+        run_layer({d: p for d in directions}, np.zeros((2, 4)))
 
 
 def test_run_layer_matches_stepwise_reference():
     # the stacked-gate runner and the literal per-gate step must agree
     p = CellParams.init(derive_rng(5, 1), 4, 6)
     x = derive_rng(5, 2).uniform(-1, 1, size=(7, 6))
-    states = run_layer(p, x, "fwd")
+    states = run_layer({"fwd": p}, x)
     st = LstmState.zeros(4)
     for t in range(7):
         st = lstm_step(p, x[t], st)
         assert np.max(np.abs(st.h - states[t])) < 1e-12
     rnn = CellParams.init(derive_rng(5, 3), 4, 6, "rnn")
-    states = run_layer(rnn, x, "fwd")
+    states = run_layer({"fwd": rnn}, x)
     h = np.zeros(4)
     for t in range(7):
         h = rnn_step(rnn, x[t], h)
@@ -127,16 +134,17 @@ def test_run_bilayer_width_and_decomposition():
     fwd = CellParams.init(derive_rng(6, 1), 3, 4)
     bwd = CellParams.init(derive_rng(6, 2), 3, 4)
     x = derive_rng(6, 3).uniform(-1, 1, size=(5, 4))
-    out = run_bilayer(fwd, bwd, x)
+    out = run_layer({"fwd": fwd, "bwd": bwd}, x)
     assert out.shape == (5, 6)
-    expected = np.concatenate([run_layer(fwd, x, "fwd"),
-                               run_layer(bwd, x, "bwd")], axis=1)
+    expected = np.concatenate([run_layer({"fwd": fwd}, x),
+                               run_layer({"bwd": bwd}, x)], axis=1)
     assert np.array_equal(out, expected)
 
 
 @pytest.mark.parametrize("cell", ["lstm", "rnn"])
 def test_forward_first_layer_is_run_bilayer(cell):
-    # C5 checks run_bilayer; this ties it to the pass forward() runs
+    # C5 checks run_layer on a bidirectional layer; this ties it to the
+    # pass forward() runs
     for k in range(10):
         rng = derive_rng(310, k)
         cfg = _config(hidden=int(rng.integers(1, 6)), layers=2, cell=cell,
@@ -146,14 +154,14 @@ def test_forward_first_layer_is_run_bilayer(cell):
         _, cache = forward(tagger, x)
         layer = tagger.layers[0]
         assert np.array_equal(cache["layers"][0]["output"],
-                              run_bilayer(layer["fwd"], layer["bwd"], x))
+                              run_layer(layer, x))
 
 
 def test_run_bilayer_palindrome_symmetry():
     p = CellParams.init(derive_rng(7, 1), 3, 4)
     half = derive_rng(7, 2).uniform(-1, 1, size=(3, 4))
     x = np.concatenate([half, half[::-1]])
-    out = run_bilayer(p, p, x)
+    out = run_layer({"fwd": p, "bwd": p}, x)
     T, H = len(x), 3
     for t in range(T):
         assert np.max(np.abs(out[t, :H] - out[T - 1 - t, H:])) < 1e-12

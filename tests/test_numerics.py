@@ -8,7 +8,7 @@ import pytest
 from seqtag import numerics
 from seqtag.model import _softmax_rows
 from seqtag.numerics import (DimensionMismatch, finite_diff_grad,
-                             gradient_relative_error, uniform_vector)
+                             gradient_relative_error)
 from oracle import hadamard, matvec, sigmoid
 
 
@@ -97,21 +97,6 @@ def test_linear_ops_distributivity_spot_checks():
         w = rng.normal(size=4)
         assert np.max(np.abs(hadamard(w, u + v)
                              - (hadamard(w, u) + hadamard(w, v)))) < 1e-10
-
-
-def test_uniform_vector_bounds_and_determinism():
-    v = uniform_vector(np.random.default_rng(5), 3, 1.0)
-    assert v.shape == (3,)
-    assert np.all(np.abs(v) <= 1.0)
-    assert np.array_equal(uniform_vector(np.random.default_rng(5), 3, 1.0), v)
-    assert not np.array_equal(uniform_vector(np.random.default_rng(6), 3, 1.0), v)
-
-
-def test_uniform_vector_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        uniform_vector(np.random.default_rng(0), 0, 1.0)
-    with pytest.raises(ValueError):
-        uniform_vector(np.random.default_rng(0), 3, 0.0)
 
 
 def test_finite_diff_on_square():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from seqtag import corpus, features, model, train
+from seqtag.eval import ScoreReport, TypeScore
 from seqtag.numerics import derive_rng
 
 
@@ -20,6 +21,18 @@ def _tiny_setup(sentences, dim=8, hidden=6, dropout=0.0, layers=1, seed=3,
                              dropout=dropout)
     tagger = model.init_params(cfg, derive_rng(seed, 0))
     return tagger, extractor
+
+
+def _dev_report(f1):
+    """A dev evaluation whose overall F1 is the integer percentage `f1`."""
+    return ScoreReport(overall=TypeScore(gold=100, predicted=100, correct=f1))
+
+
+@pytest.fixture
+def zero_dev_f1(monkeypatch):
+    """Stand in for each epoch's dev evaluation with an F1 of 0, so a test
+    trains without scoring any dev set."""
+    monkeypatch.setattr(train, "evaluate_tagger", lambda *_: _dev_report(0))
 
 
 def _mini_corpus():
@@ -121,13 +134,12 @@ def test_clip_gradients_refuses_a_budget_that_is_not_finite_and_positive(max_nor
 
 
 @pytest.mark.parametrize("cell", ["lstm", "rnn"])
-def test_clipped_step_matches_per_array_clip_and_update(cell):
+def test_clipped_step_matches_per_array_clip_and_update(cell, zero_dev_f1):
     sents = _mini_corpus()[1:2]
     tagger, extractor = _tiny_setup(sents, dropout=0.5, layers=2, cell=cell)
     reference = copy.deepcopy(tagger)
     cfg = train.TrainConfig(seed=4, max_epochs=1, clip_norm=0.05)
-    best, _ = train.train(tagger, sents, [], extractor, cfg,
-                          eval_fn=lambda t: 0.0)
+    best, _ = train.train(tagger, sents, sents, extractor, cfg)
 
     # the same step, one parameter array at a time
     label_index = {l: i for i, l in enumerate(reference.config.labels)}
@@ -189,19 +201,19 @@ def test_train_rejects_a_rebound_parameter_block(block):
         train.train(tagger, sents, sents, extractor, cfg)
 
 
-def test_early_stopping_returns_best_not_last():
+def test_early_stopping_returns_best_not_last(monkeypatch):
     sents = _mini_corpus()
     tagger, extractor = _tiny_setup(sents)
-    scripted = iter([50.0, 60.0, 55.0])
+    scripted = iter([50, 60, 55])
     snapshots = []
 
-    def eval_fn(t):
+    def evaluate_tagger(t, extractor, sentences):
         snapshots.append({n: a.copy() for n, a in t.param_items()})
-        return next(scripted)
+        return _dev_report(next(scripted))
 
+    monkeypatch.setattr(train, "evaluate_tagger", evaluate_tagger)
     cfg = train.TrainConfig(seed=1, max_epochs=10, patience=1)
-    best, log = train.train(tagger, sents, [], extractor, cfg,
-                            eval_fn=eval_fn)
+    best, log = train.train(tagger, sents, sents, extractor, cfg)
     assert len(log.entries) == 3
     assert log.best_epoch == 2
     assert log.best_dev_f1 == 60.0
@@ -296,11 +308,11 @@ def test_bad_training_sentence_is_refused_before_any_update(bad, error):
     for position in (0, len(sents)):
         with pytest.raises(error):
             train.train(tagger, sents[:position] + [bad] + sents[position:],
-                        [], extractor, cfg, eval_fn=lambda t: 0.0)
+                        sents, extractor, cfg)
         assert tagger.theta.tobytes() == before.tobytes()
 
 
-def test_training_memory_does_not_grow_with_the_corpus():
+def test_training_memory_does_not_grow_with_the_corpus(zero_dev_f1):
     # 200 five-token sentences of distinct words under a one-hot table: the
     # inputs of the whole set would take tokens x input_dim x 8 B (~8 MB)
     words = [f"w{i}" for i in range(1000)]
@@ -317,9 +329,8 @@ def test_training_memory_does_not_grow_with_the_corpus():
     full_inputs = len(words) * extractor.input_dim * 8
     tracemalloc.start()
     try:
-        train.train(tagger, sents, [], extractor,
-                    train.TrainConfig(seed=0, max_epochs=1),
-                    eval_fn=lambda t: 0.0)
+        train.train(tagger, sents, sents, extractor,
+                    train.TrainConfig(seed=0, max_epochs=1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -345,8 +356,8 @@ def test_ablate_identical_rows_identical_scores(toy_sentences):
         train_sentences=sents, dev_sentences=sents,
         embedding_mode="random", embedding_dim=8, embedding_seed=1,
         hidden=5, layers=1, dropout=0.0)
-    rows = [train.RowSpec("first", feature_set=("word",)),
-            train.RowSpec("second", feature_set=("word",))]
+    rows = [("first", {"feature_set": ("word",)}),
+            ("second", {"feature_set": ("word",)})]
     cfg = train.TrainConfig(seed=4, max_epochs=2, patience=2)
     results = train.ablate(setup, rows, cfg)
     assert results[0].error is None and results[1].error is None
@@ -360,8 +371,8 @@ def test_ablate_row_failure_recorded_and_run_continues(toy_sentences):
         train_sentences=sents, dev_sentences=sents,
         embedding_mode="random", embedding_dim=8, embedding_seed=1,
         hidden=4, layers=1, dropout=0.0, embeddings_path=None)
-    rows = [train.RowSpec("broken", embedding_mode="pretrained"),
-            train.RowSpec("fine", feature_set=("word",))]
+    rows = [("broken", {"embedding_mode": "pretrained"}),
+            ("fine", {"feature_set": ("word",)})]
     cfg = train.TrainConfig(seed=4, max_epochs=1, patience=1)
     results = train.ablate(setup, rows, cfg)
     assert results[0].error is not None
@@ -381,11 +392,11 @@ def test_render_ablation_and_tsv():
 
 def test_ablation_presets_shapes():
     assert len(train.ABLATION_PRESETS["table7"]) == 7
-    assert [r.name for r in train.ABLATION_PRESETS["table6"]] == [
+    assert [name for name, _ in train.ABLATION_PRESETS["table6"]] == [
         "Dropout = 0.5", "Dropout = 0.0"]
-    assert [r.name for r in train.ABLATION_PRESETS["table4"]] == [
+    assert [name for name, _ in train.ABLATION_PRESETS["table4"]] == [
         "Bi-LSTM", "LSTM"]
-    assert [r.name for r in train.ABLATION_PRESETS["table5"]] == [
+    assert [name for name, _ in train.ABLATION_PRESETS["table5"]] == [
         "Two layers", "One layer"]
-    assert [r.name for r in train.ABLATION_PRESETS["table3"]] == [
+    assert [name for name, _ in train.ABLATION_PRESETS["table3"]] == [
         "Skip-Gram", "Random", "One-hot"]

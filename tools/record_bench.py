@@ -15,7 +15,7 @@ drifts mislead. Each run also yields its workload's headline figure
 .perfbench/. After the rounds, every workload runs once more on each side
 with `--seed 0 --trace 1`, for its per-layer self times and counts. The
 tier-1 suite is then timed once on each side, and the lines of the Python
-files under src/ and tests/ are counted on each side.
+files under src/, tests/, demos/ and tools/ are counted on each side.
 
 The output JSON holds every run's metrics, the per-side medians and
 quartiles (`statistics.quantiles(n=4)`, as in perfbench/baseline.json) and,
@@ -102,11 +102,11 @@ def time_tier1(tree):
 
 
 def line_counts(tree):
-    """Lines (as `wc -l` counts them) of the Python files under src/ and
-    tests/ of `tree`."""
+    """Lines (as `wc -l` counts them) of the Python files under src/,
+    tests/, demos/ and tools/ of `tree`."""
     return {part: sum(path.read_bytes().count(b"\n")
                       for path in (tree / part).rglob("*.py"))
-            for part in ("src", "tests")}
+            for part in ("src", "tests", "demos", "tools")}
 
 
 def summarize(runs):
@@ -190,8 +190,8 @@ def main(argv=None):
         record["lines"] = {side: line_counts(trees[side])
                            for side in ("base", "head")}
         print("lines: " + ", ".join(
-            f"{side} src {n['src']} tests {n['tests']}"
-            for side, n in record["lines"].items()), flush=True)
+            side + "".join(f" {part} {n}" for part, n in counts.items())
+            for side, counts in record["lines"].items()), flush=True)
 
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
