@@ -45,7 +45,7 @@ print(f"synthetic corpus: {len(train_set)} train / {len(eval_set)} eval; "
 setup = train.ExperimentSetup(
     train_sentences=train_set, dev_sentences=eval_set,
     entity_types=("LOC",), embedding_mode="random", embedding_dim=12,
-    embedding_seed=21, hidden=12, layers=1, bidirectional=True, dropout=0.0)
+    hidden=12, layers=1, bidirectional=True, dropout=0.0)
 # a row is a name and the setup fields it overrides
 rows = [
     ("Word", {"feature_set": ("word",)}),

@@ -11,6 +11,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -188,7 +189,16 @@ def _parse_feature_list(text):
     return features.FeatureConfig(parts if parts else (features.WORD,))
 
 def _parse_entity_types(text):
-    return tuple(sorted(p.strip() for p in text.split(",") if p.strip()))
+    """The sorted names of a comma list of entity types. Each must fit the
+    label grammar, as B-<name> and I-<name>, and appear once."""
+    names = [p.strip() for p in text.split(",") if p.strip()]
+    for k, name in enumerate(names):
+        if not re.fullmatch(corpus.ENTITY_TYPE, name):
+            raise CliError(f"entity types {text!r}: {name!r} is not a name "
+                           f"of letters, digits and underscores")
+        if name in names[:k]:
+            raise CliError(f"entity types {text!r}: {name!r} is listed twice")
+    return tuple(sorted(names))
 
 
 def _read_corpus(path, entity_types, scheme):
@@ -248,10 +258,9 @@ def _setup(args, opts, rows=()):
         score_sentences=score_sents, entity_types=entity_types,
         feature_set=feature_set,
         embedding_mode=_embedding_mode(opts["embedding_mode"]),
-        embedding_dim=opts["embedding_dim"], embedding_seed=opts["seed"],
-        embeddings_path=args.embeddings, regex_rules=rules,
-        hidden=opts["hidden"], layers=opts["layers"], cell=opts["cell"],
-        bidirectional=opts["bidi"], dropout=opts["dropout"])
+        embedding_dim=opts["embedding_dim"], embeddings_path=args.embeddings,
+        regex_rules=rules, hidden=opts["hidden"], layers=opts["layers"],
+        cell=opts["cell"], bidirectional=opts["bidi"], dropout=opts["dropout"])
     try:
         setup.tagger_config(input_dim=1)
         return setup, train.TrainConfig(
@@ -310,6 +319,20 @@ def _load_model(path):
         raise CliError(f"{path}: {type(exc).__name__}: {exc}")
 
 
+def _check_labels(path, labels):
+    """Exit 1 unless `labels` is the label alphabet of the entity types they
+    name, as training writes it: a label off the IOB grammar, a repeated
+    label or one out of place would fail or mislead the tagging."""
+    try:
+        types = {corpus.parse_label(label, None)[1] for label in labels}
+        if labels == corpus.label_alphabet(types - {None}):
+            return
+    except (corpus.CorpusError, TypeError):
+        pass
+    raise CliError(f"{path}: the model's labels are not the label alphabet "
+                   f"of the entity types they name")
+
+
 def _read_tag_input(path):
     """Input for tagging: CoNLL lines with or without a gold label column,
     as the first token line shows. Returns (sentences, has_gold)."""
@@ -326,6 +349,7 @@ def cmd_tag(args):
     outputs = (args.output, args.output + ".manifest.json") if args.output else ()
     _check_paths(outputs, (args.model, args.input, args.embeddings))
     tagger = _load_model(args.model)
+    _check_labels(args.model, tagger.config.labels)
     try:
         with _io_errors("read", args.embeddings):
             extractor = features.FeatureExtractor.from_dict(tagger.extra,
@@ -399,7 +423,11 @@ def _read_rows(path):
             raise CliError(f"{path}: row {n}: missing key 'name'")
         overrides = {k: v for k, v in spec.items() if k != "name"}
         if "features" in overrides:
-            overrides["feature_set"] = tuple(overrides.pop("features"))
+            try:
+                overrides["feature_set"] = features.FeatureConfig(
+                    tuple(overrides.pop("features"))).enabled
+            except ValueError as exc:
+                raise CliError(f"{path}: row {n}: {exc}")
         if "embedding_mode" in overrides:
             overrides["embedding_mode"] = _embedding_mode(
                 overrides["embedding_mode"])

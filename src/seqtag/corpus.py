@@ -20,7 +20,8 @@ DEFAULT_ENTITY_TYPES = ("PER", "LOC", "ORG", "MISC")
 DEFAULT_MAX_SENTENCE_LEN = 150
 SCHEMES = ("IOB1", "IOB2")
 
-_LABEL_RE = re.compile(r"^(O|[BI]-[A-Za-z0-9_]+)$")
+ENTITY_TYPE = r"[A-Za-z0-9_]+"  # the grammar of an entity-type name
+_LABEL_RE = re.compile(rf"^(O|[BI]-{ENTITY_TYPE})$")
 
 
 class CorpusError(ValueError):

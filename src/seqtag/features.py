@@ -8,6 +8,7 @@ enabled feature blocks: [word | pos | chunk | case | regex].
 
 import hashlib
 import math
+import operator
 import os
 import re
 from dataclasses import dataclass, field
@@ -58,16 +59,15 @@ class EmbeddingTable:
     Modes: "pretrained" (vectors loaded from a word2vec text export, with
     an exact -> lowercase -> OOV fallback chain), "random" (every word
     drawn from the OOV distribution), "onehot" (dim = vocabulary size
-    including a reserved UNK slot).
+    including a reserved UNK slot). The dim and seed must be integers.
     """
 
-    def __init__(self, dim, mode, seed=0, lowercase_fallback=True, vocab=None):
+    def __init__(self, dim, mode, seed=0, vocab=None):
         if mode not in EMBEDDING_MODES:
             raise EmbeddingError(f"unknown embedding mode {mode!r}")
-        self.dim = int(dim)
+        self.dim = operator.index(dim)
         self.mode = mode
-        self.seed = int(seed)
-        self.lowercase_fallback = lowercase_fallback
+        self.seed = operator.index(seed)
         self.vectors = {}
         self.vocab = None
         if mode == "onehot":
@@ -98,7 +98,7 @@ class EmbeddingTable:
         vec = self.vectors.get(word)
         if vec is not None:
             return vec
-        if self.mode == "pretrained" and self.lowercase_fallback:
+        if self.mode == "pretrained":
             low = self.vectors.get(word.lower())
             if low is not None:
                 return low
@@ -110,15 +110,14 @@ class EmbeddingTable:
         return len(self.vectors)
 
 
-def load_embeddings(source, expected_dim, seed=0, lowercase_fallback=True):
+def load_embeddings(source, expected_dim, seed=0):
     """Load a word2vec-style text export: one "word v1 ... vd" line per word,
     optionally preceded by a "count dim" header. Later duplicates override
     earlier ones."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as handle:
-            return load_embeddings(handle, expected_dim, seed, lowercase_fallback)
-    table = EmbeddingTable(expected_dim, "pretrained", seed=seed,
-                           lowercase_fallback=lowercase_fallback)
+            return load_embeddings(handle, expected_dim, seed)
+    table = EmbeddingTable(expected_dim, "pretrained", seed=seed)
     for lineno, raw in enumerate(source, start=1):
         line = raw.rstrip("\n")
         if not line.strip():
@@ -148,19 +147,16 @@ def random_table(dim, seed):
     return EmbeddingTable(dim, "random", seed=seed)
 
 
-def embedding_table(mode, dim, seed, vocab=None, path=None,
-                    lowercase_fallback=True):
+def embedding_table(mode, dim, seed, vocab=None, path=None):
     """The table for one embedding mode. "pretrained" reads the vectors at
     `path`; "onehot" spans `vocab` (first-seen order) plus an UNK slot and
     ignores `dim` and `seed`."""
     if mode != "pretrained":
-        return EmbeddingTable(dim, mode, seed=seed,
-                              lowercase_fallback=lowercase_fallback, vocab=vocab)
+        return EmbeddingTable(dim, mode, seed=seed, vocab=vocab)
     if not path:
         raise EmbeddingError("skipgram embeddings need a vector file; "
                              "pass --embeddings <file>")
-    return load_embeddings(path, dim, seed=seed,
-                           lowercase_fallback=lowercase_fallback)
+    return load_embeddings(path, dim, seed=seed)
 
 
 def first_seen(sentences, field):
@@ -332,24 +328,20 @@ class FeatureExtractor:
                          compare=False)
 
     def __post_init__(self):
-        for feature, part, what in ((POS, self.pos_encoder, "tag list"),
-                                    (CHUNK, self.chunk_encoder, "tag list"),
-                                    (REGEX, self.rules, "rules")):
-            if self.config.has(feature) and part is None:
+        # each block's width, None for a block without its part
+        widths = {WORD: self.table.dim,
+                  POS: self.pos_encoder and self.pos_encoder.width,
+                  CHUNK: self.chunk_encoder and self.chunk_encoder.width,
+                  CASE: len(CASE_CATEGORIES),
+                  REGEX: self.rules and self.rules.width}
+        self.columns = {}  # the first input column of each enabled block
+        self.input_dim = 0
+        for feature in self.config.enabled:
+            if widths[feature] is None:
+                what = "rules" if feature == REGEX else "tag list"
                 raise ValueError(f"the {feature} feature is on but has no {what}")
-
-    @property
-    def input_dim(self):
-        width = self.table.dim
-        if self.config.has(POS):
-            width += self.pos_encoder.width
-        if self.config.has(CHUNK):
-            width += self.chunk_encoder.width
-        if self.config.has(CASE):
-            width += len(CASE_CATEGORIES)
-        if self.config.has(REGEX):
-            width += self.rules.width
-        return width
+            self.columns[feature] = self.input_dim
+            self.input_dim += widths[feature]
 
     def _new_type(self, surface):
         table = self.table
@@ -380,7 +372,7 @@ class FeatureExtractor:
         T = len(words)
         if out is None:
             out = np.empty((T, self.input_dim))
-        config, dim = self.config, self.table.dim
+        cols, dim = self.columns, self.table.dim
         rows = np.arange(T)
         if self.table.mode == "onehot":
             out[:] = 0.0
@@ -389,20 +381,18 @@ class FeatureExtractor:
             out[:, :dim] = words
             out[:, dim:] = 0.0
         hot = []  # per one-hot block, the column each token sets
-        col = dim
-        if config.has(POS):
-            hot.append(self.pos_encoder.tag_ids([t.pos for t in sentence], col))
-            col += self.pos_encoder.width
-        if config.has(CHUNK):
-            hot.append(self.chunk_encoder.tag_ids([t.chunk for t in sentence], col))
-            col += self.chunk_encoder.width
-        if config.has(CASE):
-            hot.append([col + c for c in cases])
-            col += len(CASE_CATEGORIES)
+        if POS in cols:
+            hot.append(self.pos_encoder.tag_ids([t.pos for t in sentence],
+                                                cols[POS]))
+        if CHUNK in cols:
+            hot.append(self.chunk_encoder.tag_ids([t.chunk for t in sentence],
+                                                  cols[CHUNK]))
+        if CASE in cols:
+            hot.append([cols[CASE] + c for c in cases])
         if hot:
             out[rows, hot] = 1.0
-        if config.has(REGEX) and self.rules.width:
-            width = self.rules.width
+        if REGEX in cols and self.rules.width:
+            col, width = cols[REGEX], self.rules.width
             matches = np.unpackbits(
                 np.frombuffer(b"".join(bits), np.uint8).reshape(T, -1),
                 axis=1, count=width, bitorder="little")
@@ -420,7 +410,7 @@ class FeatureExtractor:
         return {
             "features": list(self.config.enabled),
             "embedding": {"mode": t.mode, "dim": t.dim, "seed": t.seed,
-                          "lowercase_fallback": t.lowercase_fallback,
+                          "lowercase_fallback": True,
                           "vocab": list(t.vocab) if t.mode == "onehot" else None},
             "pos_tags": self.pos_encoder.tags() if self.pos_encoder else None,
             "chunk_tags": self.chunk_encoder.tags() if self.chunk_encoder else None,
@@ -431,11 +421,14 @@ class FeatureExtractor:
     @classmethod
     def from_dict(cls, record, embeddings_path=None):
         """Inverse of to_dict. A pretrained-mode record needs the vector
-        file it was trained with; raises EmbeddingError without one."""
+        file it was trained with; raises EmbeddingError without one, and for
+        a `lowercase_fallback` other than true, which to_dict never writes."""
         emb = record["embedding"]
+        if emb["lowercase_fallback"] is not True:
+            raise EmbeddingError(f"lowercase_fallback must be true, got "
+                                 f"{emb['lowercase_fallback']!r}")
         table = embedding_table(emb["mode"], emb["dim"], emb["seed"],
-                                vocab=emb["vocab"], path=embeddings_path,
-                                lowercase_fallback=emb["lowercase_fallback"])
+                                vocab=emb["vocab"], path=embeddings_path)
 
         def encoder(tags):
             return TagEncoder(tags) if tags is not None else None

@@ -40,7 +40,7 @@ import hashlib
 import json
 import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -342,6 +342,9 @@ class TaggerConfig:
             raise ValueError("label alphabet is empty")
         if self.input_dim < 1:
             raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
+        if not isinstance(self.bidirectional, bool):
+            raise ValueError(f"bidirectional must be a bool, "
+                             f"got {self.bidirectional!r}")
 
     @property
     def directions(self):
@@ -350,13 +353,6 @@ class TaggerConfig:
     @property
     def layer_output_dim(self):
         return self.hidden * (2 if self.bidirectional else 1)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(labels=list(d["labels"]), input_dim=int(d["input_dim"]),
-                   hidden=int(d["hidden"]), layers=int(d["layers"]),
-                   cell=d["cell"], bidirectional=bool(d["bidirectional"]),
-                   dropout=float(d["dropout"]))
 
 
 class Tagger:
@@ -682,9 +678,12 @@ def load(source):
         raise TruncatedFile("config record cut short")
     try:
         record = json.loads(data[12:12 + blob_len].decode("utf-8"))
-        config = TaggerConfig.from_dict(record["config"])
+        if set(record["config"]) != {f.name for f in fields(TaggerConfig)}:
+            raise KeyError(f"config fields {sorted(record['config'])}")
+        config = TaggerConfig(**record["config"])
         tagger = Tagger(config, extra=record.get("extra") or {})
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError,
+            MemoryError) as exc:
         raise BadConfigRecord(f"unreadable config record ({exc!r})") from None
 
     expected = 12 + blob_len + tagger.theta.nbytes + 8

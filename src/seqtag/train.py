@@ -217,7 +217,6 @@ class ExperimentSetup:
     feature_set: tuple = (features.WORD,)
     embedding_mode: str = "random"
     embedding_dim: int = 300
-    embedding_seed: int = 0
     embeddings_path: str | None = None
     regex_rules: features.RegexRuleSet | None = None
     hidden: int = model.TaggerConfig.hidden
@@ -245,10 +244,11 @@ class AblationRow:
 
 def build_tagger(setup, seed):
     """A freshly initialized tagger for `setup` and the feature extractor
-    fitted on its training corpus. The tagger's `extra` records the entity
-    types and the feature pipeline, so a saved model can tag new text."""
+    fitted on its training corpus, both drawn from `seed`. The tagger's
+    `extra` records the entity types and the feature pipeline, so a saved
+    model can tag new text."""
     table = features.embedding_table(
-        setup.embedding_mode, setup.embedding_dim, setup.embedding_seed,
+        setup.embedding_mode, setup.embedding_dim, seed,
         vocab=features.first_seen(setup.train_sentences, "surface"),
         path=setup.embeddings_path)
     extractor = features.build_extractor(

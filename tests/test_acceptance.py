@@ -137,7 +137,7 @@ def test_c08_chunk_feature_directionality():
     setup = train.ExperimentSetup(
         train_sentences=train_s, dev_sentences=score_s,
         entity_types=("LOC",), embedding_mode="random", embedding_dim=12,
-        embedding_seed=11, hidden=12, layers=1, bidirectional=True,
+        hidden=12, layers=1, bidirectional=True,
         dropout=0.0)
     rows = [("Word", {"feature_set": ("word",)}),
             ("Word+Chunk", {"feature_set": ("word", "chunk")})]

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import sys
@@ -6,7 +7,7 @@ from contextlib import suppress
 import numpy as np
 import pytest
 
-from seqtag import cli, corpus, model, train as train_module
+from seqtag import cli, corpus, features, model, train as train_module
 from seqtag.train import ExperimentSetup, build_tagger
 from seqtag.eval import score_conll_lines
 
@@ -41,6 +42,54 @@ def test_cmd_train_missing_embeddings_file(tmp_path, toy_path, capsys):
                    "--embeddings", "/nonexistent/vectors.vec")
     assert rc == 1
     assert "/nonexistent/vectors.vec" in capsys.readouterr().err
+
+
+def test_cmd_train_reports_each_epoch_unless_quiet(tmp_path, toy_path,
+                                                   capsys):
+    out = str(tmp_path / "m.sqtg")
+    argv = ["train", "--train", toy_path, "--dev", toy_path, "--out", out]
+    assert cli.main(argv + [a for a in FAST if a != "--quiet"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # one line per epoch, with the log's loss and dev F1 at print precision
+    with open(out + ".log") as handle:
+        log = [row.split("\t") for row in handle.read().splitlines()[1:3]]
+    for line, (epoch, loss, f1) in zip(lines, log):
+        assert line.startswith(f"epoch {epoch}: loss {float(loss):.4f} "
+                               f"dev_f1 {float(f1):.2f} (")
+    assert lines[2].startswith("best epoch ")
+    assert lines[3:] == [f"model written to {out}"]
+
+
+def test_skipgram_vectors_train_tag_and_table3(tmp_path, toy_path):
+    # vectors for two thirds of the toy vocabulary, half of those keyed by
+    # the lower-case form only; the rest are left to the OOV draw
+    words = features.first_seen(corpus.read_conll(toy_path), "surface")
+    vectors = tmp_path / "vectors.vec"
+    vectors.write_text("".join(
+        " ".join([word.lower() if i % 3 == 1 else word]
+                 + [str((i * 7 + d) % 13 / 10) for d in range(12)]) + "\n"
+        for i, word in enumerate(words) if i % 3 != 2), encoding="utf-8")
+    assert any(w.lower() != w for i, w in enumerate(words) if i % 3 == 1)
+    skipgram = ["--embedding-mode", "skipgram", "--embeddings", str(vectors),
+                "--max-epochs", "1"]
+    rc, out = _train(tmp_path, toy_path, *skipgram)
+    assert rc == 0
+    assert model.load(out).extra["embedding"]["mode"] == "pretrained"
+    tagged = tmp_path / "tagged.conll"
+    assert cli.main(["tag", "--model", out, "--input", toy_path, "--output",
+                     str(tagged), "--embeddings", str(vectors)]) == 0
+    with open(toy_path, encoding="utf-8") as handle:
+        tokens = [line.split() for line in handle if line.strip()]
+    rows = [line.split() for line in tagged.read_text("utf-8").splitlines()
+            if line]
+    assert [row[:4] for row in rows] == tokens and {len(r) for r in rows} == {5}
+    prefix = str(tmp_path / "abl")
+    assert cli.main(["ablate", "--train", toy_path, "--dev", toy_path,
+                     "--preset", "table3", "--out", prefix]
+                    + FAST + skipgram) == 0
+    with open(prefix + ".tsv") as handle:
+        status = [row.split("\t")[-1] for row in handle.read().splitlines()]
+    assert status == ["status", "ok", "ok", "ok"]
 
 
 def test_cmd_train_skipgram_needs_embeddings_flag(tmp_path, toy_path, capsys):
@@ -167,23 +216,60 @@ def test_cmd_tag_width_mismatch_names_both_widths(tmp_path, toy_path, capsys):
     assert "9" in err and "12" in err
 
 
+@pytest.fixture(scope="module")
+def pipeline_model(tmp_path_factory):
+    """The bytes of a model trained with a pos and a regex feature."""
+    rc, out = _train(tmp_path_factory.mktemp("pipeline"),
+                     cli.toy_corpus_file(), "--features", "word,pos,regex")
+    assert rc == 0
+    with open(out, "rb") as handle:
+        return handle.read()
+
+
+LABELS = corpus.label_alphabet()
+
+
 @pytest.mark.parametrize("edit, message", [
-    (lambda extra: extra.update(pos_tags=None),
+    (lambda t: t.extra.update(pos_tags=None),
      "the pos feature is on but has no tag list"),
-    (lambda extra: extra.update(regex_rules=[["OPEN", "self", "("]]),
+    (lambda t: t.extra.update(regex_rules=[["OPEN", "self", "("]]),
      "rule 'OPEN': missing ), unterminated subpattern"),
-    (lambda extra: extra["embedding"].update(seed=-1),
+    (lambda t: t.extra["embedding"].update(seed=-1),
      "embedding seed must be >= 0, got -1"),
-], ids=["null-tag-list", "bad-rule-pattern", "negative-seed"])
+    (lambda t: t.extra["embedding"].update(dim=3.5),
+     "'float' object cannot be interpreted as an integer"),
+    (lambda t: t.extra["embedding"].update(dim="3"),
+     "'str' object cannot be interpreted as an integer"),
+    (lambda t: t.extra["embedding"].update(seed=1.5),
+     "'float' object cannot be interpreted as an integer"),
+    (lambda t: t.extra["embedding"].update(lowercase_fallback="no"),
+     "lowercase_fallback must be true, got 'no'"),
+    (lambda t: setattr(t.config, "bidirectional", "yes"),
+     "bidirectional must be a bool, got 'yes'"),
+    (lambda t: setattr(t.config, "hidden", "8"), "BadConfigRecord"),
+    (lambda t: setattr(t.config, "hidden", 8.0), "BadConfigRecord"),
+    # label edits keep the count of nine, so the parameters still fit
+    (lambda t: setattr(t.config, "labels", LABELS[:-2] + ["B-X-Y", "I-X-Y"]),
+     "the model's labels are not the label alphabet"),
+    (lambda t: setattr(t.config, "labels", ["foo"] * 9),
+     "the model's labels are not the label alphabet"),
+    (lambda t: setattr(t.config, "labels", LABELS[:3] * 3),
+     "the model's labels are not the label alphabet"),
+], ids=["null-tag-list", "bad-rule-pattern", "negative-seed", "float-dim",
+        "str-dim", "float-seed", "lowercase-fallback-no", "str-bidirectional",
+        "str-hidden", "float-hidden", "label-off-grammar", "labels-foo",
+        "repeated-labels"])
 def test_cmd_tag_refuses_a_hostile_pipeline_record(tmp_path, toy_path, capsys,
-                                                   edit, message):
-    rc, out = _train(tmp_path, toy_path, "--features", "word,pos,regex")
-    tagger = model.load(out)
-    edit(tagger.extra)
+                                                   pipeline_model, edit,
+                                                   message):
+    out = str(tmp_path / "model.sqtg")
+    tagger = model.load(io.BytesIO(pipeline_model))
+    edit(tagger)
     model.save(tagger, out)  # with a valid checksum for the edited record
     rc = cli.main(["tag", "--model", out, "--input", toy_path])
+    err = capsys.readouterr().err
     assert rc == 1
-    assert message in capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_tag_then_eval_matches_train_dev_score(tmp_path, toy_path):
@@ -357,6 +443,14 @@ def _user_error_args(tmp_path, toy_path, case):
         "row-embedding-mode-internal": ablate + ["--rows", str(bad_rows)],
         "row-embedding-mode-capitalized": ablate + ["--rows", str(bad_rows)],
         "row-cell-unknown": ablate + ["--rows", str(bad_rows)],
+        "row-unknown-feature": ablate + ["--rows", str(bad_rows)],
+        # every type of the toy corpus, plus one off the label grammar
+        "entity-type-hyphen":
+            train + ["--entity-types", "PER,LOC,ORG,MISC,X-Y"],
+        "entity-type-space":
+            train + ["--entity-types", "PER,LOC,ORG,MISC,X Y"],
+        "entity-type-repeated":
+            train + ["--entity-types", "PER,PER,LOC,ORG,MISC"],
         "model-without-pipeline": ["tag", "--model", bare_model,
                                    "--input", toy_path],
         "embedding-dim-zero": train + ["--embedding-dim", "0"],
@@ -463,6 +557,10 @@ NOT_REACHED = {"config-scheme-lowercase": (corpus, "read_conll"),
                "row-embedding-mode-internal": (corpus, "read_conll"),
                "row-embedding-mode-capitalized": (corpus, "read_conll"),
                "row-cell-unknown": (corpus, "read_conll"),
+               "row-unknown-feature": (corpus, "read_conll"),
+               "entity-type-hyphen": (corpus, "read_conll"),
+               "entity-type-space": (corpus, "read_conll"),
+               "entity-type-repeated": (corpus, "read_conll"),
                "tag-manifest-directory": (model, "load"),
                "tag-output-missing-directory": (model, "load")}
 
@@ -488,6 +586,7 @@ ROW_CASES = {
     "row-embedding-mode-internal": {"embedding_mode": "pretrained"},
     "row-embedding-mode-capitalized": {"embedding_mode": "Random"},
     "row-cell-unknown": {"cell": "gru"},
+    "row-unknown-feature": {"features": ["word", "chunkk"]},
 }
 
 USER_ERROR_MESSAGES = {
@@ -509,6 +608,13 @@ USER_ERROR_MESSAGES = {
         "random, onehot, got 'Random'",
     "row-cell-unknown":
         "badrows.json: row 2: key 'cell' must be one of lstm, rnn, got 'gru'",
+    "row-unknown-feature": "badrows.json: row 2: unknown features: ['chunkk']",
+    "entity-type-hyphen": "entity types 'PER,LOC,ORG,MISC,X-Y': 'X-Y' is not "
+                          "a name of letters, digits and underscores",
+    "entity-type-space": "entity types 'PER,LOC,ORG,MISC,X Y': 'X Y' is not "
+                         "a name of letters, digits and underscores",
+    "entity-type-repeated":
+        "entity types 'PER,PER,LOC,ORG,MISC': 'PER' is listed twice",
     "config-str-for-int": "config key 'layers' must be int, got '2'",
     "config-bool-for-int": "config key 'layers' must be int, got True",
     "config-str-for-float": "config key 'dropout' must be float, got '0.5'",
@@ -591,7 +697,9 @@ USAGE_ERRORS = ["missing-required-flag", "hidden-not-int", "unknown-flag",
                                   "row-embedding-mode-unknown",
                                   "row-embedding-mode-internal",
                                   "row-embedding-mode-capitalized",
-                                  "row-cell-unknown",
+                                  "row-cell-unknown", "row-unknown-feature",
+                                  "entity-type-hyphen", "entity-type-space",
+                                  "entity-type-repeated",
                                   "model-without-pipeline",
                                   "embedding-dim-zero",
                                   "embedding-dim-negative",

@@ -255,13 +255,13 @@ def test_feature_config_normalizes():
 OPTIONAL_FEATURES = ALL_FEATURES[1:]
 FEATURE_SUBSETS = [("word",) + c for n in range(len(OPTIONAL_FEATURES) + 1)
                    for c in itertools.combinations(OPTIONAL_FEATURES, n)]
-TABLES = ["random", "onehot", "pretrained", "pretrained-no-fallback"]
+TABLES = ["random", "onehot", "pretrained"]
 
 
 def _table(kind, sentences):
     """A fresh table of one kind over the vocabulary of `sentences`. The
     pretrained vectors cover some surfaces exactly and others only in
-    lower case, so both fallback settings take different paths."""
+    lower case, so lookups take each step of the fallback chain."""
     if kind in ("random", "onehot"):
         return embedding_table(kind, 5, 11, vocab=first_seen(sentences, "surface"))
     lines = []
@@ -270,8 +270,7 @@ def _table(kind, sentences):
             continue  # left to the OOV draw
         key = word.lower() if i % 3 == 1 else word
         lines.append(" ".join([key] + [str((i * 7 + d) % 13 / 10) for d in range(5)]))
-    return load_embeddings(io.StringIO("\n".join(lines) + "\n"), 5, seed=11,
-                           lowercase_fallback=kind == "pretrained")
+    return load_embeddings(io.StringIO("\n".join(lines) + "\n"), 5, seed=11)
 
 
 def _pair(kind, train_sentences, enabled, rules):

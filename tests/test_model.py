@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import json
 import pickle
@@ -669,6 +670,20 @@ def test_load_truncated_mid_matrix():
         load(io.BytesIO(data[:len(data) // 2]))
 
 
+def test_load_header_cut_short():
+    with pytest.raises(TruncatedFile, match="header cut short"):
+        load(io.BytesIO(model.MAGIC + bytes(7)))
+
+
+def test_load_trailing_bytes_under_a_valid_checksum():
+    tagger = init_params(_config(), derive_rng(21, 1))
+    buf = io.BytesIO()
+    save(tagger, buf)
+    body = buf.getvalue()[:-8] + bytes(3)
+    with pytest.raises(model.TrailingBytes, match="3 unexpected"):
+        load(io.BytesIO(body + hashlib.sha256(body).digest()[:8]))
+
+
 def test_load_flipped_payload_byte():
     tagger = init_params(_config(), derive_rng(22, 1))
     buf = io.BytesIO()
@@ -697,12 +712,16 @@ def test_load_every_bit_flip_raises_named_error():
             load(io.BytesIO(bytes(flipped)))
 
 
-@pytest.mark.parametrize("field", ["hidden", "input_dim", "layers"])
-def test_load_absurd_size_in_record_is_bad_config_record(field):
+@pytest.mark.parametrize("field, size", [
+    pytest.param(field, 10 ** 30, id=field)
+    for field in ("hidden", "input_dim", "layers")] + [
+    # hundreds of PiB: past any address space, whatever the overcommit
+    pytest.param("hidden", 10 ** 8, id="hidden-1e8")])
+def test_load_absurd_size_in_record_is_bad_config_record(field, size):
     # a record whose tagger cannot be allocated is refused as a record, not
     # with the allocation's own error (nor, for layers, a walk over 10**30)
     tagger = init_params(_config(), derive_rng(26, 1))
-    record = {"config": {**asdict(tagger.config), field: 10 ** 30},
+    record = {"config": {**asdict(tagger.config), field: size},
               "extra": {}}
     blob = json.dumps(record).encode("utf-8")
     data = (model.MAGIC + model.FORMAT_VERSION.to_bytes(4, "little")

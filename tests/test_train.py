@@ -354,7 +354,7 @@ def test_ablate_identical_rows_identical_scores(toy_sentences):
     sents = toy_sentences[:12]
     setup = train.ExperimentSetup(
         train_sentences=sents, dev_sentences=sents,
-        embedding_mode="random", embedding_dim=8, embedding_seed=1,
+        embedding_mode="random", embedding_dim=8,
         hidden=5, layers=1, dropout=0.0)
     rows = [("first", {"feature_set": ("word",)}),
             ("second", {"feature_set": ("word",)})]
@@ -369,7 +369,7 @@ def test_ablate_row_failure_recorded_and_run_continues(toy_sentences):
     sents = toy_sentences[:8]
     setup = train.ExperimentSetup(
         train_sentences=sents, dev_sentences=sents,
-        embedding_mode="random", embedding_dim=8, embedding_seed=1,
+        embedding_mode="random", embedding_dim=8,
         hidden=4, layers=1, dropout=0.0, embeddings_path=None)
     rows = [("broken", {"embedding_mode": "pretrained"}),
             ("fine", {"feature_set": ("word",)})]
