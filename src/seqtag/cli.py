@@ -287,6 +287,8 @@ def cmd_train(args):
         raise CliError(f"{args.embeddings}: {exc}")
     except ValueError as exc:
         raise CliError(str(exc))
+    except MemoryError as exc:  # an architecture past any address space
+        raise CliError(f"cannot allocate the model: {exc}")
 
     progress = None
     if not args.quiet:
@@ -476,7 +478,8 @@ def cmd_selfcheck(args):
     except ValueError as exc:
         raise CliError(str(exc))
     _print(f"gradient check: worst relative error {grad.worst_error:.3e} "
-           f"over {grad.seeds} seeds (tolerance {grad.tolerance:.0e}) -> "
+           f"over {args.seeds} seeds (tolerance "
+           f"{selfcheck.GRADIENT_TOLERANCE:.0e}) -> "
            f"{'PASS' if grad.passed else 'FAIL'}\n")
     diffs = selfcheck.check_scorer()
     scorer_ok = not diffs

@@ -13,7 +13,7 @@ import functools
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 DEFAULT_ENTITY_TYPES = ("PER", "LOC", "ORG", "MISC")
@@ -326,8 +326,11 @@ def write_conll(sentences, sink, gold=True):
 
 def split_long(sentences, max_len=DEFAULT_MAX_SENTENCE_LEN):
     """Split sentences longer than max_len, cutting after the last O-labeled
-    token inside the window, or failing that at the last entity boundary,
-    never inside an entity. Bounds the BPTT sequence length."""
+    token inside the window, or failing that at the last entity boundary.
+    Only an entity longer than max_len is cut, after max_len tokens, and
+    its rest becomes an entity of its own: its first I-X turns B-X (in a
+    new Token; the input is not changed). Bounds the BPTT sequence
+    length."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     out = []
@@ -348,6 +351,9 @@ def split_long(sentences, max_len=DEFAULT_MAX_SENTENCE_LEN):
                 cut = max_len - 1  # single giant entity; hard split
             out.append(Sentence(tokens[:cut + 1]))
             tokens = tokens[cut + 1:]
+            label = tokens[0].gold_label
+            if label.startswith("I-"):
+                tokens[0] = replace(tokens[0], gold_label="B-" + label[2:])
         if tokens:
             out.append(Sentence(tokens))
     return out

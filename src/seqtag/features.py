@@ -59,7 +59,8 @@ class EmbeddingTable:
     Modes: "pretrained" (vectors loaded from a word2vec text export, with
     an exact -> lowercase -> OOV fallback chain), "random" (every word
     drawn from the OOV distribution), "onehot" (dim = vocabulary size
-    including a reserved UNK slot). The dim and seed must be integers.
+    including a reserved UNK slot; a word is a slot, onehot_index, not a
+    vector, so lookup refuses). The dim and seed must be integers.
     """
 
     def __init__(self, dim, mode, seed=0, vocab=None):
@@ -92,9 +93,7 @@ class EmbeddingTable:
 
     def lookup(self, word):
         if self.mode == "onehot":
-            v = np.zeros(self.dim)
-            v[self.onehot_index(word)] = 1.0
-            return v
+            raise EmbeddingError("a one-hot table has no vectors to look up")
         vec = self.vectors.get(word)
         if vec is not None:
             return vec

@@ -26,8 +26,8 @@ all steps after it. A Tagger's parameters are views, in param_items()
 order, into one flat vector `theta`, and a gradient is a vector of the same
 layout, whose blocks a Tagger built on it names: an SGD update and a
 checkpoint copy each act on one vector. A row tagger holds K variants of one
-stretch of `theta` (a run of whole cells, or the projection) and runs all K
-through the same forward pass at once: the cells before the stretch run
+stretch of `theta` (one cell's parameters, or the projection's) and runs all
+K through the same forward pass at once: the cells before the stretch run
 once, and the rest K rows wide. That is how the finite-difference oracle
 evaluates its perturbed copies of `theta`.
 
@@ -329,6 +329,16 @@ class TaggerConfig:
     dropout: float = 0.5
 
     def __post_init__(self):
+        if not isinstance(self.labels, list) \
+                or not all(isinstance(label, str) for label in self.labels):
+            raise ValueError(f"labels must be a list of str, got {self.labels!r}")
+        for name in ("hidden", "layers", "input_dim"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if not isinstance(self.dropout, (int, float)) \
+                or isinstance(self.dropout, bool):
+            raise ValueError(f"dropout must be a real number, got {self.dropout!r}")
         if self.layers < 1:
             raise ValueError(f"layers must be >= 1, got {self.layers}")
         if self.hidden < 1:
@@ -364,9 +374,9 @@ class Tagger:
 
     A tagger built with `rows=(offset, block)` is a row tagger: `block` is a
     (K, m) array of K variants of the stretch theta[offset:offset + m],
-    which must be a run of whole entries of `stretches`. The parameter
-    arrays inside the stretch are views into `block` with a leading K axis,
-    all others views into `theta`, and forward() and sentence_loss()
+    which must be one entry of `stretches`. The parameter arrays of the
+    stretch are views into `block` with a leading K axis, all others views
+    into `theta`, and forward() and sentence_loss()
     evaluate the K parameter vectors on one sentence at once (the
     finite-difference oracle's batch). Training and saving take a tagger
     without rows only.
@@ -392,31 +402,25 @@ class Tagger:
             raise ValueError(f"theta must be a C-contiguous float64 array of "
                              f"shape ({n},), got {theta.dtype} {theta.shape}")
         self.theta, self.rows = theta, rows
-        start = stop = 0
+        stretch = None
         if rows is not None:
             start, block = rows
-            if not _is_layout(block, 2) or not len(block) \
-                    or not 0 <= start < start + block.shape[1] <= n:
+            if not _is_layout(block, 2) or not len(block):
                 raise ValueError(
-                    f"a row block must be a C-contiguous float64 array of K "
-                    f"rows of m elements, 0 <= offset < offset + m <= {n}, "
-                    f"got {block.dtype} {block.shape} at offset {start}")
-            stop = start + block.shape[1]
+                    f"a row block must be a C-contiguous float64 array of "
+                    f"K >= 1 rows, got {block.dtype} {block.shape}")
+            stretch = (start, start + block.shape[1])
         # (start, stop) of each cell's parameters, in param_items() order,
         # then of the projection's
         self.stretches = []
 
         def view(offset, size):
-            """Parameters offset .. offset + size: K rows of the block inside
-            the stretch, one row of theta outside it."""
+            """Parameters offset .. offset + size: the K rows of the block
+            if it is this stretch, else one row of theta."""
             self.stretches.append((offset, offset + size))
-            if offset + size <= start or stop <= offset:
-                return theta[offset:offset + size]
-            if not start <= offset < offset + size <= stop:
-                raise ValueError(f"a row block must cover whole cells or the "
-                                 f"projection; {start} .. {stop} cuts "
-                                 f"{offset} .. {offset + size}")
-            return block[:, offset - start:offset - start + size]
+            if (offset, offset + size) == stretch:
+                return block
+            return theta[offset:offset + size]
 
         offset = 0
         self.layers = []
@@ -431,6 +435,9 @@ class Tagger:
         self.proj_w = proj[..., :-n_labels].reshape(
             proj.shape[:-1] + (n_labels, width))
         self.proj_b = proj[..., -n_labels:]
+        if stretch is not None and stretch not in self.stretches:
+            raise ValueError(f"a row block must be exactly one stretch "
+                             f"{self.stretches}, got {start} .. {stretch[1]}")
 
     def __reduce__(self):
         # copy and pickle rebuild the views on the copied theta (and row
@@ -509,8 +516,7 @@ def forward(tagger, inputs, rng=None, bptt=False, softmax=True):
     per_row = False  # whether `current` holds one T x D slice per row
     for layer in tagger.layers:
         if per_row:
-            layer = {d: p if p.W.ndim == 3 else p.broadcast(K)
-                     for d, p in layer.items()}
+            layer = {d: p.broadcast(K) for d, p in layer.items()}
         out, dir_caches = _run_layer(layer, current, bptt)
         per_row = bool(K) and out.ndim == 3
         mask = None
@@ -522,12 +528,12 @@ def forward(tagger, inputs, rng=None, bptt=False, softmax=True):
         current = out
 
     if K:
-        # the projection's stretch over shared features, or the shared
-        # projection over per-row features: a product per row either way
+        # the shared projection over per-row features, or the projection's
+        # stretch over shared features: a product per row either way
         proj_w = tagger.proj_w
-        if proj_w.ndim == 2:
+        if per_row:
             proj_w = np.broadcast_to(proj_w, (K,) + proj_w.shape)
-        if not per_row:
+        else:
             current = np.broadcast_to(current[:, None], (len(current), K,
                                                          current.shape[-1]))
         logits = _row_matmul(current, proj_w)

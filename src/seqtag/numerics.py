@@ -22,13 +22,14 @@ def derive_rng(seed, *keys):
 
 
 FD_BLOCK = 64  # elements perturbed per evaluation of f
+FD_EPSILON = 1e-5  # the central difference's step
 
 
-def finite_diff_grad(f, params, epsilon=1e-5):
+def finite_diff_grad(f, params):
     """Central-difference gradient over one C-contiguous float64 array,
     returned in its shape. The elements are probed FD_BLOCK at a time: for k
     of them, f gets a (2k, n) block whose rows are copies of the flattened
-    array, row j with element j of the group raised by epsilon and row k + j
+    array, row j with element j of the group raised by FD_EPSILON and row k + j
     with it lowered, and returns the 2k values of the function at those rows
     (sentence_loss of a row tagger built on the block, say). The block is
     filled once per call, and after each group only the 2k entries it
@@ -44,25 +45,25 @@ def finite_diff_grad(f, params, epsilon=1e-5):
         rows = block[:2 * k]
         j = np.arange(k)
         probed = flat[start:start + k]
-        rows[j, start + j] = probed + epsilon
-        rows[k + j, start + j] = probed - epsilon
+        rows[j, start + j] = probed + FD_EPSILON
+        rows[k + j, start + j] = probed - FD_EPSILON
         values = np.asarray(f(rows), dtype=np.float64)
-        grad[start:start + k] = (values[:k] - values[k:]) / (2.0 * epsilon)
+        grad[start:start + k] = (values[:k] - values[k:]) / (2.0 * FD_EPSILON)
         rows[j, start + j] = rows[k + j, start + j] = probed
     return grad.reshape(params.shape)
 
 
-def gradient_relative_error(analytic, numeric, floor=1e-6):
+def gradient_relative_error(analytic, numeric):
     """Worst element-wise relative discrepancy between two gradient arrays
     (0 for empty ones).
 
-    The denominator is floored so that entries where both gradients are
-    essentially zero do not turn finite-difference noise into a spurious
+    The denominator is floored at 1e-6 so that entries where both gradients
+    are essentially zero do not turn finite-difference noise into a spurious
     mismatch.
     """
     a = np.asarray(analytic, dtype=np.float64)
     n = np.asarray(numeric, dtype=np.float64)
     if a.shape != n.shape:
         raise DimensionMismatch(f"gradients disagree: {a.shape} vs {n.shape}")
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-6)
     return float(np.max(np.abs(a - n) / denom, initial=0.0))

@@ -175,11 +175,24 @@ def regex_features(sentence, rules):
     return out
 
 
+def word_vector(table, surface):
+    """The word block of one token: for a one-hot table, the slot of the
+    surface in the table's vocabulary order, or the UNK slot after them all;
+    else the table's vector."""
+    if table.mode != "onehot":
+        return table.lookup(surface)
+    words = list(table.vocab)
+    v = np.zeros(len(words) + 1)
+    v[words.index(surface) if surface in words else len(words)] = 1.0
+    return v
+
+
 def assemble_reference(extractor, sentence):
     """T x D inputs built token by token and concatenated block by block
     in the order [word | pos | chunk | case | regex]."""
     config = extractor.config
-    blocks = [np.stack([extractor.table.lookup(t.surface) for t in sentence])]
+    blocks = [np.stack([word_vector(extractor.table, t.surface)
+                        for t in sentence])]
     if config.has(features.POS):
         blocks.append(np.stack([encode(extractor.pos_encoder, t.pos)
                                 for t in sentence]))

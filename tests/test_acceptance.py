@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from seqtag import cli, corpus, features, model, train
+from seqtag import cli, corpus, features, model, selfcheck, train
 from seqtag.corpus import (convert_scheme, extract_spans, validate_iob2)
 from seqtag.eval import f1
 from seqtag.model import CellParams, load, run_layer, save
@@ -41,7 +41,8 @@ def test_c02_f1_arithmetic_reproduction():
 
 
 def test_c03_scorer_oracle_equivalence_1000_pairs():
-    diffs = check_scorer(n_pairs=1000, seed=7, max_len=12)
+    assert selfcheck.MAX_PAIR_LEN == 12
+    diffs = check_scorer(n_pairs=1000, seed=7)
     _criterion(3, "scorer-oracle equivalence", len(diffs) == 0,
                f"{len(diffs)} discrepancies" + ("; " + diffs[0] if diffs else ""))
 
@@ -231,8 +232,8 @@ def load_bytes(data):
 
 
 def test_c11_rnn_gradient_pathology():
-    e_rnn, e_lstm = compare_recurrence_pathology(seq_len=132, hidden=8,
-                                                 input_dim=8, seed=5)
+    assert selfcheck.PATHOLOGY_LEN == 132
+    e_rnn, e_lstm = compare_recurrence_pathology()
     ok = e_rnn >= 1e3 * e_lstm
     _criterion(11, "recurrence pathology", ok,
                f"rnn {e_rnn:.3e} vs lstm {e_lstm:.3e} "

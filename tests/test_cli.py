@@ -37,6 +37,13 @@ def test_cmd_train_writes_artifacts(tmp_path, toy_path):
     assert toy_path in manifest["input_digests"]
 
 
+def test_cmd_train_cuts_entities_longer_than_max_len(tmp_path, toy_path):
+    # at --max-len 1 every entity of two or more tokens is cut, and the dev
+    # pieces are scored after every epoch
+    rc, _ = _train(tmp_path, toy_path, "--max-len", "1")
+    assert rc == 0
+
+
 def test_cmd_train_missing_embeddings_file(tmp_path, toy_path, capsys):
     rc, _ = _train(tmp_path, toy_path, "--embedding-mode", "skipgram",
                    "--embeddings", "/nonexistent/vectors.vec")
@@ -430,6 +437,10 @@ def _user_error_args(tmp_path, toy_path, case):
         "hidden-zero": train + ["--hidden", "0"],
         # counted, not walked: no list of 10**30 layer sizes is built
         "layers-huge": train + ["--layers", str(10 ** 30)],
+        # exbibytes of parameters: past any address space
+        "hidden-1e8": train + ["--hidden", str(10 ** 8)],
+        "embedding-dim-1e15": train + ["--hidden", "100",
+                                       "--embedding-dim", str(10 ** 15)],
         "negative-lr": train + ["--lr", "-1"],
         "missing-config": train + ["--config", str(tmp_path / "none.json")],
         "invalid-config": train + ["--config", str(bad_json)],
@@ -615,6 +626,8 @@ USER_ERROR_MESSAGES = {
                          "a name of letters, digits and underscores",
     "entity-type-repeated":
         "entity types 'PER,PER,LOC,ORG,MISC': 'PER' is listed twice",
+    "hidden-1e8": "error: cannot allocate the model: ",
+    "embedding-dim-1e15": "error: cannot allocate the model: ",
     "config-str-for-int": "config key 'layers' must be int, got '2'",
     "config-bool-for-int": "config key 'layers' must be int, got True",
     "config-str-for-float": "config key 'dropout' must be float, got '0.5'",
@@ -689,7 +702,8 @@ USAGE_ERRORS = ["missing-required-flag", "hidden-not-int", "unknown-flag",
                 "eval-with-quiet", "stats-with-quiet", "selfcheck-with-quiet"]
 
 
-@pytest.mark.parametrize("case", ["hidden-zero", "layers-huge", "negative-lr",
+@pytest.mark.parametrize("case", ["hidden-zero", "layers-huge", "hidden-1e8",
+                                  "embedding-dim-1e15", "negative-lr",
                                   "missing-config", "invalid-config",
                                   "missing-rows", "row-without-name",
                                   "row-unknown-key", "row-str-for-bool",

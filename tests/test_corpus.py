@@ -280,6 +280,19 @@ def test_split_long_never_cuts_inside_entity():
     assert out[1].gold_labels() == ["B-LOC", "I-LOC"]
 
 
+def test_split_long_pieces_are_valid_iob2(toy_sentences):
+    # an entity longer than the limit is cut, and its rest opens with B-X
+    before = [list(s.tokens) for s in toy_sentences]
+    for max_len in range(1, 10):
+        pieces = split_long(toy_sentences, max_len)
+        for piece in pieces:
+            assert 1 <= len(piece) <= max_len
+            validate_iob2(piece.gold_labels())
+        assert [t.surface for p in pieces for t in p] == [
+            t.surface for s in toy_sentences for t in s]
+    assert [list(s.tokens) for s in toy_sentences] == before
+
+
 def test_split_long_noop_below_limit():
     sent = _sentence(["O", "B-PER"])
     assert split_long([sent], max_len=150) == [sent]

@@ -10,11 +10,11 @@ from oracle import assemble_reference, case_feature, encode, regex_features
 from seqtag import cli
 from seqtag.corpus import Sentence, Token
 from seqtag.features import (ALL_FEATURES, CASE_CATEGORIES, DimMismatch,
-                             FeatureConfig, FeatureExtractor, RegexRule,
-                             RegexRuleSet, TagEncoder, UnparseableValue,
-                             build_extractor, case_category, embedding_table,
-                             first_seen, load_embeddings, load_regex_rules,
-                             oov_bound, random_table)
+                             EmbeddingError, FeatureConfig, FeatureExtractor,
+                             RegexRule, RegexRuleSet, TagEncoder,
+                             UnparseableValue, build_extractor, case_category,
+                             embedding_table, first_seen, load_embeddings,
+                             load_regex_rules, oov_bound, random_table)
 
 
 def _sentence(surfaces, pos="N", chunk="B-NP"):
@@ -83,13 +83,10 @@ def test_lookup_order_independent():
 def test_onehot_table_shape_and_unk():
     table = embedding_table("onehot", 0, 0, vocab=["a", "b", "c"])
     assert table.dim == 4
-    va = table.lookup("a")
-    assert va.sum() == 1.0 and np.abs(va).sum() == 1.0
-    vu = table.lookup("unseen")
-    assert vu[table.dim - 1] == 1.0 and vu.sum() == 1.0
-    # every vector exactly one nonzero
-    for w in ("a", "b", "c", "zzz"):
-        assert int(np.count_nonzero(table.lookup(w))) == 1
+    assert [table.onehot_index(w) for w in ("b", "a", "c", "zzz")] == [1, 0, 2, 3]
+    # its words are slots, which assemble sets, not vectors
+    with pytest.raises(EmbeddingError, match="one-hot"):
+        table.lookup("a")
 
 
 def test_word_vocab_first_seen_order():

@@ -394,12 +394,11 @@ def test_corrupted_gradient_fails_check():
 
 def _stretch_rows(cfg, seed, rows):
     """A fresh init's theta, and `rows` distinct variants of each of its
-    stretches and of the whole vector, as (offset, block) pairs."""
+    stretches, as (offset, block) pairs."""
     theta = init_params(cfg, derive_rng(seed, 0)).theta
     noise = derive_rng(seed, 1).normal(0.0, 0.1, size=(rows, theta.size))
-    stretches = Tagger(cfg, theta=theta).stretches + [(0, theta.size)]
     return theta, [(start, theta[start:stop] + noise[:, start:stop])
-                   for start, stop in stretches]
+                   for start, stop in Tagger(cfg, theta=theta).stretches]
 
 
 def _one_row(theta, start, row):
@@ -447,22 +446,24 @@ def test_row_tagger_arrays_are_views_of_each_row(cell):
 def test_tagger_rejects_a_theta_of_the_wrong_layout():
     cfg = _config()
     n = Tagger(cfg).theta.size
-    # a (K, n) block of whole vectors is a row block at offset 0, not a theta
+    # a (K, n) block of whole vectors is not a theta
     for theta in (np.zeros(n + 1), np.zeros((2, 2, n)), np.zeros(n, np.float32),
                   np.zeros((n, 2)).T, np.zeros((2, n)), np.zeros((n, 2)).T[0]):
         with pytest.raises(ValueError, match="theta"):
             Tagger(cfg, theta=theta)
 
 
-def test_row_block_covers_whole_stretches():
+def test_row_block_is_exactly_one_stretch():
     cfg = _config(layers=2, hidden=2, bidirectional=True)
     tagger = Tagger(cfg)
     n = tagger.theta.size
-    (a, b), (_, c) = tagger.stretches[:2]
-    for start, stop in ((a, c), (b, n), (0, n)):  # runs of whole stretches
+    for start, stop in tagger.stretches:
         Tagger(cfg, rows=(start, np.zeros((2, stop - start))))
-    for start, stop in ((a, b - 1), (a + 1, b), (b - 1, c), (n - 1, n)):
-        with pytest.raises(ValueError, match="whole cells"):
+    (a, b), (_, c) = tagger.stretches[:2]
+    # runs of whole stretches, parts of one, and blocks across a boundary
+    for start, stop in ((a, c), (b, n), (0, n), (a, b - 1), (a + 1, b),
+                        (a, b + 1), (b - 1, c), (n - 1, n)):
+        with pytest.raises(ValueError, match="row block.*one stretch"):
             Tagger(cfg, rows=(start, np.zeros((2, stop - start))))
     for start, block in ((0, np.zeros((0, n))), (0, np.zeros((2, 0))),
                          (-1, np.zeros((2, 1))), (1, np.zeros((2, n))),
@@ -498,7 +499,7 @@ def test_stretch_row_losses_equal_one_row_losses(cell, bidirectional):
     theta, blocks = _stretch_rows(cfg, 25, 4)
     x = derive_rng(25, 2).uniform(-1, 1, size=(9, 4))
     gold = [0, 2, 1, 1, 0, 2, 2, 1, 0]
-    assert len(blocks) == 3 * len(cfg.directions) + 2
+    assert len(blocks) == 3 * len(cfg.directions) + 1
     for start, block in blocks:
         losses = model.sentence_loss(
             Tagger(cfg, theta=theta, rows=(start, block)), x, gold,
@@ -712,22 +713,32 @@ def test_load_every_bit_flip_raises_named_error():
             load(io.BytesIO(bytes(flipped)))
 
 
-@pytest.mark.parametrize("field, size", [
-    pytest.param(field, 10 ** 30, id=field)
+@pytest.mark.parametrize("field, value, message", [
+    pytest.param(field, 10 ** 30, None, id=field)
     for field in ("hidden", "input_dim", "layers")] + [
     # hundreds of PiB: past any address space, whatever the overcommit
-    pytest.param("hidden", 10 ** 8, id="hidden-1e8")])
-def test_load_absurd_size_in_record_is_bad_config_record(field, size):
+    pytest.param("hidden", 10 ** 8, None, id="hidden-1e8"),
+    # mistyped fields of a one-layer, three-label model: each file holds as
+    # many parameters as its record describes
+    pytest.param("dropout", False, "dropout must be", id="dropout-false"),
+    pytest.param("labels", "OBI", "labels must be", id="labels-str"),
+    pytest.param("labels", ["O", 3, "I-X"], "labels must be",
+                 id="labels-int-item"),
+    pytest.param("layers", True, "layers must be", id="layers-true")])
+def test_load_absurd_size_in_record_is_bad_config_record(field, value,
+                                                         message):
     # a record whose tagger cannot be allocated is refused as a record, not
-    # with the allocation's own error (nor, for layers, a walk over 10**30)
+    # with the allocation's own error (nor, for layers, a walk over 10**30);
+    # so is a record with a field of the wrong type, which names the field
     tagger = init_params(_config(), derive_rng(26, 1))
-    record = {"config": {**asdict(tagger.config), field: size},
+    assert tagger.config.layers == 1 and len(tagger.config.labels) == 3
+    record = {"config": {**asdict(tagger.config), field: value},
               "extra": {}}
     blob = json.dumps(record).encode("utf-8")
-    data = (model.MAGIC + model.FORMAT_VERSION.to_bytes(4, "little")
-            + len(blob).to_bytes(4, "little") + blob + bytes(8))
-    with pytest.raises(model.BadConfigRecord):
-        load(io.BytesIO(data))
+    body = (model.MAGIC + model.FORMAT_VERSION.to_bytes(4, "little")
+            + len(blob).to_bytes(4, "little") + blob + tagger.theta.tobytes())
+    with pytest.raises(model.BadConfigRecord, match=message):
+        load(io.BytesIO(body + hashlib.sha256(body).digest()[:8]))
 
 
 def test_container_stores_lstm_gates_in_v1_order():

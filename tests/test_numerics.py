@@ -130,14 +130,14 @@ def test_finite_diff_blocks_differ_from_the_array_only_on_their_diagonal():
     # one group would show in the next group's block
     block_size = numerics.FD_BLOCK
     theta = numerics.derive_rng(3, 0).normal(size=2 * block_size + 5)
-    epsilon = 1e-3
+    epsilon = numerics.FD_EPSILON
     seen = []
 
     def f(rows):
         seen.append(rows.copy())
         return rows.sum(axis=1)
 
-    finite_diff_grad(f, theta, epsilon=epsilon)
+    finite_diff_grad(f, theta)
     assert [len(rows) for rows in seen] == [2 * block_size] * 2 + [10]
     for group, rows in enumerate(seen):
         k = len(rows) // 2

@@ -21,7 +21,10 @@ The output JSON holds every run's metrics, the per-side medians and
 quartiles (`statistics.quantiles(n=4)`, as in perfbench/baseline.json) and,
 per metric, the number of rounds in which the head was lower (all three
 end-to-end metrics are better lower) and the base median minus the head
-median, set against the base's interquartile range.
+median, set against the base's interquartile range. Per side it also holds
+the operations attempted and failed over all rounds, the failed share, and
+the runs that were not `correct` (a run that crashed counts here, and
+attempts nothing).
 """
 
 import argparse
@@ -110,13 +113,22 @@ def line_counts(tree):
 
 
 def summarize(runs):
-    """Per-side medians and quartiles and, per metric, the rounds the head
-    was lower in and the gap between the medians against the base's
-    interquartile range."""
+    """Per-side medians and quartiles, failed operations and runs not
+    `correct` and, per metric, the rounds the head was lower in and the gap
+    between the medians against the base's interquartile range."""
     by_side = {"base": {}, "head": {}}
+    failures = {side: {"attempted": 0, "failed": 0, "runs_not_correct": 0}
+                for side in by_side}
     for run in runs:
         for name, value in run.get("metrics", {}).items():
             by_side[run["side"]].setdefault(name, []).append(value)
+        counts = failures[run["side"]]
+        counts["attempted"] += run.get("attempted", 0)
+        counts["failed"] += run.get("failed", 0)
+        counts["runs_not_correct"] += not run["correct"]
+    for counts in failures.values():
+        counts["failed_share"] = (counts["failed"] / counts["attempted"]
+                                  if counts["attempted"] else None)
     medians = {side: {name: statistics.median(values)
                       for name, values in metrics.items()}
                for side, metrics in by_side.items()}
@@ -139,7 +151,8 @@ def summarize(runs):
             gaps[name] = {"base_minus_head": gap, "base_iqr": q3 - q1,
                           "exceeds_base_iqr": abs(gap) > q3 - q1}
     return {"medians": medians, "quartiles": quartiles,
-            "head_lower_rounds": head_lower, "median_gap": gaps}
+            "head_lower_rounds": head_lower, "median_gap": gaps,
+            "failures": failures}
 
 
 def main(argv=None):
@@ -172,6 +185,11 @@ def main(argv=None):
                                       run.get("metrics", {}).items()),
                           flush=True)
             record["workloads"][name] = {"runs": runs, **summarize(runs)}
+            print(f"{name} failed: " + ", ".join(
+                f"{side} {c['failed']} of {c['attempted']} operations, "
+                f"{c['runs_not_correct']} runs not correct"
+                for side, c in record["workloads"][name]["failures"].items()),
+                flush=True)
 
         for name in WORKLOADS:
             record["workloads"][name]["trace"] = {
