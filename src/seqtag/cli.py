@@ -148,31 +148,15 @@ def resolve_options(args):
 
 def _check_record(record, types, where, noun):
     """Exit 1, naming `where`, unless `record` is a JSON object whose every
-    key is in `types` with a value of that key's type, as _has_type decides
-    (a list must hold strings), and, for a key named in OPTIONS, one of that
-    option's allowed values."""
-    if not isinstance(record, dict):
-        raise CliError(f"{where}: must be a JSON object, got {record!r}")
+    key is in `types` with a value of that key's type and, for a key named
+    in OPTIONS, one of its allowed values, as model._check_field decides."""
+    model._check_field(where, record, dict, error=CliError)
     for key, value in record.items():
-        expected = types.get(key)
-        if expected is None:
+        if key not in types:
             raise CliError(f"{where}: unknown {noun} {key!r}")
-        if not _has_type(value, expected) or (
-                expected is list and not all(isinstance(v, str) for v in value)):
-            what = "a list of str" if expected is list else expected.__name__
-            raise CliError(f"{where}: {noun} {key!r} must be {what}, "
-                           f"got {value!r}")
         allowed = OPTIONS[key][1] if key in OPTIONS else None
-        if allowed is not None and value not in allowed:
-            raise CliError(f"{where}: {noun} {key!r} must be one of "
-                           f"{', '.join(allowed)}, got {value!r}")
-
-
-def _has_type(value, expected):
-    """An int is a valid float; a bool is neither an int nor a float."""
-    if isinstance(value, bool) != (expected is bool):
-        return False
-    return isinstance(value, (int, float) if expected is float else expected)
+        model._check_field(f"{where}: {noun} {key!r}", value, types[key],
+                           allowed, CliError)
 
 
 def _read_json(path, what):
@@ -180,7 +164,7 @@ def _read_json(path, what):
         with _io_errors("read", f"{what} {path}"), \
                 open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CliError(f"{path}: invalid JSON: {exc}")
 
 
@@ -313,28 +297,6 @@ def cmd_train(args):
     return 0
 
 
-def _load_model(path):
-    try:
-        with _io_errors("read", path):
-            return model.load(path)
-    except model.ModelFormatError as exc:
-        raise CliError(f"{path}: {type(exc).__name__}: {exc}")
-
-
-def _check_labels(path, labels):
-    """Exit 1 unless `labels` is the label alphabet of the entity types they
-    name, as training writes it: a label off the IOB grammar, a repeated
-    label or one out of place would fail or mislead the tagging."""
-    try:
-        types = {corpus.parse_label(label, None)[1] for label in labels}
-        if labels == corpus.label_alphabet(types - {None}):
-            return
-    except (corpus.CorpusError, TypeError):
-        pass
-    raise CliError(f"{path}: the model's labels are not the label alphabet "
-                   f"of the entity types they name")
-
-
 def _read_tag_input(path):
     """Input for tagging: CoNLL lines with or without a gold label column,
     as the first token line shows. Returns (sentences, has_gold)."""
@@ -350,21 +312,15 @@ def _read_tag_input(path):
 def cmd_tag(args):
     outputs = (args.output, args.output + ".manifest.json") if args.output else ()
     _check_paths(outputs, (args.model, args.input, args.embeddings))
-    tagger = _load_model(args.model)
-    _check_labels(args.model, tagger.config.labels)
     try:
-        with _io_errors("read", args.embeddings):
-            extractor = features.FeatureExtractor.from_dict(tagger.extra,
-                                                            args.embeddings)
-    except features.EmbeddingError as exc:
+        tagger, extractor = train.load_tagger(args.model, args.embeddings)
+    except OSError as exc:
+        raise CliError(f"cannot read {exc.filename or args.model}: "
+                       f"{exc.strerror}")
+    except model.ModelFormatError as exc:
+        raise CliError(f"{args.model}: {type(exc).__name__}: {exc}")
+    except (features.EmbeddingError, UnicodeDecodeError) as exc:
         raise CliError(f"{args.embeddings or args.model}: {exc}")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"{args.model}: no usable feature pipeline record "
-                       f"({type(exc).__name__}: {exc})")
-    if extractor.input_dim != tagger.config.input_dim:
-        raise CliError(
-            f"feature width {extractor.input_dim} does not match model "
-            f"input width {tagger.config.input_dim}")
     with _io_errors("read", args.input,
                     (corpus.CorpusError, UnicodeDecodeError)):
         sentences, has_gold = _read_tag_input(args.input)
@@ -406,8 +362,8 @@ def cmd_stats(args):
 
 
 # the keys of a row spec and the type of each value
-ROW_KEYS = {"name": str, "features": list, "embedding_mode": str, "cell": str,
-            "bidirectional": bool, "layers": int, "dropout": float}
+ROW_KEYS = {"name": str, "features": list[str], "embedding_mode": str,
+            "cell": str, "bidirectional": bool, "layers": int, "dropout": float}
 
 
 def _read_rows(path):
@@ -416,8 +372,7 @@ def _read_rows(path):
     (`embedding_mode` and `cell` take their flags' values), and each with a
     name."""
     specs = _read_json(path, "row-spec file")
-    if not isinstance(specs, list):
-        raise CliError(f"{path}: row-spec file must hold a JSON list")
+    model._check_field(path, specs, list, error=CliError)
     rows = []
     for n, spec in enumerate(specs, 1):
         _check_record(spec, ROW_KEYS, f"{path}: row {n}", "key")

@@ -26,7 +26,7 @@ EMBEDDING_MODES = ("pretrained", "random", "onehot")
 
 
 class EmbeddingError(ValueError):
-    pass
+    """A vector file is missing or faulty, or a table has no vectors."""
 
 
 class DimMismatch(EmbeddingError):
@@ -65,7 +65,7 @@ class EmbeddingTable:
 
     def __init__(self, dim, mode, seed=0, vocab=None):
         if mode not in EMBEDDING_MODES:
-            raise EmbeddingError(f"unknown embedding mode {mode!r}")
+            raise ValueError(f"unknown embedding mode {mode!r}")
         self.dim = operator.index(dim)
         self.mode = mode
         self.seed = operator.index(seed)
@@ -73,14 +73,14 @@ class EmbeddingTable:
         self.vocab = None
         if mode == "onehot":
             if not vocab:
-                raise EmbeddingError("onehot mode needs a vocabulary")
+                raise ValueError("onehot mode needs a vocabulary")
             self.vocab = {w: i for i, w in enumerate(vocab)}
             self.dim = len(self.vocab) + 1  # last slot is UNK
             self.seed = 0  # one-hot vectors draw nothing
         if self.dim < 1:
-            raise EmbeddingError(f"embedding dim must be >= 1, got {self.dim}")
+            raise ValueError(f"embedding dim must be >= 1, got {self.dim}")
         if self.seed < 0:
-            raise EmbeddingError(f"embedding seed must be >= 0, got {self.seed}")
+            raise ValueError(f"embedding seed must be >= 0, got {self.seed}")
         self._bound = oov_bound(self.dim)
 
     def _random_vector(self, word):
@@ -420,12 +420,12 @@ class FeatureExtractor:
     @classmethod
     def from_dict(cls, record, embeddings_path=None):
         """Inverse of to_dict. A pretrained-mode record needs the vector
-        file it was trained with; raises EmbeddingError without one, and for
-        a `lowercase_fallback` other than true, which to_dict never writes."""
+        file it was trained with (EmbeddingError without one); a
+        `lowercase_fallback` other than true, never written, is refused."""
         emb = record["embedding"]
         if emb["lowercase_fallback"] is not True:
-            raise EmbeddingError(f"lowercase_fallback must be true, got "
-                                 f"{emb['lowercase_fallback']!r}")
+            raise ValueError(f"lowercase_fallback must be true, got "
+                             f"{emb['lowercase_fallback']!r}")
         table = embedding_table(emb["mode"], emb["dim"], emb["seed"],
                                 vocab=emb["vocab"], path=embeddings_path)
 

@@ -39,6 +39,7 @@ import copy
 import hashlib
 import json
 import os
+import reprlib
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -78,6 +79,10 @@ class BadConfigRecord(ModelFormatError):
 
 class TrailingBytes(ModelFormatError):
     pass
+
+
+class NonFiniteParameters(ModelFormatError):
+    """A stored parameter is NaN or infinite."""
 
 
 class EmptySequence(ValueError):
@@ -318,6 +323,25 @@ def run_layer(cells, inputs):
     return _run_layer(cells, np.asarray(inputs, dtype=np.float64))[0]
 
 
+def _check_field(name, value, expected, allowed=None, error=ValueError):
+    """The one type rule of TaggerConfig and the CLI's JSON records: raise
+    `error`, naming `name`, unless `value` is of type `expected` (str, int,
+    float, bool, dict, list or list[str]; a bool is no number, an int stands
+    for a float) and, if given, one of `allowed`. The message shows the
+    value through reprlib, cut short, so that a deeply nested one prints."""
+    if expected == list[str]:
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    else:
+        ok = isinstance(value, bool) == (expected is bool) and isinstance(
+            value, (int, float) if expected is float else expected)
+    if not ok:
+        what = "a list of str" if expected == list[str] else expected.__name__
+        raise error(f"{name} must be {what}, got {reprlib.repr(value)}")
+    if allowed is not None and value not in allowed:
+        raise error(f"{name} must be one of {', '.join(allowed)}, "
+                    f"got {value!r}")
+
+
 @dataclass
 class TaggerConfig:
     labels: list[str]
@@ -329,32 +353,17 @@ class TaggerConfig:
     dropout: float = 0.5
 
     def __post_init__(self):
-        if not isinstance(self.labels, list) \
-                or not all(isinstance(label, str) for label in self.labels):
-            raise ValueError(f"labels must be a list of str, got {self.labels!r}")
-        for name in ("hidden", "layers", "input_dim"):
+        for f in fields(self):
+            _check_field(f.name, getattr(self, f.name), f.type,
+                         GATE_COUNT if f.name == "cell" else None)
+        for name in ("layers", "hidden", "input_dim"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        if not isinstance(self.dropout, (int, float)) \
-                or isinstance(self.dropout, bool):
-            raise ValueError(f"dropout must be a real number, got {self.dropout!r}")
-        if self.layers < 1:
-            raise ValueError(f"layers must be >= 1, got {self.layers}")
-        if self.hidden < 1:
-            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.cell not in GATE_COUNT:
-            raise ValueError(f"cell must be one of {', '.join(GATE_COUNT)}, "
-                             f"got {self.cell!r}")
         if not self.labels:
             raise ValueError("label alphabet is empty")
-        if self.input_dim < 1:
-            raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
-        if not isinstance(self.bidirectional, bool):
-            raise ValueError(f"bidirectional must be a bool, "
-                             f"got {self.bidirectional!r}")
 
     @property
     def directions(self):
@@ -664,8 +673,8 @@ def save(tagger, sink):
 
 def load(source):
     """Inverse of save(); bit-exact parameter round-trip. Raises BadMagic,
-    UnsupportedVersion, TruncatedFile, BadConfigRecord, ChecksumMismatch or
-    TrailingBytes; never returns a partially filled model."""
+    UnsupportedVersion, TruncatedFile, BadConfigRecord, ChecksumMismatch,
+    TrailingBytes or NonFiniteParameters; never returns a partial model."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as handle:
             data = handle.read()
@@ -687,9 +696,10 @@ def load(source):
         if set(record["config"]) != {f.name for f in fields(TaggerConfig)}:
             raise KeyError(f"config fields {sorted(record['config'])}")
         config = TaggerConfig(**record["config"])
-        tagger = Tagger(config, extra=record.get("extra") or {})
-    except (ValueError, KeyError, TypeError, OverflowError,
-            MemoryError) as exc:
+        _check_field("extra", record.setdefault("extra", {}), dict)
+        tagger = Tagger(config, extra=record["extra"])
+    except (ValueError, KeyError, TypeError, OverflowError, MemoryError,
+            RecursionError) as exc:
         raise BadConfigRecord(f"unreadable config record ({exc!r})") from None
 
     expected = 12 + blob_len + tagger.theta.nbytes + 8
@@ -711,4 +721,6 @@ def load(source):
         else:
             arr[...] = block
         offset += arr.nbytes
+    if not np.isfinite(tagger.theta).all():
+        raise NonFiniteParameters("a parameter is NaN or infinite")
     return tagger

@@ -259,6 +259,38 @@ def build_tagger(setup, seed):
                              derive_rng(seed, 0), extra=extra), extractor
 
 
+def load_tagger(path, embeddings=None):
+    """The tagger saved at `path` and the extractor its pipeline record
+    describes, a pretrained table's vectors read from `embeddings`. A model
+    file fault raises model.load's errors, or BadConfigRecord for labels
+    that are no entity types' alphabet, a pipeline record that builds no
+    extractor, or one of another width; a missing or faulty vector file
+    raises EmbeddingError, UnicodeDecodeError or OSError."""
+    tagger = model.load(path)
+    labels = tagger.config.labels
+    try:  # an unparsable label leaves {None}, the alphabet of "O" alone
+        types = {corpus.parse_label(label, None)[1] for label in labels}
+    except corpus.CorpusError:
+        types = {None}
+    if labels != corpus.label_alphabet(types - {None}):
+        raise model.BadConfigRecord("the model's labels are not the label "
+                                    "alphabet of the entity types they name")
+    try:
+        extractor = features.FeatureExtractor.from_dict(tagger.extra,
+                                                        embeddings)
+    except (UnicodeDecodeError, features.EmbeddingError):
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError,
+            RecursionError) as exc:
+        raise model.BadConfigRecord(f"no usable feature pipeline record "
+                                    f"({type(exc).__name__}: {exc})") from None
+    if extractor.input_dim != tagger.config.input_dim:
+        raise model.BadConfigRecord(
+            f"feature width {extractor.input_dim} does not match model "
+            f"input width {tagger.config.input_dim}")
+    return tagger, extractor
+
+
 def _row_slug(name):
     return "".join(c if c.isalnum() else "_" for c in name).strip("_") or "row"
 

@@ -216,11 +216,42 @@ def test_cmd_tag_width_mismatch_names_both_widths(tmp_path, toy_path, capsys):
     tagger = model.load(out)
     tagger.extra["embedding"]["dim"] = 9  # feature pipeline now disagrees
     model.save(tagger, out)
+    with pytest.raises(model.BadConfigRecord, match="9 .* 12"):
+        train_module.load_tagger(out)
     rc = cli.main(["tag", "--model", out, "--input", toy_path,
                    "--output", str(tmp_path / "x.conll")])
     assert rc == 1
     err = capsys.readouterr().err
     assert "9" in err and "12" in err
+
+
+@pytest.mark.parametrize("vectors, error, message", [
+    (None, features.EmbeddingError, "model.sqtg: skipgram embeddings need a "
+                                    "vector file"),
+    ("short.vec", features.DimMismatch,
+     "short.vec: line 1: expected 2 values for 'Ha_Noi', got 1"),
+    ("missing.vec", FileNotFoundError,
+     "cannot read {tmp}/missing.vec: No such file or directory")],
+    ids=["no-vector-file", "short-vector", "missing-vector-file"])
+def test_a_vector_file_fault_is_not_a_model_file_fault(tmp_path, toy_path,
+                                                       capsys, vectors, error,
+                                                       message):
+    (tmp_path / "ok.vec").write_text("Ha_Noi 0.5 0.5\n", encoding="utf-8")
+    (tmp_path / "short.vec").write_text("Ha_Noi 0.5\n", encoding="utf-8")
+    toy = corpus.read_conll(toy_path)
+    setup = ExperimentSetup(train_sentences=toy, dev_sentences=toy,
+                            embedding_mode="pretrained", embedding_dim=2,
+                            embeddings_path=str(tmp_path / "ok.vec"),
+                            hidden=2, layers=1)
+    out = str(tmp_path / "model.sqtg")
+    model.save(build_tagger(setup, 0)[0], out)
+    vectors = vectors and str(tmp_path / vectors)
+    with pytest.raises(error):
+        train_module.load_tagger(out, vectors)
+    rc = cli.main(["tag", "--model", out, "--input", toy_path]
+                  + (["--embeddings", vectors] if vectors else []))
+    assert rc == 1
+    assert message.format(tmp=tmp_path) in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -251,8 +282,11 @@ LABELS = corpus.label_alphabet()
      "'float' object cannot be interpreted as an integer"),
     (lambda t: t.extra["embedding"].update(lowercase_fallback="no"),
      "lowercase_fallback must be true, got 'no'"),
+    # past a float: the table's OOV bound, sqrt(3 / dim), overflows
+    (lambda t: t.extra["embedding"].update(dim=10 ** 400),
+     "OverflowError: int too large to convert to float"),
     (lambda t: setattr(t.config, "bidirectional", "yes"),
-     "bidirectional must be a bool, got 'yes'"),
+     "bidirectional must be bool, got 'yes'"),
     (lambda t: setattr(t.config, "hidden", "8"), "BadConfigRecord"),
     (lambda t: setattr(t.config, "hidden", 8.0), "BadConfigRecord"),
     # label edits keep the count of nine, so the parameters still fit
@@ -263,7 +297,8 @@ LABELS = corpus.label_alphabet()
     (lambda t: setattr(t.config, "labels", LABELS[:3] * 3),
      "the model's labels are not the label alphabet"),
 ], ids=["null-tag-list", "bad-rule-pattern", "negative-seed", "float-dim",
-        "str-dim", "float-seed", "lowercase-fallback-no", "str-bidirectional",
+        "str-dim", "float-seed", "lowercase-fallback-no", "huge-dim",
+        "str-bidirectional",
         "str-hidden", "float-hidden", "label-off-grammar", "labels-foo",
         "repeated-labels"])
 def test_cmd_tag_refuses_a_hostile_pipeline_record(tmp_path, toy_path, capsys,
@@ -273,6 +308,9 @@ def test_cmd_tag_refuses_a_hostile_pipeline_record(tmp_path, toy_path, capsys,
     tagger = model.load(io.BytesIO(pipeline_model))
     edit(tagger)
     model.save(tagger, out)  # with a valid checksum for the edited record
+    with pytest.raises(model.ModelFormatError) as refused:
+        train_module.load_tagger(out)
+    assert message in f"{type(refused.value).__name__}: {refused.value}"
     rc = cli.main(["tag", "--model", out, "--input", toy_path])
     err = capsys.readouterr().err
     assert rc == 1
@@ -403,6 +441,8 @@ def _user_error_args(tmp_path, toy_path, case):
               "--out", str(tmp_path / "abl")] + FAST
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json", encoding="utf-8")
+    deep_json = tmp_path / "deep.json"  # past the JSON parser's depth
+    deep_json.write_text("[" * 10 ** 4 + "]" * 10 ** 4, encoding="utf-8")
     nameless = tmp_path / "rows.json"
     nameless.write_text(json.dumps([{"features": ["word"]}]), encoding="utf-8")
     bad_rows = tmp_path / "badrows.json"
@@ -445,6 +485,8 @@ def _user_error_args(tmp_path, toy_path, case):
         "missing-config": train + ["--config", str(tmp_path / "none.json")],
         "invalid-config": train + ["--config", str(bad_json)],
         "missing-rows": ablate + ["--rows", str(tmp_path / "none.json")],
+        "deep-config": train + ["--config", str(deep_json)],
+        "deep-rows": ablate + ["--rows", str(deep_json)],
         "row-without-name": ablate + ["--rows", str(nameless)],
         "row-unknown-key": ablate + ["--rows", str(bad_rows)],
         "row-str-for-bool": ablate + ["--rows", str(bad_rows)],
@@ -601,6 +643,8 @@ ROW_CASES = {
 }
 
 USER_ERROR_MESSAGES = {
+    "deep-config": "deep.json: invalid JSON: maximum recursion depth",
+    "deep-rows": "deep.json: invalid JSON: maximum recursion depth",
     "row-without-name": "rows.json: row 1: missing key 'name'",
     "row-unknown-key": "badrows.json: row 2: unknown key 'dropuot'",
     "row-str-for-bool":
@@ -705,7 +749,8 @@ USAGE_ERRORS = ["missing-required-flag", "hidden-not-int", "unknown-flag",
 @pytest.mark.parametrize("case", ["hidden-zero", "layers-huge", "hidden-1e8",
                                   "embedding-dim-1e15", "negative-lr",
                                   "missing-config", "invalid-config",
-                                  "missing-rows", "row-without-name",
+                                  "missing-rows", "deep-config", "deep-rows",
+                                  "row-without-name",
                                   "row-unknown-key", "row-str-for-bool",
                                   "row-str-for-int", "row-bool-for-float",
                                   "row-embedding-mode-unknown",

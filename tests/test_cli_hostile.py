@@ -29,14 +29,17 @@ from seqtag.train import ExperimentSetup, build_tagger
 # artifact written beside them (OUT.log, say) lands in that directory
 HUGE = str(10 ** 30)
 HOSTILE = ["0", "-1", "nan", "inf", "", HUGE, "dir", "null", "full",
-           "binary.bin", "truncated.sqtg"]
+           "binary.bin", "truncated.sqtg", "deep.json"]
+# JSON text nested past the parser's depth: deep.json holds it, and a drawn
+# config file may hold it as its one value
+DEEP = "[" * 10 ** 4 + "]" * 10 ** 4
 # a huge count of epochs or seeds is a valid request for a very long run
 COUNTS = {"--max-epochs", "--seeds"}
 # train and ablate may also read a drawn --config file of one option, whose
 # value is from the pool, as a JSON string or number (NaN and Infinity
-# included); TINY's --max-epochs 1 overrides a huge max_epochs there
+# included) or DEEP; TINY's --max-epochs 1 overrides a huge max_epochs there
 CONFIG = "drawn.json"
-CONFIG_VALUES = HOSTILE + [0, -1, math.nan, math.inf, 10 ** 30]
+CONFIG_VALUES = HOSTILE + [0, -1, math.nan, math.inf, 10 ** 30, DEEP]
 
 TINY = ["--hidden", "2", "--embedding-dim", "2", "--max-epochs", "1",
         "--quiet"]
@@ -107,6 +110,7 @@ def _populate(directory):
     os.symlink("/dev/full", os.path.join(directory, "full"))
     data = _model_bytes()
     for name, content in (("binary.bin", bytes(range(256))),
+                          ("deep.json", DEEP.encode()),
                           ("model.sqtg", data),
                           ("truncated.sqtg", data[:len(data) // 2])):
         with open(os.path.join(directory, name), "wb") as handle:
@@ -141,8 +145,9 @@ def test_hostile_flags_keep_the_exit_code_contract(invocation):
     with tempfile.TemporaryDirectory() as directory:
         _populate(directory)
         if config is not None:
+            text = json.dumps(config).replace(json.dumps(DEEP), DEEP)
             with open(os.path.join(directory, CONFIG), "w") as handle:
-                json.dump(config, handle)
+                handle.write(text)
         os.chdir(directory)
         try:
             with redirect_stdout(out), redirect_stderr(err):

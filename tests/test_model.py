@@ -734,11 +734,44 @@ def test_load_absurd_size_in_record_is_bad_config_record(field, value,
     assert tagger.config.layers == 1 and len(tagger.config.labels) == 3
     record = {"config": {**asdict(tagger.config), field: value},
               "extra": {}}
-    blob = json.dumps(record).encode("utf-8")
-    body = (model.MAGIC + model.FORMAT_VERSION.to_bytes(4, "little")
-            + len(blob).to_bytes(4, "little") + blob + tagger.theta.tobytes())
     with pytest.raises(model.BadConfigRecord, match=message):
-        load(io.BytesIO(body + hashlib.sha256(body).digest()[:8]))
+        load(_container(json.dumps(record), tagger.theta))
+
+
+def _container(record, theta):
+    """A version-1 model file of the JSON text `record` and the parameters
+    `theta`, with a valid checksum."""
+    blob = record.encode("utf-8")
+    body = (model.MAGIC + model.FORMAT_VERSION.to_bytes(4, "little")
+            + len(blob).to_bytes(4, "little") + blob + theta.tobytes())
+    return io.BytesIO(body + hashlib.sha256(body).digest()[:8])
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("[" * 10 ** 4 + "]" * 10 ** 4, "maximum recursion depth"),
+    ("[]", "extra must be dict, got \\[\\]"),
+    ('"pipeline"', "extra must be dict, got 'pipeline'"),
+    ("null", "extra must be dict, got None")],
+    ids=["deep-nesting", "list", "string", "null"])
+def test_load_refuses_a_deep_record_and_a_non_object_extra(extra, message):
+    tagger = init_params(_config(), derive_rng(27, 1))
+    config = json.dumps(asdict(tagger.config))
+    record = f'{{"config": {config}, "extra": {extra}}}'
+    with pytest.raises(model.BadConfigRecord, match=message):
+        load(_container(record, tagger.theta))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_load_refuses_non_finite_parameters(value):
+    # one parameter, then all of them
+    tagger = init_params(_config(), derive_rng(28, 1))
+    for bad in (slice(5, 6), slice(None)):
+        tagger.theta[bad] = value
+        buf = io.BytesIO()
+        save(tagger, buf)
+        with pytest.raises(model.NonFiniteParameters, match="NaN or infinite"):
+            load(io.BytesIO(buf.getvalue()))
 
 
 def test_container_stores_lstm_gates_in_v1_order():
