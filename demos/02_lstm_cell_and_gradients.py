@@ -10,7 +10,7 @@ from seqtag.numerics import derive_rng
 from seqtag.selfcheck import check_gradients, compare_recurrence_pathology
 
 # --- one memory-cell step, scalar shapes, everything visible -------------
-# A cell stores its four gates stacked in the order (i, f, o, c). With
+# A cell stores its four gates stacked in the order (i, f, c, o). With
 # every weight 1 and bias 0, input 1 and zero initial state, each gate is
 # sigmoid(1) and the candidate is tanh(1), so by hand:
 gate = 1.0 / (1.0 + np.exp(-1.0))

@@ -198,16 +198,20 @@ def _embedding_mode(name):
 
 def _check_paths(outputs, inputs):
     """Fail before anything is read if an output cannot be created (it is a
-    directory, or its directory is missing) or an input exists as neither a
-    regular file nor a directory: a device or a FIFO may never end."""
+    directory, or its directory is missing) or is the same file as an
+    input, or if an input exists as neither a regular file nor a directory:
+    a device or a FIFO may never end."""
+    inputs = [path for path in inputs if path and os.path.exists(path)]
     for path in outputs:
         if os.path.isdir(path):
             raise CliError(f"cannot write {path}: Is a directory")
         if not path or not os.path.isdir(os.path.dirname(path) or "."):
             raise CliError(f"cannot write {path}: No such file or directory")
-    for path in filter(None, inputs):
-        if os.path.exists(path) and not (os.path.isfile(path)
-                                         or os.path.isdir(path)):
+        for source in inputs:
+            if os.path.exists(path) and os.path.samefile(path, source):
+                raise CliError(f"cannot write {path}: it is the input {source}")
+    for path in inputs:
+        if not (os.path.isfile(path) or os.path.isdir(path)):
             raise CliError(f"cannot read {path}: not a regular file")
 
 
@@ -312,6 +316,10 @@ def _read_tag_input(path):
 def cmd_tag(args):
     outputs = (args.output, args.output + ".manifest.json") if args.output else ()
     _check_paths(outputs, (args.model, args.input, args.embeddings))
+    manifest = RunManifest("tag", {"model": args.model, "input": args.input,
+                                   "output": args.output}, None)
+    if args.output:  # the digests of the files as they are read
+        manifest.add_inputs(args.model, args.input)
     try:
         tagger, extractor = train.load_tagger(args.model, args.embeddings)
     except OSError as exc:
@@ -334,11 +342,7 @@ def cmd_tag(args):
     else:
         with _io_errors("write", args.output):
             corpus.write_conll(sentences, args.output, gold=has_gold)
-        manifest = RunManifest("tag", {"model": args.model,
-                                       "input": args.input,
-                                       "output": args.output},
-                               extractor.table.seed)
-        manifest.add_inputs(args.model, args.input)
+        manifest.seed = extractor.table.seed
         manifest.write(args.output + ".manifest.json")
     return 0
 

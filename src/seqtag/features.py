@@ -8,14 +8,13 @@ enabled feature blocks: [word | pos | chunk | case | regex].
 
 import hashlib
 import math
-import operator
 import os
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numerics
+from . import model, numerics
 
 WORD, POS, CHUNK, CASE, REGEX = "word", "pos", "chunk", "case", "regex"
 ALL_FEATURES = (WORD, POS, CHUNK, CASE, REGEX)
@@ -53,23 +52,26 @@ class EmbeddingTable:
     """word -> float64 vector map with a deterministic OOV policy.
 
     Unknown words get a uniform[-sqrt(3/dim), +sqrt(3/dim)] vector drawn
-    from a stream derived from (seed, word), then cached, so the same word
-    always maps to the same vector regardless of lookup order or process.
+    from a stream derived from (seed, word), then cached in `drawn`, apart
+    from the given `vectors`, so the same word always maps to the same
+    vector regardless of lookup order or process.
 
     Modes: "pretrained" (vectors loaded from a word2vec text export, with
-    an exact -> lowercase -> OOV fallback chain), "random" (every word
-    drawn from the OOV distribution), "onehot" (dim = vocabulary size
-    including a reserved UNK slot; a word is a slot, onehot_index, not a
-    vector, so lookup refuses). The dim and seed must be integers.
+    an exact -> lowercase -> OOV fallback chain whose first two steps read
+    only the file's vectors), "random" (every word drawn from the OOV
+    distribution), "onehot" (dim = vocabulary size including a reserved UNK
+    slot; a word is a slot, onehot_index, not a vector, so lookup refuses).
+    The dim and seed must be int, as model._check_field decides.
     """
 
     def __init__(self, dim, mode, seed=0, vocab=None):
         if mode not in EMBEDDING_MODES:
             raise ValueError(f"unknown embedding mode {mode!r}")
-        self.dim = operator.index(dim)
-        self.mode = mode
-        self.seed = operator.index(seed)
-        self.vectors = {}
+        model._check_field("embedding dim", dim, int)
+        model._check_field("embedding seed", seed, int)
+        self.dim, self.mode, self.seed = dim, mode, seed
+        self.vectors = {}  # a pretrained table's vectors, as read
+        self.drawn = {}  # the OOV draws, as cached
         self.vocab = None
         if mode == "onehot":
             if not vocab:
@@ -95,18 +97,17 @@ class EmbeddingTable:
         if self.mode == "onehot":
             raise EmbeddingError("a one-hot table has no vectors to look up")
         vec = self.vectors.get(word)
-        if vec is not None:
-            return vec
-        if self.mode == "pretrained":
-            low = self.vectors.get(word.lower())
-            if low is not None:
-                return low
-        vec = self._random_vector(word)
-        self.vectors[word] = vec
+        if vec is None:
+            vec = self.vectors.get(word.lower())
+        if vec is None:
+            vec = self.drawn.get(word)
+        if vec is None:
+            vec = self.drawn[word] = self._random_vector(word)
         return vec
 
     def __len__(self):
-        return len(self.vectors)
+        """The vectors read plus the OOV draws so far."""
+        return len(self.vectors) + len(self.drawn)
 
 
 def load_embeddings(source, expected_dim, seed=0):
@@ -421,8 +422,21 @@ class FeatureExtractor:
     def from_dict(cls, record, embeddings_path=None):
         """Inverse of to_dict. A pretrained-mode record needs the vector
         file it was trained with (EmbeddingError without one); a
-        `lowercase_fallback` other than true, never written, is refused."""
-        emb = record["embedding"]
+        `lowercase_fallback` other than true, never written, is refused. A
+        field of another type than to_dict writes is a ValueError, as
+        model._check_field decides; the table checks its dim and seed."""
+        emb, rules = record["embedding"], record["regex_rules"]
+        model._check_field("embedding", emb, dict)
+        model._check_field("features", record["features"], list[str])
+        for name, tags in [("pos_tags", record["pos_tags"]),
+                           ("chunk_tags", record["chunk_tags"]),
+                           ("vocab", emb["vocab"])]:
+            if tags is not None:
+                model._check_field(name, tags, list[str])
+        if rules is not None:
+            model._check_field("regex_rules", rules, list)
+            for rule in rules:
+                model._check_field("regex rule", rule, list[str])
         if emb["lowercase_fallback"] is not True:
             raise ValueError(f"lowercase_fallback must be true, got "
                              f"{emb['lowercase_fallback']!r}")
@@ -432,7 +446,6 @@ class FeatureExtractor:
         def encoder(tags):
             return TagEncoder(tags) if tags is not None else None
 
-        rules = record["regex_rules"]
         return cls(FeatureConfig(tuple(record["features"])), table,
                    encoder(record["pos_tags"]), encoder(record["chunk_tags"]),
                    RegexRuleSet([RegexRule(*r) for r in rules])

@@ -9,9 +9,10 @@ BPTT (_backprop_layer) do all of its direction handling: reversal,
 re-alignment, concatenation and the sum of the input gradients.
 
 The LSTM cell stores its four gates stacked row-wise in the order
-(i, f, o, c): W (4H x H) acts on the previous hidden state, U (4H x D) on
-the current input, b is a 4H bias. With a = W h_prev + U x + b split into
-the H-blocks a_i, a_f, a_o, a_c,
+(i, f, c, o), which the runner, its BPTT and the model file share: W (4H x
+H) acts on the previous hidden state, U (4H x D) on the current input, b is
+a 4H bias. With a = W h_prev + U x + b split into the H-blocks a_i, a_f,
+a_c, a_o,
 
     i, f, o = sigmoid(a_i), sigmoid(a_f), sigmoid(a_o)
     c = f * c_prev + i * tanh(a_c)
@@ -31,8 +32,8 @@ K through the same forward pass at once: the cells before the stretch run
 once, and the rest K rows wide. That is how the finite-difference oracle
 evaluates its perturbed copies of `theta`.
 
-Model files use a small versioned binary container (magic "SQTG"); see
-save()/load().
+Model files use a small versioned binary container (magic "SQTG") whose
+parameter section is `theta` itself; see save()/load().
 """
 
 import copy
@@ -92,7 +93,7 @@ class EmptySequence(ValueError):
 class CellParams:
     """Parameters of one recurrent cell with the gates stacked row-wise:
     hidden-side W (gH x H), input-side U (gH x D) and bias b (gH). An LSTM
-    has g = 4 gates in the order (i, f, o, c); a vanilla RNN, h = tanh(W
+    has g = 4 gates in the order (i, f, c, o); a vanilla RNN, h = tanh(W
     h_prev + U x + b), has g = 1."""
 
     def __init__(self, hidden, input_dim, kind="lstm", flat=None):
@@ -124,29 +125,18 @@ class CellParams:
 
     @classmethod
     def init(cls, rng, hidden, input_dim, kind="lstm", forget_bias=1.0):
-        """Weights uniform in +-sqrt(3/fan_in), biases zero except the LSTM
-        forget gate's. LSTM weights are drawn in the container's gate order
-        and then swapped, so a seed yields the parameters it always did."""
+        """Weights uniform in +-sqrt(3/fan_in), W drawn before U, each in
+        the cell's gate order; biases zero except the LSTM forget gate's."""
         p = cls(hidden, input_dim, kind)
         bound_w, bound_u = np.sqrt(3.0 / hidden), np.sqrt(3.0 / input_dim)
         p.W = rng.uniform(-bound_w, bound_w, (len(p.b), hidden))
         p.U = rng.uniform(-bound_u, bound_u, (len(p.b), input_dim))
         if kind == "lstm":
-            p.W, p.U = _swap_oc(p.W), _swap_oc(p.U)
             p.b[hidden:2 * hidden] = forget_bias
         return p
 
     def items(self):
         return [("W", self.W), ("U", self.U), ("b", self.b)]
-
-
-def _swap_oc(arr, out=None):
-    """Exchange the o and c gate blocks of a stacked LSTM parameter. The
-    runner keeps the gates in (i, f, o, c) order, so that one slice covers
-    the three sigmoid gates; the v1 container stores (i, f, c, o). The swap
-    is its own inverse."""
-    H = len(arr) // 4
-    return np.concatenate([arr[:2 * H], arr[3 * H:], arr[2 * H:3 * H]], out=out)
 
 
 def _run_cell(params, inputs, bptt=False):
@@ -199,15 +189,15 @@ def _run_cell(params, inputs, bptt=False):
     with np.errstate(over="ignore"):  # saturated exp underflows to 0/1
         for t in range(T):
             a = h @ WT + xu[t]
-            sig = 1.0 / (1.0 + np.exp(-a[..., :3 * H]))
-            g = np.tanh(a[..., 3 * H:])
-            i, f, o = sig[..., :H], sig[..., H:2 * H], sig[..., 2 * H:]
+            act = 1.0 / (1.0 + np.exp(-a))
+            act[..., 2 * H:3 * H] = np.tanh(a[..., 2 * H:3 * H])
+            i, f = act[..., :H], act[..., H:2 * H]
+            g, o = act[..., 2 * H:3 * H], act[..., 3 * H:]
             c = f * c + i * g
             tc = np.tanh(c)
             h = o * tc
             if bptt:
-                gates[t, ..., :3 * H] = sig
-                gates[t, ..., 3 * H:] = g
+                gates[t] = act
                 cells[t] = c
                 tanhc[t] = tc
             states[t] = h
@@ -239,16 +229,14 @@ def _backprop_cell(params, cache, dstates, dparams, input_grads=True):
     W = params.W
     if params.kind == "lstm":
         gates, cells, tanhc = cache[2:]
-        sig = gates[:, :3 * H]
-        dsig = sig * (1.0 - sig)
-        i, f, o, g = (gates[:, k * H:(k + 1) * H] for k in range(4))
-        # da = factor * (dc, dc, dh, dc) over the gate blocks (i, f, o, c)
+        i, f, g, o = (gates[:, k * H:(k + 1) * H] for k in range(4))
+        # da = factor * (dc, dc, dc, dh) over the gate blocks (i, f, c, o)
         factor = np.empty((T, 4, H))
-        factor[:, 0] = g * dsig[:, :H]
+        factor[:, 0] = g * (i * (1.0 - i))
         factor[0, 1] = 0.0  # c_prev is zero before the first step
-        factor[1:, 1] = cells[:-1] * dsig[1:, H:2 * H]
-        factor[:, 2] = tanhc * dsig[:, 2 * H:]
-        factor[:, 3] = i * (1.0 - g * g)
+        factor[1:, 1] = cells[:-1] * (f[1:] * (1.0 - f[1:]))
+        factor[:, 2] = i * (1.0 - g * g)
+        factor[:, 3] = tanhc * (o * (1.0 - o))
         dc_dh = o * (1.0 - tanhc * tanhc)
         da = np.empty((T, 4, H))
         da_rows = da.reshape(T, 4 * H)
@@ -258,7 +246,7 @@ def _backprop_cell(params, cache, dstates, dparams, input_grads=True):
             dh = dstates[t] + dh_next
             dc = dc_next + dh * dc_dh[t]
             np.multiply(factor[t], dc, out=da[t])
-            np.multiply(factor[t, 2], dh, out=da[t, 2])
+            np.multiply(factor[t, 3], dh, out=da[t, 3])
             if t:
                 dc_next = dc * f[t]
                 dh_next = da_rows[t] @ W
@@ -639,17 +627,13 @@ def _checksum(data):
     return hashlib.sha256(data).digest()[:8]
 
 
-def _gate_swapped(config, name):
-    """Whether the container stores this parameter block o<->c swapped."""
-    return config.cell == "lstm" and not name.startswith("proj.")
-
-
 def save(tagger, sink):
     """Serialize to the versioned container: magic "SQTG", u32 LE version,
-    length-prefixed UTF-8 config record, parameter blocks as little-endian
-    float64 in param_items() order, then a 64-bit checksum (leading 8 bytes
-    of SHA-256) over everything before it. LSTM blocks are written in the
-    per-gate order (i, f, c, o) of the v1 format. Row taggers are refused."""
+    length-prefixed UTF-8 config record, `theta` as little-endian float64
+    (its blocks in param_items() order, an LSTM's gates in the runner's
+    order i, f, c, o, as the v1 format has them), then a 64-bit checksum
+    (leading 8 bytes of SHA-256) over everything before it. Row taggers are
+    refused."""
     if tagger.rows is not None:
         raise ValueError("save takes a one-row tagger, got "
                          f"{len(tagger.rows[1])} parameter rows")
@@ -659,10 +643,7 @@ def save(tagger, sink):
     out += struct.pack("<I", FORMAT_VERSION)
     out += struct.pack("<I", len(blob))
     out += blob
-    for name, arr in tagger.param_items():
-        if _gate_swapped(tagger.config, name):
-            arr = _swap_oc(arr)
-        out += memoryview(np.ascontiguousarray(arr, dtype="<f8"))
+    out += memoryview(np.ascontiguousarray(tagger.theta, dtype="<f8"))
     out += _checksum(out)
     if isinstance(sink, (str, os.PathLike)):
         with open(sink, "wb") as handle:
@@ -712,15 +693,8 @@ def load(source):
     if len(data) != expected:
         raise TrailingBytes(f"{len(data) - expected} unexpected trailing bytes")
 
-    offset = 12 + blob_len
-    for name, arr in tagger.param_items():
-        block = np.frombuffer(data, dtype="<f8", count=arr.size,
-                              offset=offset).reshape(arr.shape)
-        if _gate_swapped(config, name):
-            _swap_oc(block, out=arr)
-        else:
-            arr[...] = block
-        offset += arr.nbytes
+    tagger.theta[...] = np.frombuffer(data, dtype="<f8", count=len(tagger.theta),
+                                      offset=12 + blob_len)
     if not np.isfinite(tagger.theta).all():
         raise NonFiniteParameters("a parameter is NaN or infinite")
     return tagger

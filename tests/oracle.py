@@ -13,7 +13,7 @@ import numpy as np
 from seqtag import features
 from seqtag.numerics import DimensionMismatch
 
-GATE_ORDER = ("i", "f", "o", "c")  # row-block order of a stacked LSTM cell
+GATE_ORDER = ("i", "f", "c", "o")  # row-block order of a stacked LSTM cell
 
 
 def sigmoid(x):
@@ -102,16 +102,16 @@ def backprop_cell(params, cache, dstates, dparams):
         h_prev = states[t - 1] if t > 0 else np.zeros(H)
         da = da_all[t]
         if lstm:
-            i, f, o = gates[t, :H], gates[t, H:2 * H], gates[t, 2 * H:3 * H]
-            g = gates[t, 3 * H:]
+            i, f, g = gates[t, :H], gates[t, H:2 * H], gates[t, 2 * H:3 * H]
+            o = gates[t, 3 * H:]
             tc = tanhc[t]
             c_prev = cells[t - 1] if t > 0 else np.zeros(H)
             do = dh * tc
             dc = dc_next + dh * o * (1.0 - tc * tc)
             da[:H] = dc * g * i * (1.0 - i)
             da[H:2 * H] = dc * c_prev * f * (1.0 - f)
-            da[2 * H:3 * H] = do * o * (1.0 - o)
-            da[3 * H:] = dc * i * (1.0 - g * g)
+            da[2 * H:3 * H] = dc * i * (1.0 - g * g)
+            da[3 * H:] = do * o * (1.0 - o)
             dc_next = dc * f
         else:
             h = states[t]

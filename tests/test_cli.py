@@ -275,11 +275,19 @@ LABELS = corpus.label_alphabet()
     (lambda t: t.extra["embedding"].update(seed=-1),
      "embedding seed must be >= 0, got -1"),
     (lambda t: t.extra["embedding"].update(dim=3.5),
-     "'float' object cannot be interpreted as an integer"),
+     "embedding dim must be int, got 3.5"),
     (lambda t: t.extra["embedding"].update(dim="3"),
-     "'str' object cannot be interpreted as an integer"),
+     "embedding dim must be int, got '3'"),
     (lambda t: t.extra["embedding"].update(seed=1.5),
-     "'float' object cannot be interpreted as an integer"),
+     "embedding seed must be int, got 1.5"),
+    (lambda t: t.extra["embedding"].update(seed=True),
+     "embedding seed must be int, got True"),
+    (lambda t: t.extra.update(pos_tags="".join(t.extra["pos_tags"])),
+     "pos_tags must be a list of str, got"),
+    (lambda t: t.extra.update(chunk_tags="B-NP"),
+     "chunk_tags must be a list of str, got 'B-NP'"),
+    (lambda t: t.extra["embedding"].update(vocab="abc"),
+     "vocab must be a list of str, got 'abc'"),
     (lambda t: t.extra["embedding"].update(lowercase_fallback="no"),
      "lowercase_fallback must be true, got 'no'"),
     # past a float: the table's OOV bound, sqrt(3 / dim), overflows
@@ -297,7 +305,8 @@ LABELS = corpus.label_alphabet()
     (lambda t: setattr(t.config, "labels", LABELS[:3] * 3),
      "the model's labels are not the label alphabet"),
 ], ids=["null-tag-list", "bad-rule-pattern", "negative-seed", "float-dim",
-        "str-dim", "float-seed", "lowercase-fallback-no", "huge-dim",
+        "str-dim", "float-seed", "bool-seed", "str-pos-tags", "str-chunk-tags",
+        "str-vocab", "lowercase-fallback-no", "huge-dim",
         "str-bidirectional",
         "str-hidden", "float-hidden", "label-off-grammar", "labels-foo",
         "repeated-labels"])
@@ -315,6 +324,32 @@ def test_cmd_tag_refuses_a_hostile_pipeline_record(tmp_path, toy_path, capsys,
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["train", "tag", "ablate"])
+def test_an_output_that_names_an_input_is_refused(tmp_path, toy_path, capsys,
+                                                  pipeline_model, command):
+    data = tmp_path / "data.txt"
+    data.write_bytes(open(toy_path, "rb").read())
+    before = data.read_bytes()
+    model_file = tmp_path / "model.sqtg"
+    model_file.write_bytes(pipeline_model)
+    # each output is the input under another spelling of its path
+    same = os.path.join(str(tmp_path), ".", "data.txt")
+    argv = {
+        "train": ["train", "--train", str(data), "--dev", toy_path,
+                  "--out", same] + FAST,
+        "tag": ["tag", "--model", str(model_file), "--input", str(data),
+                "--output", same],
+        "ablate": ["ablate", "--train", toy_path, "--dev", toy_path,
+                   "--test", str(data), "--preset", "table3", "--quiet",
+                   "--out", same[:-len(".txt")]],
+    }[command]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {same}: it is the input")
+    assert data.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["data.txt", "model.sqtg"]
 
 
 def test_tag_then_eval_matches_train_dev_score(tmp_path, toy_path):

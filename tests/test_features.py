@@ -71,6 +71,19 @@ def test_lookup_lowercase_fallback():
     assert np.array_equal(table.lookup("London"), [4.0, 5.0, 6.0])
 
 
+def test_pretrained_oov_draws_do_not_depend_on_lookup_order():
+    def table():
+        return load_embeddings(io.StringIO("xyz 1 2 3\n"), 3, seed=5)
+
+    seen = table()
+    lower = seen.lookup("abc")
+    # the fallback reads the file's vectors only, not the draw for "abc"
+    cased = seen.lookup("Abc")
+    assert np.array_equal(cased, table().lookup("Abc"))
+    assert not np.array_equal(cased, lower)
+    assert len(seen) == 3  # one vector read, two drawn
+
+
 def test_lookup_order_independent():
     t1 = random_table(8, seed=3)
     t2 = random_table(8, seed=3)
@@ -350,7 +363,7 @@ def test_cached_word_vectors_are_the_tables_own():
                                 random_table(4, seed=0))
     extractor.assemble(sent)
     for word in ("a", "b"):
-        assert extractor._types[word][0] is extractor.table.vectors[word]
+        assert extractor._types[word][0] is extractor.table.drawn[word]
 
 
 def test_second_pass_draws_nothing(toy_sentences):

@@ -789,6 +789,17 @@ def test_container_stores_lstm_gates_in_v1_order():
         assert np.array_equal(stored[2 * k:2 * k + 2], gate(cell, name)[0])
 
 
+@pytest.mark.parametrize("cell", ["lstm", "rnn"])
+def test_container_parameter_section_is_theta(cell):
+    tagger = init_params(_config(cell=cell, layers=2, bidirectional=True),
+                         derive_rng(29, 1))
+    buf = io.BytesIO()
+    save(tagger, buf)
+    data = buf.getvalue()
+    blob_len = int.from_bytes(data[8:12], "little")
+    assert data[12 + blob_len:-8] == tagger.theta.astype("<f8").tobytes()
+
+
 def test_predict_indices_deterministic():
     tagger = init_params(_config(layers=2, bidirectional=True),
                          derive_rng(23, 1))
