@@ -1,0 +1,5 @@
+"""`python -m seqtag`: the commands of the `seqtag` script."""
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -317,9 +317,10 @@ def cmd_tag(args):
     outputs = (args.output, args.output + ".manifest.json") if args.output else ()
     _check_paths(outputs, (args.model, args.input, args.embeddings))
     manifest = RunManifest("tag", {"model": args.model, "input": args.input,
+                                   "embeddings": args.embeddings,
                                    "output": args.output}, None)
     if args.output:  # the digests of the files as they are read
-        manifest.add_inputs(args.model, args.input)
+        manifest.add_inputs(args.model, args.input, args.embeddings)
     try:
         tagger, extractor = train.load_tagger(args.model, args.embeddings)
     except OSError as exc:

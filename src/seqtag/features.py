@@ -213,22 +213,27 @@ class RegexRule:
     pattern: str
 
 
+def _compile_rule(rule, names):
+    """`rule`'s compiled pattern, its name added to `names`, the set of the
+    rules before it; else a ValueError naming the rule and its fault."""
+    if rule.name in names:
+        raise ValueError(f"rule {rule.name!r}: duplicate rule name")
+    names.add(rule.name)
+    if rule.scope not in RULE_SCOPES:
+        raise ValueError(f"rule {rule.name!r}: unknown scope {rule.scope!r}")
+    try:
+        return re.compile(rule.pattern)
+    except re.error as exc:
+        raise ValueError(f"rule {rule.name!r}: {exc}") from None
+
+
 @dataclass
 class RegexRuleSet:
     rules: list[RegexRule] = field(default_factory=list)
 
     def __post_init__(self):
-        names = [r.name for r in self.rules]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate rule names in {names}")
-        self._regexes = []
-        for r in self.rules:
-            if r.scope not in RULE_SCOPES:
-                raise ValueError(f"rule {r.name!r}: unknown scope {r.scope!r}")
-            try:
-                self._regexes.append(re.compile(r.pattern))
-            except re.error as exc:
-                raise ValueError(f"rule {r.name!r}: {exc}") from None
+        names = set()
+        self._regexes = [_compile_rule(r, names) for r in self.rules]
         # (K, the columns of the rules with scope prevK), self being K = 0
         scopes = [RULE_SCOPES.index(r.scope) for r in self.rules]
         self.scope_columns = [
@@ -255,7 +260,7 @@ def load_regex_rules(source):
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as handle:
             return load_regex_rules(handle)
-    rules = []
+    rules, names = [], set()
     for lineno, raw in enumerate(source, start=1):
         line = raw.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
@@ -264,12 +269,12 @@ def load_regex_rules(source):
         if len(parts) != 3:
             raise ValueError(
                 f"regex rule line {lineno}: expected NAME<TAB>SCOPE<TAB>PATTERN")
-        name, scope, pattern = parts
+        rule = RegexRule(*parts)
         try:
-            re.compile(pattern)
-        except re.error as exc:
-            raise ValueError(f"regex rule line {lineno} ({name}): {exc}") from None
-        rules.append(RegexRule(name, scope, pattern))
+            _compile_rule(rule, names)
+        except ValueError as exc:
+            raise ValueError(f"regex rule line {lineno}: {exc}") from None
+        rules.append(rule)
     return RegexRuleSet(rules)
 
 

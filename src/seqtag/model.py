@@ -28,15 +28,14 @@ order, into one flat vector `theta`, and a gradient is a vector of the same
 layout, whose blocks a Tagger built on it names: an SGD update and a
 checkpoint copy each act on one vector. A row tagger holds K variants of one
 stretch of `theta` (one cell's parameters, or the projection's) and runs all
-K through the same forward pass at once: the cells before the stretch run
-once, and the rest K rows wide. That is how the finite-difference oracle
-evaluates its perturbed copies of `theta`.
+K through the same forward pass at once: the cells before the stretch and
+beside it in its layer run once, and the rest K rows wide. That is how the
+finite-difference oracle evaluates its perturbed copies of `theta`.
 
 Model files use a small versioned binary container (magic "SQTG") whose
 parameter section is `theta` itself; see save()/load().
 """
 
-import copy
 import hashlib
 import json
 import os
@@ -111,14 +110,6 @@ class CellParams:
         self.U = flat[..., rows * hidden:-rows].reshape(lead + (rows, input_dim))
         self.b = flat[..., -rows:]
 
-    def broadcast(self, K):
-        """These one-row parameters as K identical rows (read-only views), as
-        a cell run K rows wide over inputs that differ by row takes them."""
-        rows = copy.copy(self)
-        rows.W, rows.U, rows.b = (np.broadcast_to(a, (K,) + a.shape)
-                                  for a in (self.W, self.U, self.b))
-        return rows
-
     @staticmethod
     def size(hidden, input_dim, kind="lstm"):
         return GATE_COUNT[kind] * hidden * (hidden + input_dim + 1)
@@ -129,8 +120,8 @@ class CellParams:
         the cell's gate order; biases zero except the LSTM forget gate's."""
         p = cls(hidden, input_dim, kind)
         bound_w, bound_u = np.sqrt(3.0 / hidden), np.sqrt(3.0 / input_dim)
-        p.W = rng.uniform(-bound_w, bound_w, (len(p.b), hidden))
-        p.U = rng.uniform(-bound_u, bound_u, (len(p.b), input_dim))
+        p.W[...] = rng.uniform(-bound_w, bound_w, p.W.shape)
+        p.U[...] = rng.uniform(-bound_u, bound_u, p.U.shape)
         if kind == "lstm":
             p.b[hidden:2 * hidden] = forget_bias
         return p
@@ -372,11 +363,14 @@ class Tagger:
     A tagger built with `rows=(offset, block)` is a row tagger: `block` is a
     (K, m) array of K variants of the stretch theta[offset:offset + m],
     which must be one entry of `stretches`. The parameter arrays of the
-    stretch are views into `block` with a leading K axis, all others views
-    into `theta`, and forward() and sentence_loss()
-    evaluate the K parameter vectors on one sentence at once (the
-    finite-difference oracle's batch). Training and saving take a tagger
-    without rows only.
+    stretch are views into `block` with a leading K axis. Those of every
+    cell after the stretch's layer, and of the projection when it is not
+    the stretch, are read-only views of `theta` with the same leading K
+    axis, each row the one-row array; the rest are one-row views into
+    `theta`. forward() and
+    sentence_loss() evaluate the K parameter vectors on one sentence at
+    once (the finite-difference oracle's batch). Training and saving take a
+    tagger without rows only.
     """
 
     def __init__(self, config, extra=None, theta=None, rows=None):
@@ -410,14 +404,17 @@ class Tagger:
         # (start, stop) of each cell's parameters, in param_items() order,
         # then of the projection's
         self.stretches = []
+        wide = False  # whether the stretch lies in an earlier layer
 
         def view(offset, size):
             """Parameters offset .. offset + size: the K rows of the block
-            if it is this stretch, else one row of theta."""
+            if it is this stretch; after the stretch's layer, one row of
+            theta repeated K times (a read-only view); else that one row."""
             self.stretches.append((offset, offset + size))
             if (offset, offset + size) == stretch:
                 return block
-            return theta[offset:offset + size]
+            one = theta[offset:offset + size]
+            return np.broadcast_to(one, (len(block), size)) if wide else one
 
         offset = 0
         self.layers = []
@@ -428,6 +425,7 @@ class Tagger:
                 self.layers[l][d] = CellParams(config.hidden, dim, config.cell,
                                                view(offset, size))
                 offset += size
+            wide = stretch is not None and stretch[0] < offset
         proj = view(offset, n - offset)
         self.proj_w = proj[..., :-n_labels].reshape(
             proj.shape[:-1] + (n_labels, width))
@@ -487,12 +485,12 @@ def forward(tagger, inputs, rng=None, bptt=False, softmax=True):
     their place).
 
     A row tagger of K rows takes one sentence and returns T x K x L
-    probabilities. The cells before its stretch run once, as one-row cells;
-    the stretch runs K rows wide, and so does every later cell, with its
-    one-row parameters repeated K times (which keeps each row's bits those
-    of a one-row tagger, as a batch of K would not). Its dropout masks are
-    drawn at the one-row shape, as for a one-row tagger, and shared by all
-    rows.
+    probabilities. The cells before its stretch, and beside it in its layer,
+    run once, as one-row cells; the stretch runs K rows wide, and so does
+    every later cell, with the one-row parameters the tagger repeats K
+    times (which keeps each row's bits those of a one-row tagger, as a batch
+    of K would not). Its dropout masks are drawn at the one-row shape, as
+    for a one-row tagger, and shared by all rows.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     K = tagger.rows and len(tagger.rows[1])
@@ -510,30 +508,22 @@ def forward(tagger, inputs, rng=None, bptt=False, softmax=True):
 
     layer_caches = []
     current = inputs
-    per_row = False  # whether `current` holds one T x D slice per row
     for layer in tagger.layers:
-        if per_row:
-            layer = {d: p.broadcast(K) for d, p in layer.items()}
         out, dir_caches = _run_layer(layer, current, bptt)
-        per_row = bool(K) and out.ndim == 3
         mask = None
         if use_dropout:
             shape = (len(out), out.shape[-1]) if K else out.shape
             mask = (rng.random(shape) < keep) / keep
-            out = out * (mask[:, None] if per_row else mask)
+            # a row tagger's one-row mask over its T x K x D rows
+            out = out * (mask[:, None] if out.ndim > mask.ndim else mask)
         layer_caches.append({"dirs": dir_caches, "mask": mask, "output": out})
         current = out
 
     if K:
-        # the shared projection over per-row features, or the projection's
-        # stretch over shared features: a product per row either way
-        proj_w = tagger.proj_w
-        if per_row:
-            proj_w = np.broadcast_to(proj_w, (K,) + proj_w.shape)
-        else:
+        if current.ndim == 2:  # the projection's stretch over shared features
             current = np.broadcast_to(current[:, None], (len(current), K,
                                                          current.shape[-1]))
-        logits = _row_matmul(current, proj_w)
+        logits = _row_matmul(current, tagger.proj_w)
     else:
         logits = current @ tagger.proj_w.T
     logits += tagger.proj_b
@@ -623,33 +613,29 @@ def _config_blob(tagger):
     return json.dumps(record, ensure_ascii=False, sort_keys=True).encode("utf-8")
 
 
-def _checksum(data):
-    return hashlib.sha256(data).digest()[:8]
-
-
 def save(tagger, sink):
     """Serialize to the versioned container: magic "SQTG", u32 LE version,
     length-prefixed UTF-8 config record, `theta` as little-endian float64
     (its blocks in param_items() order, an LSTM's gates in the runner's
     order i, f, c, o, as the v1 format has them), then a 64-bit checksum
     (leading 8 bytes of SHA-256) over everything before it. Row taggers are
-    refused."""
+    refused. The header and record, then `theta`'s own buffer, are hashed
+    and written in turn, with no copy of the whole file."""
     if tagger.rows is not None:
         raise ValueError("save takes a one-row tagger, got "
                          f"{len(tagger.rows[1])} parameter rows")
     blob = _config_blob(tagger)
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<I", FORMAT_VERSION)
-    out += struct.pack("<I", len(blob))
-    out += blob
-    out += memoryview(np.ascontiguousarray(tagger.theta, dtype="<f8"))
-    out += _checksum(out)
+    parts = [MAGIC + struct.pack("<II", FORMAT_VERSION, len(blob)) + blob,
+             memoryview(np.asarray(tagger.theta, dtype="<f8")).cast("B")]
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    parts.append(digest.digest()[:8])
     if isinstance(sink, (str, os.PathLike)):
         with open(sink, "wb") as handle:
-            handle.write(out)
+            handle.writelines(parts)
     else:
-        sink.write(out)
+        sink.writelines(parts)
 
 
 def load(source):
@@ -688,7 +674,7 @@ def load(source):
         raise TruncatedFile(
             f"file is {len(data)} bytes, expected {expected} for this config")
 
-    if _checksum(memoryview(data)[:-8]) != data[-8:]:
+    if hashlib.sha256(memoryview(data)[:-8]).digest()[:8] != data[-8:]:
         raise ChecksumMismatch("stored checksum does not match file contents")
     if len(data) != expected:
         raise TrailingBytes(f"{len(data) - expected} unexpected trailing bytes")

@@ -227,8 +227,8 @@ def compare_recurrence_pathology():
     rnn = model.CellParams(hidden, input_dim, "rnn")
     w = rng.normal(0.0, 1.0, size=(hidden, hidden))
     radius = max(abs(np.linalg.eigvals(w)))
-    rnn.W = w * (PATHOLOGY_RADIUS / radius)
-    rnn.U = rng.normal(0.0, 0.5, size=(hidden, input_dim))
+    rnn.W[...] = w * (PATHOLOGY_RADIUS / radius)
+    rnn.U[...] = rng.normal(0.0, 0.5, size=rnn.U.shape)
 
     # well-conditioned LSTM: saturated forget gate carries the memory, and
     # the hidden-side weights are damped below the critical point so the

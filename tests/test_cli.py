@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import subprocess
 import sys
 from contextlib import suppress
 
@@ -85,6 +86,11 @@ def test_skipgram_vectors_train_tag_and_table3(tmp_path, toy_path):
     tagged = tmp_path / "tagged.conll"
     assert cli.main(["tag", "--model", out, "--input", toy_path, "--output",
                      str(tagged), "--embeddings", str(vectors)]) == 0
+    # the tagged output depends on the vector file, so its manifest names it
+    manifest = json.load(open(f"{tagged}.manifest.json"))
+    assert manifest["options"]["embeddings"] == str(vectors)
+    assert manifest["input_digests"] == {
+        path: cli._sha256(path) for path in (out, toy_path, str(vectors))}
     with open(toy_path, encoding="utf-8") as handle:
         tokens = [line.split() for line in handle if line.strip()]
     rows = [line.split() for line in tagged.read_text("utf-8").splitlines()
@@ -974,6 +980,18 @@ def test_config_file_precedence(tmp_path, toy_path):
     tagger = model.load(out)
     assert tagger.config.hidden == 5
     assert tagger.config.layers == 1
+
+
+def test_python_m_seqtag_runs_the_cli(tmp_path):
+    # `python -m seqtag.cli` warns that runpy found the module imported
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    result = subprocess.run([sys.executable, "-m", "seqtag", "--version"],
+                            cwd=tmp_path, env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0, cli.__version__ + "\n", "")
 
 
 def test_tag_roundtrip_with_random_embeddings_across_processes(tmp_path, toy_path):

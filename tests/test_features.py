@@ -142,6 +142,12 @@ def test_load_regex_rules_bad_lines():
         load_regex_rules(io.StringIO("ONLY_TWO\tself\n"))
     with pytest.raises(ValueError, match="NOPAT"):
         load_regex_rules(io.StringIO("NOPAT\tself\t[unclosed\n"))
+    with pytest.raises(ValueError,
+                       match="^regex rule line 2: rule 'A': unknown scope 'prev9'$"):
+        load_regex_rules(io.StringIO("# scope\nA\tprev9\tx\n"))
+    with pytest.raises(ValueError,
+                       match="^regex rule line 3: rule 'A': duplicate rule name$"):
+        load_regex_rules(io.StringIO("A\tself\tx\n\nA\tprev1\ty\n"))
 
 
 def test_regex_rule_set_validation():

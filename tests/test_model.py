@@ -425,22 +425,55 @@ def test_stretches_are_each_cell_then_the_projection():
 def test_row_tagger_arrays_are_views_of_each_row(cell):
     cfg = _config(layers=2, cell=cell, bidirectional=True)
     theta, blocks = _stretch_rows(cfg, 20, 3)
+    items = Tagger(cfg).param_items()
+    offsets = np.cumsum([0] + [arr.size for _, arr in items])
+    # each array's part of the tagger, in order: layer0, layer1 or proj
+    parts = [name.split(".")[0] for name, _ in items]
+    order = list(dict.fromkeys(parts))
     for start, block in blocks:
         rows = Tagger(cfg, theta=theta, rows=(start, block))
         assert rows.theta is theta and rows.rows[1] is block
         stop = start + block.shape[1]
+        stretch_part = order.index(parts[list(offsets).index(start)])
         for k in range(3):
             one = Tagger(cfg, theta=_one_row(theta, start, block[k]))
-            offset = 0
-            for (name, arr), (_, want) in zip(rows.param_items(),
-                                              one.param_items()):
+            for (name, arr), (_, want), offset, part in zip(
+                    rows.param_items(), one.param_items(), offsets, parts):
                 if start <= offset < stop:  # inside the stretch: K rows
                     assert np.shares_memory(arr, block), name
+                    assert np.array_equal(arr[k], want), name
+                elif order.index(part) > stretch_part:
+                    # after the stretch's layer: the one row, K times over
+                    assert arr.shape == (3,) + want.shape, name
+                    assert not arr.flags.writeable, name
+                    assert np.shares_memory(arr, theta), name
                     assert np.array_equal(arr[k], want), name
                 else:
                     assert np.shares_memory(arr, theta), name
                     assert np.array_equal(arr, want), name
-                offset += want.size
+
+
+@pytest.mark.parametrize("cell", ["lstm", "rnn"])
+def test_row_tagger_runs_only_its_stretch_and_later_cells_wide(cell,
+                                                               monkeypatch):
+    # one-row cells before the stretch, and beside it in its own layer,
+    # keep a row tagger as fast as the one-row oracle it batches
+    cfg = _config(layers=2, cell=cell, bidirectional=True)
+    theta, blocks = _stretch_rows(cfg, 24, 3)
+    x = derive_rng(24, 2).uniform(-1, 1, size=(5, 4))
+    wide = []
+    run_cell = model._run_cell
+
+    def counting(params, *args, **kwargs):
+        wide[-1] += params.W.ndim == 3
+        return run_cell(params, *args, **kwargs)
+
+    monkeypatch.setattr(model, "_run_cell", counting)
+    for start, block in blocks:
+        wide.append(0)
+        forward(Tagger(cfg, theta=theta, rows=(start, block)), x)
+    # layer0.fwd, layer0.bwd, layer1.fwd, layer1.bwd, then the projection
+    assert wide == [3, 3, 1, 1, 0]
 
 
 def test_tagger_rejects_a_theta_of_the_wrong_layout():
