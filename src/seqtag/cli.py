@@ -9,6 +9,7 @@ Flag precedence: command line > --config JSON file > built-in defaults.
 import argparse
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -290,6 +291,8 @@ def cmd_train(args):
                                 progress=progress)
     except train.NonFiniteLoss as exc:
         raise CliError(str(exc), exit_code=2)
+    except train.WorkerFailed as exc:  # dev evaluation forks on a large dev set
+        raise CliError(str(exc))
 
     with _io_errors("write", args.out):
         model.save(best, args.out)
@@ -303,14 +306,20 @@ def cmd_train(args):
 
 def _read_tag_input(path):
     """Input for tagging: CoNLL lines with or without a gold label column,
-    as the first token line shows. Returns (sentences, has_gold)."""
+    as the first token line shows. Returns (sentences, has_gold). The lines
+    up to the first token line are read ahead; the rest are parsed as they
+    are read."""
     with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.readlines()
-    first = next(filter(None, map(corpus.split_columns, lines)), [])
-    has_gold = len(first) >= 4
-    columns = corpus.ColumnMap() if has_gold else corpus.ColumnMap(label=None)
-    return corpus.read_conll(lines, columns, entity_types=None,
-                             strict=False), has_gold
+        head, first = [], []
+        for line in handle:
+            head.append(line)
+            first = corpus.split_columns(line)
+            if first:
+                break
+        has_gold = len(first or ()) >= 4
+        columns = corpus.ColumnMap() if has_gold else corpus.ColumnMap(label=None)
+        return corpus.read_conll(itertools.chain(head, handle), columns,
+                                 entity_types=None, strict=False), has_gold
 
 
 def cmd_tag(args):
@@ -334,7 +343,10 @@ def cmd_tag(args):
                     (corpus.CorpusError, UnicodeDecodeError)):
         sentences, has_gold = _read_tag_input(args.input)
 
-    train.tag_corpus(tagger, extractor, sentences)
+    try:
+        train.tag_corpus(tagger, extractor, sentences)
+    except train.WorkerFailed as exc:
+        raise CliError(str(exc))
 
     if not args.output:
         text = io.StringIO()

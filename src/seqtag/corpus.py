@@ -40,7 +40,7 @@ class InvalidSequence(CorpusError):
     """A label has no valid predecessor: an I-X in IOB2, a B-X in IOB1."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     surface: str
     pos: str = "_"

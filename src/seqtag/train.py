@@ -5,7 +5,9 @@ retrains the tagger across feature/architecture variants.
 """
 
 import copy
+import itertools
 import os
+import threading
 import time
 from dataclasses import dataclass, field, replace
 
@@ -19,9 +21,18 @@ from .numerics import derive_rng
 # tokens per inference batch: sentences of length T run max(1, 512 // T)
 # at a time
 BATCH_TOKENS = 512
+# tokens per forked tagging worker: a fork, pipe and join of a 70 MB
+# process took 5.9 ms, as long as tagging 100 tokens (about 60 us each
+# with a cold embedding table), so a share of 2,048 tokens spends about 5%
+# of its time on them
+WORKER_TOKENS = 2048
 
 
 class EmptyCorpus(ValueError):
+    pass
+
+
+class WorkerFailed(RuntimeError):
     pass
 
 
@@ -104,24 +115,131 @@ def clip_gradients(grads, max_norm):
 def tag_corpus(tagger, extractor, sentences):
     """Predict labels for every sentence (argmax per token, then IOB repair)
     and store them on the tokens. Sentences of equal length run together,
-    unpadded, as time-major batches of at most BATCH_TOKENS tokens."""
+    unpadded, as time-major batches of at most BATCH_TOKENS tokens. An input
+    of at least 2 * WORKER_TOKENS tokens is split into shares of whole
+    batches, balanced by token count, one per CPU the process may run on;
+    this process tags share 0 and a forked worker each other share. A batch
+    and its labels do not depend on the share it falls in, so the labels
+    are the same for any number of workers. WorkerFailed: a worker died or
+    raised."""
     by_length = {}
     for sent in sentences:
         if len(sent):
             by_length.setdefault(len(sent), []).append(sent)
-    labels = tagger.config.labels
+    batches = []
     for length, group in by_length.items():
         rows = max(1, BATCH_TOKENS // length)
-        for start in range(0, len(group), rows):
-            chunk = group[start:start + rows]
-            batch = np.empty((length, len(chunk), extractor.input_dim))
-            for b, sent in enumerate(chunk):
-                extractor.assemble(sent, out=batch[:, b])
-            for sent, indices in zip(chunk, model.predict_indices(tagger, batch)):
-                predicted = corpus.repair_iob([labels[i] for i in indices])
-                for tok, label in zip(sent, predicted):
-                    tok.predicted_label = label
+        batches += [group[start:start + rows]
+                    for start in range(0, len(group), rows)]
+    count = _worker_count(batches)
+    if count == 1:
+        shares, share_labels = [batches], [_tag_share(tagger, extractor, batches)]
+    else:
+        shares = _token_shares(batches, count)
+        share_labels = _tag_in_workers(tagger, extractor, shares)
+    for share, labels in zip(shares, share_labels):
+        for sent, predicted in zip(itertools.chain.from_iterable(share), labels):
+            for tok, label in zip(sent, predicted):
+                tok.predicted_label = label
     return sentences
+
+
+def _tokens(batch):
+    return len(batch) * len(batch[0])
+
+
+def _worker_count(batches):
+    """One share per WORKER_TOKENS tokens of `batches`, at most one per
+    batch and per CPU in the affinity mask, and 1 while another thread
+    runs: a fork copies only the calling thread, and a lock another thread
+    held stays held."""
+    if threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    tokens = sum(map(_tokens, batches))
+    return max(1, min(cpus, len(batches), tokens // WORKER_TOKENS))
+
+
+def _token_shares(batches, count):
+    """`count` lists of batches with near-equal token counts: each batch,
+    the largest first, goes to the share that holds the fewest tokens, the
+    first of them on a tie."""
+    shares = [[] for _ in range(count)]
+    loads = [0] * count
+    for batch in sorted(batches, key=_tokens, reverse=True):
+        k = loads.index(min(loads))
+        shares[k].append(batch)
+        loads[k] += _tokens(batch)
+    return shares
+
+
+def _tag_share(tagger, extractor, batches):
+    """The repaired labels of each sentence of `batches`, in order, each
+    batch tagged when its first sentence's labels are asked for."""
+    labels = tagger.config.labels
+    for chunk in batches:
+        batch = np.empty((len(chunk[0]), len(chunk), extractor.input_dim))
+        for b, sent in enumerate(chunk):
+            extractor.assemble(sent, out=batch[:, b])
+        for indices in model.predict_indices(tagger, batch):
+            yield corpus.repair_iob([labels[i] for i in indices])
+
+
+def _share_worker(connection, tagger, extractor, batches):
+    """A forked worker's body: send `(True, labels)` for its share, or
+    `(False, message)` if tagging raised."""
+    try:
+        reply = (True, list(_tag_share(tagger, extractor, batches)))
+    except Exception as exc:
+        reply = (False, f"{type(exc).__name__}: {exc}")
+    connection.send(reply)
+    connection.close()
+
+
+def _tag_in_workers(tagger, extractor, shares):
+    """The labels of every share: share 0 tagged here, every other share in
+    a worker forked for it. If anything fails, every worker is stopped and
+    joined before the error propagates."""
+    import multiprocessing  # here, not at import: it costs every command
+
+    context = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for batches in shares[1:]:
+            reader, writer = context.Pipe(duplex=False)
+            worker = context.Process(
+                target=_share_worker, daemon=True,
+                args=(writer, tagger, extractor, batches))
+            try:
+                worker.start()
+            except OSError as exc:
+                reader.close()
+                raise WorkerFailed(f"cannot start a tagging worker: "
+                                   f"{exc.strerror}") from None
+            finally:
+                writer.close()
+            workers.append((worker, reader))
+        share_labels = [list(_tag_share(tagger, extractor, shares[0]))]
+        for worker, reader in workers:
+            try:
+                ok, reply = reader.recv()
+            except (EOFError, OSError):
+                worker.join()
+                raise WorkerFailed(f"a tagging worker exited with code "
+                                   f"{worker.exitcode} before it sent its "
+                                   f"labels") from None
+            if not ok:
+                raise WorkerFailed(f"a tagging worker failed: {reply}")
+            share_labels.append(reply)
+        return share_labels
+    except BaseException:
+        for worker, _ in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker, reader in workers:
+            worker.join()
+            reader.close()
 
 
 def evaluate_tagger(tagger, extractor, sentences):

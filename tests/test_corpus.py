@@ -336,3 +336,10 @@ def test_label_alphabet_default_has_nine_labels():
     assert len(labels) == 9
     assert labels[0] == "O"
     assert "B-PER" in labels and "I-MISC" in labels
+
+
+def test_a_token_has_slots_and_no_instance_dict():
+    token = corpus.Token("Hà_Nội", "Np", "B-NP", "B-LOC")
+    assert not hasattr(token, "__dict__")
+    assert corpus.Token.__slots__ == ("surface", "pos", "chunk", "gold_label",
+                                      "predicted_label")

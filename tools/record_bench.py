@@ -1,15 +1,16 @@
 """Record paired benchmark numbers for a change against its base revision.
 
     python3 tools/record_bench.py --out BENCH_<n>.json [--base REV] [--rounds 10]
+        [--first-seed 0]
 
 The base revision (default HEAD) is exported with `git archive` into a
 temporary directory, and the working tree's files (tracked and untracked,
 not ignored) are copied into a second one, so that neither side runs beside
 caches or earlier results.
 Round r runs every workload once on each side with
-`perfbench/run.py --seed r --trace 0` at run.py's own run length, the side
-that goes first alternating from round to round, so that a drift in the
-host's speed falls on both sides alike. Unpaired runs on a host whose speed
+`perfbench/run.py --seed <first seed + r> --trace 0` at run.py's own run
+length, the side that goes first alternating from round to round, so that
+a drift in the host's speed falls on both sides alike. Unpaired runs on a host whose speed
 drifts mislead. Each run also yields its workload's headline figure
 (`train_tok_per_s`, `tag_tok_per_s`), read from the run's result file under
 .perfbench/. After the rounds, every workload runs once more on each side
@@ -160,6 +161,10 @@ def main(argv=None):
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--base", default="HEAD")
     parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--first-seed", type=int, default=0,
+                        help="round r runs seed first-seed + r, so that a "
+                             "claim can be checked on seeds not used while "
+                             "the change was written")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
@@ -169,16 +174,17 @@ def main(argv=None):
         copy_worktree(trees["head"])
         record = {"base": export(args.base, trees["base"]),
                   "head": "working tree at " + git("rev-parse", "HEAD"),
-                  "rounds": args.rounds,
+                  "rounds": args.rounds, "first_seed": args.first_seed,
                   "nproc": len(os.sched_getaffinity(0)), "workloads": {}}
 
         for name in WORKLOADS:
             runs = []
             for r in range(args.rounds):
                 order = ("base", "head") if r % 2 == 0 else ("head", "base")
+                seed = args.first_seed + r
                 for side in order:
-                    run = run_workload(trees[side], name, r)
-                    run.update(round=r, seed=r, side=side)
+                    run = run_workload(trees[side], name, seed)
+                    run.update(round=r, seed=seed, side=side)
                     runs.append(run)
                     print(f"{name} round {r} {side}: "
                           + ", ".join(f"{k} {v:.4g}" for k, v in
