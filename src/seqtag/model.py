@@ -5,8 +5,13 @@ softmax classifier, and hand-derived analytic gradients for all of it
 runs time-major batches of equal-length sentences through the same runner.
 
 A layer is a {direction: CellParams} dict. One runner (_run_layer) and its
-BPTT (_backprop_layer) do all of its direction handling: reversal,
-re-alignment, concatenation and the sum of the input gradients.
+BPTT (_backprop_layer) do all of its direction handling: concatenation and
+the sum of the input gradients there, reversal and re-alignment in the
+_run_direction/_backprop_direction pair they call for each direction. The
+directions of a layer share nothing until their states are concatenated,
+so a training step can hand every "bwd" cell to a peer process
+(train.DirectionPeer) that runs the same pair over the same parameters,
+in shared memory, while this process runs "fwd"; the bits do not change.
 
 The LSTM cell stores its four gates stacked row-wise in the order
 (i, f, c, o), which the runner, its BPTT and the model file share: W (4H x
@@ -256,18 +261,42 @@ def _backprop_cell(params, cache, dstates, dparams, input_grads=True):
     return da @ params.U if input_grads else None
 
 
-def _run_layer(cells, inputs, bptt=False):
+def _run_direction(d, params, inputs, bptt=False):
+    """Run the cell of direction `d` of a layer over `inputs` from a zero
+    state, "bwd" from the last position to the first. Returns its states
+    aligned to input positions and its cache (None without bptt)."""
+    step = -1 if d == "bwd" else 1
+    states, cache = _run_cell(params, inputs[::step], bptt)
+    return states[::step], cache
+
+
+def _backprop_direction(d, params, cache, dstates, dparams, input_grads=True):
+    """BPTT through _run_direction from `dstates`, the gradient at its
+    states by input position: writes the cell's gradients into `dparams`,
+    and returns its input gradients by input position (None without
+    input_grads)."""
+    step = -1 if d == "bwd" else 1
+    dx = _backprop_cell(params, cache, dstates[::step], dparams, input_grads)
+    return dx[::step] if input_grads else None
+
+
+def _run_layer(cells, inputs, bptt=False, peer=None):
     """Run each cell of a layer's {direction: CellParams} `cells` over
-    `inputs` from a zero state, "bwd" from the last position to the first.
-    Returns (their states aligned to input positions and concatenated in
-    dict order, {direction: cache, None without bptt}). Beside a cell of K
+    `inputs` (_run_direction). Returns (their states concatenated in dict
+    order, {direction: cache, None without bptt}). Beside a cell of K
     parameter rows over one sentence, a one-row cell's T x H states are
-    repeated for every row."""
+    repeated for every row. With a `peer` of this layer (see
+    loss_and_gradients), the peer runs the "bwd" cell, and keeps its cache,
+    while this process runs the others; its cache here is None."""
+    if peer is not None:
+        peer.run(inputs)
     outputs, caches = [], {}
     for d, params in cells.items():
-        step = -1 if d == "bwd" else 1
-        states, caches[d] = _run_cell(params, inputs[::step], bptt)
-        outputs.append(states[::step])
+        if peer is not None and d == "bwd":
+            states, caches[d] = peer.result(), None
+        else:
+            states, caches[d] = _run_direction(d, params, inputs, bptt)
+        outputs.append(states)
     if outputs[0].ndim != outputs[-1].ndim:
         wide = max(outputs, key=np.ndim).shape
         outputs = [o if o.ndim == len(wide) else np.broadcast_to(o[:, None], wide)
@@ -275,19 +304,25 @@ def _run_layer(cells, inputs, bptt=False):
     return np.concatenate(outputs, axis=-1), caches
 
 
-def _backprop_layer(cells, caches, dout, dcells, input_grads=True):
+def _backprop_layer(cells, caches, dout, dcells, input_grads=True, peer=None):
     """BPTT through _run_layer from `dout`, the gradient at its output:
     writes each direction's gradients into that CellParams of `dcells`, and
     returns the directions' input gradients summed in dict order (None
-    without input_grads)."""
+    without input_grads). With a `peer` of this layer, the peer does the
+    "bwd" cell's part from the cache it kept."""
+    H = next(iter(cells.values())).hidden
+    douts = {d: dout[:, k * H:(k + 1) * H] for k, d in enumerate(cells)}
+    if peer is not None:
+        peer.backprop(douts["bwd"], input_grads)
     dinputs = None
-    for k, (d, params) in enumerate(cells.items()):
-        step = -1 if d == "bwd" else 1
-        H = params.hidden
-        dx = _backprop_cell(params, caches[d], dout[:, k * H:(k + 1) * H][::step],
-                            dcells[d], input_grads)
+    for d, params in cells.items():
+        if peer is not None and d == "bwd":
+            dx = peer.result()
+        else:
+            dx = _backprop_direction(d, params, caches[d], douts[d], dcells[d],
+                                     input_grads)
         if input_grads:
-            dinputs = dx[::step] if dinputs is None else dinputs + dx[::step]
+            dinputs = dx if dinputs is None else dinputs + dx
     return dinputs
 
 
@@ -472,7 +507,7 @@ def init_params(config, rng, extra=None):
     return tagger
 
 
-def forward(tagger, inputs, rng=None, bptt=False, softmax=True):
+def forward(tagger, inputs, rng=None, bptt=False, softmax=True, peer=None):
     """Per-token label distributions for one sentence (T x D inputs) or for
     a time-major batch of equal-length sentences (T x B x D inputs).
 
@@ -491,6 +526,9 @@ def forward(tagger, inputs, rng=None, bptt=False, softmax=True):
     times (which keeps each row's bits those of a one-row tagger, as a batch
     of K would not). Its dropout masks are drawn at the one-row shape, as
     for a one-row tagger, and shared by all rows.
+
+    A `peer` (see loss_and_gradients) runs each layer's "bwd" cell; the
+    masks are drawn here alone.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     K = tagger.rows and len(tagger.rows[1])
@@ -508,8 +546,9 @@ def forward(tagger, inputs, rng=None, bptt=False, softmax=True):
 
     layer_caches = []
     current = inputs
-    for layer in tagger.layers:
-        out, dir_caches = _run_layer(layer, current, bptt)
+    for l, layer in enumerate(tagger.layers):
+        out, dir_caches = _run_layer(layer, current, bptt,
+                                     None if peer is None else peer.layer(l))
         mask = None
         if use_dropout:
             shape = (len(out), out.shape[-1]) if K else out.shape
@@ -543,15 +582,30 @@ def _log_softmax_rows(logits):
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def loss_and_gradients(tagger, inputs, gold_indices, rng=None, grad=None):
+def loss_and_gradients(tagger, inputs, gold_indices, rng=None, grad=None,
+                       peer=None):
     """Mean per-token cross-entropy and its gradient w.r.t. every parameter,
     by backpropagation through time: returns (loss, grad), the gradient a
     vector laid out like `theta` (Tagger(config, theta=grad) names its
     blocks). Every element is written exactly once, into `grad` when given,
-    else into a fresh vector. Row taggers are refused."""
+    else into a fresh vector. Row taggers are refused.
+
+    With a `peer` (train.DirectionPeer), a second process runs every layer's
+    "bwd" cell, forward and BPTT, while this one runs "fwd". The tagger must
+    be built on `peer.theta`, and the gradient goes to `peer.grad`, which
+    the peer writes its cells' blocks into. `peer.layer(l)` serves layer l:
+    `run(inputs)` and `backprop(dstates, input_grads)` start the cell's pass
+    there, and `result()` waits for its states, or input gradients, by
+    input position. The loss and the gradient keep every bit of the pass
+    without a peer."""
     if tagger.rows is not None:
         raise ValueError("loss_and_gradients takes a one-row tagger, got "
                          f"{len(tagger.rows[1])} parameter rows")
+    if peer is not None:
+        grad = peer.grad if grad is None else grad
+        if tagger.theta is not peer.theta or grad is not peer.grad:
+            raise ValueError("with a peer, the tagger must be built on "
+                             "peer.theta and the gradient go to peer.grad")
     config = tagger.config
     n_labels = len(config.labels)
     gold_indices = list(gold_indices)
@@ -565,7 +619,7 @@ def loss_and_gradients(tagger, inputs, gold_indices, rng=None, grad=None):
         grad = np.empty_like(tagger.theta)
     dtagger = Tagger(config, theta=grad)
 
-    probs, cache = forward(tagger, inputs, rng=rng, bptt=True)
+    probs, cache = forward(tagger, inputs, rng=rng, bptt=True, peer=peer)
     T = len(inputs)
     logp = _log_softmax_rows(cache["logits"])
     loss = -float(np.mean(logp[np.arange(T), gold_indices]))
@@ -584,7 +638,8 @@ def loss_and_gradients(tagger, inputs, gold_indices, rng=None, grad=None):
             dcurrent = dcurrent * layer_cache["mask"]
         # the first layer's inputs are features: no gradient needed
         dcurrent = _backprop_layer(tagger.layers[l], layer_cache["dirs"],
-                                   dcurrent, dtagger.layers[l], input_grads=l > 0)
+                                   dcurrent, dtagger.layers[l], l > 0,
+                                   None if peer is None else peer.layer(l))
     return loss, grad
 
 

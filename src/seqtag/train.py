@@ -6,8 +6,9 @@ retrains the tagger across feature/architecture variants.
 
 import copy
 import itertools
+import math
+import mmap
 import os
-import threading
 import time
 from dataclasses import dataclass, field, replace
 
@@ -26,6 +27,21 @@ BATCH_TOKENS = 512
 # with a cold embedding table), so a share of 2,048 tokens spends about 5%
 # of its time on them
 WORKER_TOKENS = 2048
+# work per training sentence, time steps x parameters of the "bwd" cells on
+# average, from which a bidirectional tagger trains with a DirectionPeer.
+# Below it the peer's four pipe round trips per step can cost more than the
+# cells it takes over: at 4 to 6 steps and a hidden size of 8 to 32, a step
+# ran up to 0.4 ms slower. From 1.0 M on every measured size gained, 0.6 ms
+# of 2.6 ms at 6 steps, hidden 100 and input 16, so the 11.5 ms that the
+# peer's fork and join took are repaid in about 20 steps; at the paper's
+# size (22 steps, hidden 100, input 322) a step took 5.4 ms, not 9.3 ms
+PEER_WORK = 1_000_000
+# seconds a DirectionPeer's waiting side polls its pipe before it blocks: a
+# round trip between processes blocked in their reads took 46-61 us on a
+# 2-vCPU host, and a step makes four; polling cut a paper-size step from
+# 6.3 to 5.4 ms. Most commands and replies come within the 2 ms or so that
+# a step's clip, update and next assembly take at that size
+PEER_POLL_S = 0.002
 
 
 class EmptyCorpus(ValueError):
@@ -150,14 +166,29 @@ def _tokens(batch):
 
 def _worker_count(batches):
     """One share per WORKER_TOKENS tokens of `batches`, at most one per
-    batch and per CPU in the affinity mask, and 1 while another thread
-    runs: a fork copies only the calling thread, and a lock another thread
-    held stays held."""
-    if threading.active_count() > 1:
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    batch and one per CPU that _fork_cpus allows."""
     tokens = sum(map(_tokens, batches))
-    return max(1, min(cpus, len(batches), tokens // WORKER_TOKENS))
+    return max(1, min(_fork_cpus(), len(batches), tokens // WORKER_TOKENS))
+
+
+def _fork_cpus():
+    """The CPUs in the affinity mask, or 1, for no fork, while the process
+    runs a second OS thread or where /proc/self/task or the mask cannot be
+    read. A fork copies only the calling thread, so a lock another thread
+    holds stays held; and the threads of a BLAS pool, which exists from
+    `import numpy` on unless OPENBLAS_NUM_THREADS=1, spin against the
+    forked process (a forked `tag` ran about twice as long as the serial
+    one on 2 CPUs)."""
+    try:
+        if _os_threads() != 1:
+            return 1
+        return len(os.sched_getaffinity(0))
+    except (OSError, AttributeError):
+        return 1
+
+
+def _os_threads():
+    return len(os.listdir("/proc/self/task"))
 
 
 def _token_shares(batches, count):
@@ -242,6 +273,151 @@ def _tag_in_workers(tagger, extractor, shares):
             reader.close()
 
 
+class DirectionPeer:
+    """A forked process that runs the "bwd" cell of every layer of a
+    bidirectional tagger, forward and BPTT, for model.loss_and_gradients,
+    while the calling process runs the "fwd" cells: the two directions of a
+    layer share nothing until their states are concatenated.
+
+    `theta`, a copy of the tagger's, and `grad` are vectors in one
+    anonymous shared mapping made before the fork: the peer reads its cells
+    from `theta` and writes their blocks of `grad`. A layer's inputs, or the
+    gradient at its "bwd" states, reach the peer, and the states or input
+    gradients come back, through two buffers of `max_len` rows in the same
+    mapping; the pipe carries only commands and replies, and each side
+    polls it for up to PEER_POLL_S before it blocks. The peer copies its
+    inputs out of the buffer, since its cache holds them until the layer's
+    BPTT. A peer that dies or raises becomes WorkerFailed. Used as a
+    context manager, it is stopped and joined on leaving."""
+
+    def __init__(self, tagger, max_len):
+        import multiprocessing  # here, not at import: it costs every command
+
+        config = tagger.config
+        if not config.bidirectional:
+            raise ValueError("a direction peer needs a bidirectional tagger")
+        n = len(tagger.theta)
+        rows = max_len * max(config.input_dim, config.layer_output_dim)
+        flat = np.frombuffer(mmap.mmap(-1, 8 * (2 * n + 2 * rows)))
+        self.theta, self.grad = flat[:n], flat[n:2 * n]
+        self._inbox, self._outbox = (flat[2 * n:2 * n + rows],
+                                     flat[2 * n + rows:])
+        self.theta[:] = tagger.theta
+        context = multiprocessing.get_context("fork")
+        self._connection, child = context.Pipe()
+        taggers = [model.Tagger(config, theta=vector)
+                   for vector in (self.theta, self.grad)]
+        self._process = context.Process(
+            target=_peer_main, daemon=True,
+            args=(child, self._connection, *taggers, self._inbox, self._outbox))
+        try:
+            self._process.start()
+        except OSError as exc:
+            self._connection.close()
+            raise WorkerFailed(f"cannot start a training worker: "
+                               f"{exc.strerror}") from None
+        finally:
+            child.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, *_):
+        # on success the peer exits at the EOF of its command pipe
+        if kind is not None:
+            self._process.terminate()
+        self._connection.close()
+        self._process.join()
+
+    def layer(self, l):
+        """The peer of layer l, as model.loss_and_gradients uses it."""
+        return _PeerLayer(self, l)
+
+    def _start(self, command, array):
+        """Put `array` in the inbox and send the peer `command` with its
+        shape."""
+        self._inbox[:array.size].reshape(array.shape)[...] = array
+        self._call(self._connection.send, command + (array.shape,))
+
+    def _result(self):
+        """The peer's reply to the last command, a view of the outbox."""
+        ok, reply = self._call(_receive, self._connection)
+        if not ok:
+            raise WorkerFailed(f"a training worker failed: {reply}")
+        if reply is None:
+            return None
+        return self._outbox[:math.prod(reply)].reshape(reply)
+
+    def _call(self, method, *args):
+        try:
+            return method(*args)
+        except (EOFError, OSError):
+            self._process.join()
+            raise WorkerFailed(f"a training worker exited with code "
+                               f"{self._process.exitcode}") from None
+
+
+class _PeerLayer:
+    def __init__(self, peer, l):
+        self.peer, self.l = peer, l
+
+    def run(self, inputs):
+        self.peer._start(("run", self.l, True), inputs)
+
+    def backprop(self, dstates, input_grads):
+        self.peer._start(("backprop", self.l, input_grads), dstates)
+
+    def result(self):
+        return self.peer._result()
+
+
+def _receive(connection):
+    """The next message on `connection`, polled for up to PEER_POLL_S before
+    a blocking read."""
+    deadline = time.perf_counter() + PEER_POLL_S
+    while not connection.poll() and time.perf_counter() < deadline:
+        pass
+    return connection.recv()
+
+
+def _peer_main(connection, parent_end, tagger, dtagger, inbox, outbox):
+    """A direction peer's body. For each (op, layer, input_grads, shape)
+    command it runs (op "run") or backpropagates the layer's "bwd" cell on
+    the inbox, writes the states or input gradients to the outbox and
+    replies (True, their shape or None), or (False, message) if that
+    raised. It closes its copy of the parent's end first, so that it sees
+    the EOF of the command pipe, and ends there; every exit is an os._exit,
+    with no traceback."""
+    code = 1
+    try:
+        parent_end.close()
+        caches = {}
+        while True:
+            try:
+                op, l, input_grads, shape = _receive(connection)
+            except EOFError:
+                code = 0
+                break
+            try:
+                data = inbox[:math.prod(shape)].reshape(shape)
+                cell = tagger.layers[l]["bwd"]
+                if op == "run":
+                    out, caches[l] = model._run_direction(
+                        "bwd", cell, data.copy(), bptt=True)
+                else:
+                    out = model._backprop_direction(
+                        "bwd", cell, caches.pop(l), data,
+                        dtagger.layers[l]["bwd"], input_grads)
+                if out is not None:
+                    outbox[:out.size].reshape(out.shape)[...] = out
+                connection.send((True, None if out is None else out.shape))
+            except Exception as exc:
+                connection.send((False, f"{type(exc).__name__}: {exc}"))
+                break
+    finally:
+        os._exit(code)
+
+
 def evaluate_tagger(tagger, extractor, sentences):
     tag_corpus(tagger, extractor, sentences)
     return score(sentences)
@@ -261,6 +437,13 @@ def train(tagger, train_sentences, dev_sentences, extractor, config,
     then measure dev phrase F1. Training stops when dev F1 has not improved
     for `patience` epochs (or at max_epochs) and the checkpoint with the
     best dev F1 is returned.
+
+    A bidirectional tagger whose training sentences average PEER_WORK time
+    steps x "bwd" cell parameters trains with a DirectionPeer where
+    _fork_cpus allows 2 CPUs or more, on a copy of `theta` in the peer's
+    shared mapping, which is written back into `theta` at the end, whatever
+    the outcome. The bits are those of a serial run. WorkerFailed: the
+    peer, or a dev evaluation's tagging worker, died or raised.
     """
     theta = tagger.theta
     for name, arr in tagger.param_items():
@@ -277,12 +460,28 @@ def train(tagger, train_sentences, dev_sentences, extractor, config,
     golds = [[label_index[t.gold_label] for t in sent] for sent in train_sentences]
     if not all(golds):
         raise ValueError("training set holds an empty sentence")
+    data = (train_sentences, dev_sentences, golds, extractor, config, progress)
+    bwd = sum(a.size for name, a in tagger.param_items() if ".bwd." in name)
+    if not (bwd and sum(map(len, golds)) * bwd >= PEER_WORK * len(golds)
+            and _fork_cpus() >= 2):
+        return _sgd(tagger, np.zeros_like(theta), None, *data)
+    with DirectionPeer(tagger, max(map(len, golds))) as peer:
+        try:
+            shared = model.Tagger(tagger.config, tagger.extra, theta=peer.theta)
+            return _sgd(shared, peer.grad, peer, *data)
+        finally:
+            theta[:] = peer.theta
 
+
+def _sgd(tagger, grad, peer, train_sentences, dev_sentences, golds, extractor,
+         config, progress):
+    """train's epochs on `tagger`, with `grad` as the gradient vector and
+    `peer` (or None) for loss_and_gradients."""
+    theta = tagger.theta
     shuffle_rng = derive_rng(config.seed, 1)
     dropout_rng = derive_rng(config.seed, 2) if tagger.config.dropout > 0 else None
     # one gradient vector laid out like theta for the whole run, so the
     # update is two in-place vector ops; clipping takes its named blocks
-    grad = np.zeros_like(theta)
     grads = dict(model.Tagger(tagger.config, theta=grad).param_items())
     best = model.Tagger(tagger.config, extra=copy.deepcopy(tagger.extra))
 
@@ -295,7 +494,8 @@ def train(tagger, train_sentences, dev_sentences, extractor, config,
         for sent_idx in shuffle_rng.permutation(len(golds)):
             inputs = extractor.assemble(train_sentences[sent_idx])
             loss, _ = model.loss_and_gradients(tagger, inputs, golds[sent_idx],
-                                               rng=dropout_rng, grad=grad)
+                                               rng=dropout_rng, grad=grad,
+                                               peer=peer)
             if not np.isfinite(loss):
                 raise NonFiniteLoss(epoch, int(sent_idx), loss)
             clip_gradients(grads, config.clip_norm)

@@ -31,8 +31,11 @@ def toy_model(tmp_path_factory):
 
 
 def _cpus(monkeypatch, n):
+    """Fake an affinity mask of `n` CPUs, in a process whose OS threads are
+    its Python threads: a BLAS pool's threads are not counted."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
                         raising=False)
+    monkeypatch.setattr(train, "_os_threads", threading.active_count)
 
 
 def _count_shares(monkeypatch):
