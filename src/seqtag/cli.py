@@ -291,8 +291,6 @@ def cmd_train(args):
                                 progress=progress)
     except train.NonFiniteLoss as exc:
         raise CliError(str(exc), exit_code=2)
-    except train.WorkerFailed as exc:  # dev evaluation forks on a large dev set
-        raise CliError(str(exc))
 
     with _io_errors("write", args.out):
         model.save(best, args.out)
@@ -343,10 +341,7 @@ def cmd_tag(args):
                     (corpus.CorpusError, UnicodeDecodeError)):
         sentences, has_gold = _read_tag_input(args.input)
 
-    try:
-        train.tag_corpus(tagger, extractor, sentences)
-    except train.WorkerFailed as exc:
-        raise CliError(str(exc))
+    train.tag_corpus(tagger, extractor, sentences)
 
     if not args.output:
         text = io.StringIO()
@@ -544,6 +539,9 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except train.WorkerFailed as exc:  # `tag` and `train` fork workers
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

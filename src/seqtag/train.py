@@ -4,6 +4,7 @@ F1 (best checkpoint returned, not the last), and an ablation driver that
 retrains the tagger across feature/architecture variants.
 """
 
+import contextlib
 import copy
 import itertools
 import math
@@ -136,8 +137,8 @@ def tag_corpus(tagger, extractor, sentences):
     batches, balanced by token count, one per CPU the process may run on;
     this process tags share 0 and a forked worker each other share. A batch
     and its labels do not depend on the share it falls in, so the labels
-    are the same for any number of workers. WorkerFailed: a worker died or
-    raised."""
+    are the same for any number of workers. WorkerFailed: a worker could
+    not start, died or raised."""
     by_length = {}
     for sent in sentences:
         if len(sent):
@@ -217,64 +218,108 @@ def _tag_share(tagger, extractor, batches):
 
 
 def _share_worker(connection, tagger, extractor, batches):
-    """A forked worker's body: send `(True, labels)` for its share, or
-    `(False, message)` if tagging raised."""
-    try:
-        reply = (True, list(_tag_share(tagger, extractor, batches)))
-    except Exception as exc:
-        reply = (False, f"{type(exc).__name__}: {exc}")
-    connection.send(reply)
-    connection.close()
+    """A tagging worker's body: send the labels of its share."""
+    connection.send((True, list(_tag_share(tagger, extractor, batches))))
 
 
 def _tag_in_workers(tagger, extractor, shares):
     """The labels of every share: share 0 tagged here, every other share in
     a worker forked for it. If anything fails, every worker is stopped and
     joined before the error propagates."""
-    import multiprocessing  # here, not at import: it costs every command
-
-    context = multiprocessing.get_context("fork")
-    workers = []
-    try:
-        for batches in shares[1:]:
-            reader, writer = context.Pipe(duplex=False)
-            worker = context.Process(
-                target=_share_worker, daemon=True,
-                args=(writer, tagger, extractor, batches))
-            try:
-                worker.start()
-            except OSError as exc:
-                reader.close()
-                raise WorkerFailed(f"cannot start a tagging worker: "
-                                   f"{exc.strerror}") from None
-            finally:
-                writer.close()
-            workers.append((worker, reader))
+    with contextlib.ExitStack() as stack:
+        workers = [stack.enter_context(_Worker(
+            "tagging", _share_worker, tagger, extractor, batches))
+            for batches in shares[1:]]
         share_labels = [list(_tag_share(tagger, extractor, shares[0]))]
-        for worker, reader in workers:
-            try:
-                ok, reply = reader.recv()
-            except (EOFError, OSError):
-                worker.join()
-                raise WorkerFailed(f"a tagging worker exited with code "
-                                   f"{worker.exitcode} before it sent its "
-                                   f"labels") from None
-            if not ok:
-                raise WorkerFailed(f"a tagging worker failed: {reply}")
-            share_labels.append(reply)
-        return share_labels
-    except BaseException:
-        for worker, _ in workers:
-            worker.terminate()
-        raise
+        return share_labels + [worker.receive() for worker in workers]
+
+
+class _Worker:
+    """A process forked with multiprocessing's fork context that runs
+    `body(connection, *args)` on its end of a pipe; the body replies `(True,
+    value)` to each message it answers. The process closes its copy of the
+    parent's end first, so that a read sees EOF, and a write fails, once the
+    parent is gone. A body that raises replies `(False, "Type: message")`,
+    a read past the parent's last message ends the body, and every exit is
+    an os._exit, with no traceback. WorkerFailed, which names `what` the
+    worker does: it cannot start, or it exited or raised before a reply.
+    Used as a context manager, it is terminated on an error, and joined, on
+    leaving."""
+
+    def __init__(self, what, body, *args):
+        import multiprocessing  # here, not at import: it costs every command
+
+        self._what = what
+        context = multiprocessing.get_context("fork")
+        self._connection, child = context.Pipe()
+        self._process = context.Process(
+            target=_worker_main, daemon=True,
+            args=(child, self._connection, body, args))
+        try:
+            self._process.start()
+        except OSError as exc:
+            self._connection.close()
+            raise WorkerFailed(f"cannot start a {what} worker: "
+                               f"{exc.strerror}") from None
+        finally:
+            child.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, *_):
+        # on success the worker has replied, or exits at the EOF of the pipe
+        if kind is not None:
+            self._process.terminate()
+        self._connection.close()
+        self._process.join()
+
+    def send(self, message):
+        self._call(self._connection.send, message)
+
+    def receive(self):
+        """The worker's next reply value, read with _receive."""
+        ok, reply = self._call(_receive, self._connection)
+        if not ok:
+            raise WorkerFailed(f"a {self._what} worker failed: {reply}")
+        return reply
+
+    def _call(self, method, *args):
+        try:
+            return method(*args)
+        except (EOFError, OSError):
+            self._process.join()
+            raise WorkerFailed(f"a {self._what} worker exited with code "
+                               f"{self._process.exitcode}") from None
+
+
+def _receive(connection):
+    """The next message on `connection`, polled for up to PEER_POLL_S before
+    a blocking read."""
+    deadline = time.perf_counter() + PEER_POLL_S
+    while not connection.poll() and time.perf_counter() < deadline:
+        pass
+    return connection.recv()
+
+
+def _worker_main(connection, parent_end, body, args):
+    """A _Worker's process: exit code 0 once `body` returns or reads past
+    the parent's last message, 1 on anything else."""
+    code = 1
+    try:
+        parent_end.close()
+        body(connection, *args)
+        code = 0
+    except EOFError:
+        code = 0
+    except Exception as exc:
+        connection.send((False, f"{type(exc).__name__}: {exc}"))
     finally:
-        for worker, reader in workers:
-            worker.join()
-            reader.close()
+        os._exit(code)
 
 
-class DirectionPeer:
-    """A forked process that runs the "bwd" cell of every layer of a
+class DirectionPeer(_Worker):
+    """A forked worker that runs the "bwd" cell of every layer of a
     bidirectional tagger, forward and BPTT, for model.loss_and_gradients,
     while the calling process runs the "fwd" cells: the two directions of a
     layer share nothing until their states are concatenated.
@@ -287,12 +332,9 @@ class DirectionPeer:
     mapping; the pipe carries only commands and replies, and each side
     polls it for up to PEER_POLL_S before it blocks. The peer copies its
     inputs out of the buffer, since its cache holds them until the layer's
-    BPTT. A peer that dies or raises becomes WorkerFailed. Used as a
-    context manager, it is stopped and joined on leaving."""
+    BPTT."""
 
     def __init__(self, tagger, max_len):
-        import multiprocessing  # here, not at import: it costs every command
-
         config = tagger.config
         if not config.bidirectional:
             raise ValueError("a direction peer needs a bidirectional tagger")
@@ -303,31 +345,10 @@ class DirectionPeer:
         self._inbox, self._outbox = (flat[2 * n:2 * n + rows],
                                      flat[2 * n + rows:])
         self.theta[:] = tagger.theta
-        context = multiprocessing.get_context("fork")
-        self._connection, child = context.Pipe()
         taggers = [model.Tagger(config, theta=vector)
                    for vector in (self.theta, self.grad)]
-        self._process = context.Process(
-            target=_peer_main, daemon=True,
-            args=(child, self._connection, *taggers, self._inbox, self._outbox))
-        try:
-            self._process.start()
-        except OSError as exc:
-            self._connection.close()
-            raise WorkerFailed(f"cannot start a training worker: "
-                               f"{exc.strerror}") from None
-        finally:
-            child.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, *_):
-        # on success the peer exits at the EOF of its command pipe
-        if kind is not None:
-            self._process.terminate()
-        self._connection.close()
-        self._process.join()
+        super().__init__("training", _peer_main, *taggers, self._inbox,
+                         self._outbox)
 
     def layer(self, l):
         """The peer of layer l, as model.loss_and_gradients uses it."""
@@ -337,24 +358,14 @@ class DirectionPeer:
         """Put `array` in the inbox and send the peer `command` with its
         shape."""
         self._inbox[:array.size].reshape(array.shape)[...] = array
-        self._call(self._connection.send, command + (array.shape,))
+        self.send(command + (array.shape,))
 
     def _result(self):
         """The peer's reply to the last command, a view of the outbox."""
-        ok, reply = self._call(_receive, self._connection)
-        if not ok:
-            raise WorkerFailed(f"a training worker failed: {reply}")
-        if reply is None:
+        shape = self.receive()
+        if shape is None:
             return None
-        return self._outbox[:math.prod(reply)].reshape(reply)
-
-    def _call(self, method, *args):
-        try:
-            return method(*args)
-        except (EOFError, OSError):
-            self._process.join()
-            raise WorkerFailed(f"a training worker exited with code "
-                               f"{self._process.exitcode}") from None
+        return self._outbox[:math.prod(shape)].reshape(shape)
 
 
 class _PeerLayer:
@@ -371,51 +382,26 @@ class _PeerLayer:
         return self.peer._result()
 
 
-def _receive(connection):
-    """The next message on `connection`, polled for up to PEER_POLL_S before
-    a blocking read."""
-    deadline = time.perf_counter() + PEER_POLL_S
-    while not connection.poll() and time.perf_counter() < deadline:
-        pass
-    return connection.recv()
-
-
-def _peer_main(connection, parent_end, tagger, dtagger, inbox, outbox):
+def _peer_main(connection, tagger, dtagger, inbox, outbox):
     """A direction peer's body. For each (op, layer, input_grads, shape)
     command it runs (op "run") or backpropagates the layer's "bwd" cell on
     the inbox, writes the states or input gradients to the outbox and
-    replies (True, their shape or None), or (False, message) if that
-    raised. It closes its copy of the parent's end first, so that it sees
-    the EOF of the command pipe, and ends there; every exit is an os._exit,
-    with no traceback."""
-    code = 1
-    try:
-        parent_end.close()
-        caches = {}
-        while True:
-            try:
-                op, l, input_grads, shape = _receive(connection)
-            except EOFError:
-                code = 0
-                break
-            try:
-                data = inbox[:math.prod(shape)].reshape(shape)
-                cell = tagger.layers[l]["bwd"]
-                if op == "run":
-                    out, caches[l] = model._run_direction(
-                        "bwd", cell, data.copy(), bptt=True)
-                else:
-                    out = model._backprop_direction(
-                        "bwd", cell, caches.pop(l), data,
-                        dtagger.layers[l]["bwd"], input_grads)
-                if out is not None:
-                    outbox[:out.size].reshape(out.shape)[...] = out
-                connection.send((True, None if out is None else out.shape))
-            except Exception as exc:
-                connection.send((False, f"{type(exc).__name__}: {exc}"))
-                break
-    finally:
-        os._exit(code)
+    replies with their shape, or None."""
+    caches = {}
+    while True:
+        op, l, input_grads, shape = _receive(connection)
+        data = inbox[:math.prod(shape)].reshape(shape)
+        cell = tagger.layers[l]["bwd"]
+        if op == "run":
+            out, caches[l] = model._run_direction("bwd", cell, data.copy(),
+                                                  bptt=True)
+        else:
+            out = model._backprop_direction("bwd", cell, caches.pop(l), data,
+                                            dtagger.layers[l]["bwd"],
+                                            input_grads)
+        if out is not None:
+            outbox[:out.size].reshape(out.shape)[...] = out
+        connection.send((True, None if out is None else out.shape))
 
 
 def evaluate_tagger(tagger, extractor, sentences):
@@ -443,7 +429,8 @@ def train(tagger, train_sentences, dev_sentences, extractor, config,
     _fork_cpus allows 2 CPUs or more, on a copy of `theta` in the peer's
     shared mapping, which is written back into `theta` at the end, whatever
     the outcome. The bits are those of a serial run. WorkerFailed: the
-    peer, or a dev evaluation's tagging worker, died or raised.
+    peer, or a dev evaluation's tagging worker, could not start, died or
+    raised.
     """
     theta = tagger.theta
     for name, arr in tagger.param_items():

@@ -4,6 +4,15 @@ from seqtag import cli, corpus
 from seqtag.numerics import derive_rng
 
 
+def process_alive(pid):
+    """Whether process `pid` runs: it exists and is no zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 @pytest.fixture
 def toy_path():
     return cli.toy_corpus_file()

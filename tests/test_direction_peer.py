@@ -4,6 +4,7 @@
 serial run's bits, a peer's failure must end `train` with a message, and no
 peer may outlive its run."""
 
+import errno
 import multiprocessing
 import os
 import subprocess
@@ -14,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import process_alive
 from seqtag import cli, corpus, model, train
 from seqtag.numerics import derive_rng
 
@@ -270,6 +272,24 @@ def test_a_failed_peer_ends_train_with_a_message(tmp_path, toy_path,
     assert os.listdir(tmp_path) == []
 
 
+def test_a_peer_that_cannot_start_ends_train_with_a_message(
+        tmp_path, toy_path, monkeypatch, capfd):
+    def no_process(self):
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        no_process)
+    _fork_allowed(monkeypatch)
+    out = tmp_path / "model.sqtg"
+    assert cli.main(["train", "--train", toy_path, "--dev", toy_path,
+                     "--hidden", "4", "--embedding-dim", "4", "--max-epochs",
+                     "1", "--quiet", "--out", str(out)]) == 1
+    assert capfd.readouterr().err == (f"error: cannot start a training "
+                                      f"worker: {os.strerror(errno.EAGAIN)}\n")
+    assert multiprocessing.active_children() == []
+    assert os.listdir(tmp_path) == []
+
+
 def test_a_failed_peer_fails_its_ablation_row(toy_sentences, monkeypatch):
     parent = os.getpid()
     real = model._backprop_direction
@@ -308,18 +328,9 @@ def test_a_peer_exits_when_its_parent_is_killed(tmp_path):
         parent.wait()
         parent.stdout.close()
     deadline = time.monotonic() + 30
-    while time.monotonic() < deadline and _alive(pid):
+    while time.monotonic() < deadline and process_alive(pid):
         time.sleep(0.05)
-    assert not _alive(pid)
-
-
-def _alive(pid):
-    """Whether process `pid` runs: it exists and is no zombie."""
-    try:
-        with open(f"/proc/{pid}/stat") as handle:
-            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
+    assert not process_alive(pid)
 
 
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,

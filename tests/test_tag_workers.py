@@ -4,8 +4,10 @@ but the first in forked workers. The output must not depend on how many
 there are, a worker's failure must end `tag` with a message, and no worker
 may outlive the call."""
 
+import errno
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -13,7 +15,10 @@ import time
 
 import pytest
 
+from conftest import process_alive
 from seqtag import cli, corpus, model, train
+
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +122,7 @@ def test_a_small_input_one_batch_one_cpu_or_a_thread_forks_nothing(
         _tag(toy_model, toy_path, output)
 
 
-@pytest.mark.parametrize("failure", ["exit", "raise"])
+@pytest.mark.parametrize("failure", ["exit", "raise", "interrupt"])
 def test_a_failed_worker_ends_tag_with_a_message(tmp_path, toy_model,
                                                  toy_path, monkeypatch,
                                                  capfd, failure):
@@ -128,7 +133,8 @@ def test_a_failed_worker_ends_tag_with_a_message(tmp_path, toy_model,
         if os.getpid() != parent:
             if failure == "exit":
                 os._exit(7)
-            raise RuntimeError("no labels here")
+            raise (RuntimeError("no labels here") if failure == "raise"
+                   else KeyboardInterrupt)
         return real(*args)
 
     monkeypatch.setattr(train, "_tag_share", failing)
@@ -139,10 +145,28 @@ def test_a_failed_worker_ends_tag_with_a_message(tmp_path, toy_model,
     err = capfd.readouterr().err
     assert err.startswith("error: a tagging worker ")
     assert "Traceback" not in err
-    assert ("exited with code 7" if failure == "exit"
-            else "failed: RuntimeError: no labels here") in err
+    assert {"exit": "exited with code 7",
+            "raise": "failed: RuntimeError: no labels here",
+            "interrupt": "exited with code 1"}[failure] in err
     assert multiprocessing.active_children() == []
     assert not output.exists()
+
+
+def test_a_worker_that_cannot_start_ends_tag_with_a_message(
+        tmp_path, toy_model, toy_path, monkeypatch, capfd):
+    def no_process(self):
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        no_process)
+    monkeypatch.setattr(train, "WORKER_TOKENS", 1)
+    _cpus(monkeypatch, 2)
+    output = tmp_path / "tagged.conll"
+    assert _tag(toy_model, toy_path, str(output)) == 1
+    assert capfd.readouterr().err == (f"error: cannot start a tagging worker: "
+                                      f"{os.strerror(errno.EAGAIN)}\n")
+    assert multiprocessing.active_children() == []
+    assert os.listdir(tmp_path) == []
 
 
 def test_a_failed_worker_in_dev_evaluation_ends_train_with_a_message(
@@ -189,6 +213,81 @@ def test_a_failure_in_the_parent_stops_every_worker(toy_model, toy_path,
         train.tag_corpus(tagger, extractor, corpus.read_conll(toy_path))
     assert time.monotonic() - started < 30  # stopped, not waited for
     assert multiprocessing.active_children() == []
+
+
+def test_a_worker_exits_when_its_parent_is_killed():
+    """A worker whose labels outgrow a pipe's 64 KiB buffer blocks in its
+    send until the parent reads them; once the parent is gone, it exits."""
+    script = ("import multiprocessing, os, time; from seqtag import train\n"
+              "parent = os.getpid()\n"
+              "def share(tagger, extractor, batches):\n"
+              "    if os.getpid() == parent:  # busy with share 0\n"
+              "        print(*[p.pid for p in multiprocessing.active_children()],"
+              " flush=True)\n"
+              "        time.sleep(60)\n"
+              "    return [['O'] * 10 ** 6]\n"
+              "train._tag_share = share\n"
+              "train._tag_in_workers(None, None, [[], [[]]])")
+    parent = subprocess.Popen([sys.executable, "-c", script],
+                              stdout=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=SRC))
+    try:
+        pid = int(parent.stdout.readline())
+    finally:
+        parent.kill()
+        parent.wait()
+        parent.stdout.close()
+    try:
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline and process_alive(pid):
+            time.sleep(0.05)
+        assert not process_alive(pid)
+    finally:
+        if process_alive(pid):
+            os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                    reason="the affinity mask holds one CPU: nothing forks")
+def test_tag_with_one_blas_thread_writes_the_default_bytes(tmp_path, toy_model,
+                                                           toy_path):
+    """`python -m seqtag tag` on the toy corpus repeated past 2 *
+    WORKER_TOKENS tokens: with OPENBLAS_NUM_THREADS=1 the process runs one
+    OS thread and forks a tagging worker, through the real gate; with the
+    variable unset the BLAS pool keeps it serial. The output and the
+    manifest are the same bytes."""
+    tokens = sum(map(len, corpus.read_conll(toy_path)))
+    with open(toy_path, encoding="utf-8") as handle:
+        text = handle.read().rstrip("\n") + "\n\n"
+    data = tmp_path / "input.conll"
+    data.write_text(text * (2 * train.WORKER_TOKENS // tokens + 1),
+                    encoding="utf-8")
+    # report each parallel call, then run the module as `python -m` does
+    script = ("import runpy, sys; from seqtag import train; "
+              "real = train._tag_in_workers\n"
+              "def workers(tagger, extractor, shares):\n"
+              "    print('tagging workers', len(shares) - 1, file=sys.stderr)\n"
+              "    return real(tagger, extractor, shares)\n"
+              "train._tag_in_workers = workers\n"
+              "runpy.run_module('seqtag', run_name='__main__', alter_sys=True)")
+    files = []
+    for blas in ("1", None):
+        work = tmp_path / f"blas-{blas}"
+        work.mkdir()
+        env = {k: v for k, v in os.environ.items() if k not in
+               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = SRC
+        if blas:
+            env["OPENBLAS_NUM_THREADS"] = blas
+        result = subprocess.run(
+            [sys.executable, "-c", script, "tag", "--model", toy_model,
+             "--input", str(data), "--output", "out.conll"], cwd=work,
+            env=env, capture_output=True, text=True, timeout=600)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ("tagging workers 1\n" if blas else "")
+        files.append([(work / name).read_bytes() for name in
+                      ("out.conll", "out.conll.manifest.json")])
+    assert files[0] == files[1]
 
 
 @pytest.mark.parametrize("gold", [True, False], ids=["gold", "no-gold"])
